@@ -20,8 +20,9 @@ import numpy as np
 
 from . import analysis as ana
 from . import pipeline as pl
-from .datasets import (SpanDataset, load_dataset, read_articles, read_techniques,
-                       write_articles, write_spans_tsv, write_techniques)
+from .datasets import (SpanDataset, load_dataset, read_articles, read_spans_tsv,
+                       read_techniques, write_articles, write_spans_tsv,
+                       write_techniques)
 from .encoder import EncoderConfig
 from .metrics import confusion_matrix, flc_f1, flc_f1_per_article, micro_f1, span_outcomes
 from .models import SiTagger, TcClassifier
@@ -397,35 +398,13 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _read_span_tsv(path: str, task: str, techniques: list[str] | None):
-    rows = []
-    tech_ids = {name: i for i, name in enumerate(techniques)} if techniques else None
-    for lineno, row in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not row.strip():
-            continue
-        parts = row.split("\t")
-        try:
-            if task == "si":
-                if len(parts) != 3:
-                    raise ValueError("expected 3 fields")
-                rows.append(Span(parts[0], int(parts[1]), int(parts[2])))
-            else:
-                if len(parts) != 4:
-                    raise ValueError("expected 4 fields")
-                if tech_ids is None:
-                    raise CliError("--techniques is required for tc scoring")
-                rows.append(Span(parts[0], int(parts[2]), int(parts[3]),
-                                 tech_ids[parts[1]]))
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
-    return rows
-
-
 def cmd_score(args) -> int:
     out = _out_dir(args)
     techniques = read_techniques(args.techniques) if args.techniques else None
-    pred = _read_span_tsv(args.pred, args.task, techniques)
-    gold = _read_span_tsv(args.gold, args.task, techniques)
+    if args.task == "tc" and techniques is None:
+        raise CliError("--techniques is required for tc scoring")
+    pred = read_spans_tsv(args.pred, args.task, techniques)
+    gold = read_spans_tsv(args.gold, args.task, techniques)
     if args.task == "si":
         score = flc_f1(pred, gold)
         report = {"task": "si", "precision": score.precision, "recall": score.recall,
@@ -492,8 +471,8 @@ def cmd_analyze(args) -> int:
         else ana.default_features(args.task)
 
     if args.task == "si":
-        pred = _read_span_tsv(args.pred, "si", None)
-        gold = _read_span_tsv(args.gold, "si", None)
+        pred = read_spans_tsv(args.pred, "si")
+        gold = read_spans_tsv(args.gold, "si")
         per_article = flc_f1_per_article(pred, gold)
         items, scores = [], []
         for aid in sorted(per_article):
@@ -506,8 +485,8 @@ def cmd_analyze(args) -> int:
         techniques = read_techniques(args.techniques) if args.techniques else None
         if techniques is None:
             raise CliError("--techniques is required for tc analysis")
-        pred = _read_span_tsv(args.pred, "tc", techniques)
-        gold = _read_span_tsv(args.gold, "tc", techniques)
+        pred = read_spans_tsv(args.pred, "tc", techniques)
+        gold = read_spans_tsv(args.gold, "tc", techniques)
         pred_by_key = {(s.article_id, s.start, s.end): s.technique for s in pred}
         items, scores = [], []
         for g in sorted(gold, key=lambda s: (s.article_id, s.start, s.end)):

@@ -1,7 +1,9 @@
 """Linear-chain CRF: path scoring, forward-algorithm partition, NLL, Viterbi.
 
 Training-path functions take autograd Tensors so gradients flow back into
-emissions and the transition parameters; decoding is plain numpy.
+emissions and the transition parameters; the padded-batch functions are the
+one implementation, and the single-sequence ``path_score``/``log_partition``
+run them at batch size 1. Decoding is plain numpy.
 """
 
 from __future__ import annotations
@@ -91,22 +93,16 @@ def path_score(emissions: Tensor, tags, params: CrfParams) -> Tensor:
     emissions = T.as_tensor(emissions)
     length, n_labels = emissions.shape
     tags = _check_tags(tags, n_labels, length)
-    score = params.start_scores[int(tags[0])] + params.end_scores[int(tags[-1])]
-    score = score + T.take_along_last(emissions, tags).sum()
-    if length > 1:
-        score = score + params.transitions[tags[:-1], tags[1:]].sum()
-    return score
+    batch = T.reshape(emissions, (1, length, n_labels))
+    return T.reshape(path_score_batch(batch, tags[None, :], [length], params), ())
 
 
 def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
     """Forward recursion with logsumexp over all label paths. Scalar Tensor."""
     emissions = T.as_tensor(emissions)
-    length, _ = emissions.shape
-    alpha = params.start_scores + emissions[0]
-    for t in range(1, length):
-        inner = T.reshape(alpha, (-1, 1)) + params.transitions
-        alpha = T.logsumexp_t(inner, axis=0) + emissions[t]
-    return T.logsumexp_t(alpha + params.end_scores, axis=0)
+    length, n_labels = emissions.shape
+    batch = T.reshape(emissions, (1, length, n_labels))
+    return T.reshape(log_partition_batch(batch, [length], params), ())
 
 
 def nll(emissions: Tensor, tags, params: CrfParams,

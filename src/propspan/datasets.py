@@ -34,11 +34,6 @@ class SpanDataset:
     def spans_for(self, article_id: str) -> list[Span]:
         return [s for s in self.spans if s.article_id == article_id]
 
-    def label_name(self, label_id: int) -> str:
-        if self.labels is None:
-            raise ValueError("dataset carries no technique inventory")
-        return self.labels[label_id]
-
 
 def read_articles(articles_dir: str | Path) -> dict[str, str]:
     articles: dict[str, str] = {}
@@ -62,64 +57,70 @@ def read_techniques(path: str | Path) -> list[str]:
     return labels
 
 
-def _parse_row(row: str, lineno: int, task: str, techniques: dict[str, int] | None):
-    parts = row.rstrip("\n").split("\t")
-    try:
-        if task == "si":
-            if len(parts) != 3:
-                raise ValueError("expected 3 tab-separated fields")
-            aid, start, end = parts[0], int(parts[1]), int(parts[2])
-            technique = None
-        else:
-            if len(parts) != 4:
-                raise ValueError("expected 4 tab-separated fields")
-            aid, name, start, end = parts[0], parts[1], int(parts[2]), int(parts[3])
-            if techniques is None:
-                technique = name  # resolved by the caller once the inventory is known
-            else:
-                if name not in techniques:
-                    raise ValueError(f"unknown technique {name!r}")
-                technique = techniques[name]
-        if end <= start or start < 0:
-            raise ValueError(f"bad offsets ({start}, {end})")
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    return aid, start, end, technique
+def _parse_row(row: str, task: str, techniques: dict[str, int]) -> Span:
+    parts = row.split("\t")
+    if task == "si":
+        if len(parts) != 3:
+            raise ValueError("expected 3 tab-separated fields")
+        aid, start, end, technique = parts[0], int(parts[1]), int(parts[2]), None
+    else:
+        if len(parts) != 4:
+            raise ValueError("expected 4 tab-separated fields")
+        aid, name, start, end = parts[0], parts[1], int(parts[2]), int(parts[3])
+        if name not in techniques:
+            raise ValueError(f"unknown technique {name!r}")
+        technique = techniques[name]
+    if end <= start or start < 0:
+        raise ValueError(f"bad offsets ({start}, {end})")
+    return Span(aid, start, end, technique)
+
+
+def read_spans_tsv(path: str | Path, task: str,
+                   techniques: list[str] | None = None) -> list[Span]:
+    """Spans of an SI (3-field) or TC (4-field) label file; blank lines are skipped.
+
+    TC technique names map to their index in ``techniques``, which TC files
+    require. Errors name the file and the line.
+    """
+    if task not in ("si", "tc"):
+        raise ValueError(f"task must be 'si' or 'tc', got {task!r}")
+    if task == "tc" and techniques is None:
+        raise ValueError(f"{path}: reading technique labels needs a technique inventory")
+    tech_ids = {name: i for i, name in enumerate(techniques or [])}
+    spans = []
+    for lineno, row in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not row.strip():
+            continue
+        try:
+            spans.append(_parse_row(row, task, tech_ids))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return spans
 
 
 def load_dataset(articles_dir: str | Path, labels_file: str | Path, task: str,
                  techniques_file: str | Path | None = None) -> SpanDataset:
-    """Read articles and a span TSV; spans are validated against article lengths."""
-    if task not in ("si", "tc"):
-        raise ValueError(f"task must be 'si' or 'tc', got {task!r}")
+    """Read articles and a span TSV; spans are validated against article lengths.
+
+    Without a technique file, a TC inventory is the sorted set of technique
+    names in the label file.
+    """
     articles = read_articles(articles_dir)
 
     labels: list[str] | None = None
-    tech_ids: dict[str, int] | None = None
-    if task == "tc":
-        if techniques_file is not None:
-            labels = read_techniques(techniques_file)
-            tech_ids = {name: i for i, name in enumerate(labels)}
+    if task == "tc" and techniques_file is not None:
+        labels = read_techniques(techniques_file)
+    elif task == "tc":
+        rows = Path(labels_file).read_text(encoding="utf-8").splitlines()
+        labels = sorted({row.split("\t")[1] for row in rows if row.count("\t") == 3})
 
-    raw_rows = []
-    for lineno, row in enumerate(Path(labels_file).read_text(encoding="utf-8").splitlines(), 1):
-        if not row.strip():
-            continue
-        raw_rows.append(_parse_row(row, lineno, task, tech_ids))
-
-    if task == "tc" and labels is None:
-        labels = sorted({tech for _, _, _, tech in raw_rows})
-        name_to_id = {name: i for i, name in enumerate(labels)}
-        raw_rows = [(aid, s, e, name_to_id[t]) for aid, s, e, t in raw_rows]
-
-    spans = []
-    for aid, start, end, technique in raw_rows:
-        if aid not in articles:
-            raise ValueError(f"span references unknown article {aid!r}")
-        if end > len(articles[aid]):
-            raise ValueError(f"span ({start}, {end}) outside article {aid!r} "
-                             f"of length {len(articles[aid])}")
-        spans.append(Span(aid, start, end, technique))
+    spans = read_spans_tsv(labels_file, task, labels)
+    for sp in spans:
+        if sp.article_id not in articles:
+            raise ValueError(f"span references unknown article {sp.article_id!r}")
+        if sp.end > len(articles[sp.article_id]):
+            raise ValueError(f"span ({sp.start}, {sp.end}) outside article "
+                             f"{sp.article_id!r} of length {len(articles[sp.article_id])}")
     return SpanDataset(articles=articles, spans=spans, labels=labels)
 
 

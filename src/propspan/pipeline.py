@@ -21,7 +21,7 @@ from . import tensor as T
 from .datasets import SpanDataset
 from .encoder import EncoderConfig, SpanClsConfig
 from .losses import class_weights, reweighted_bce, uniform_weights
-from .metrics import FlcScore, flc_f1, micro_f1
+from .metrics import flc_f1, micro_f1
 from .models import SiTagger, TcClassifier
 from .optim import Optimizer, adamw, sgd
 from .tokens import (BOS, EOS, Span, Token, TokenizedText, Vocab, extend_context,
@@ -50,6 +50,12 @@ class HyperParams:
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size <= 0 or self.steps < 0:
             raise ValueError("lr and batch_size must be positive, steps >= 0")
+        losses = {"si": ("nll", "margin"), "tc": ("bce",)}
+        if self.loss not in losses.get(self.task, ()):
+            raise ValueError(f"loss {self.loss!r} does not fit task {self.task!r} "
+                             "(si: nll or margin; tc: bce)")
+        if self.optimizer not in ("sgd", "adamw"):
+            raise ValueError(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
 
     @classmethod
     def desk(cls, task: str) -> "HyperParams":
@@ -130,9 +136,6 @@ class SiWindow:
     tokens: tuple[Token, ...]
     tags: list[int]
 
-    def tokenized(self, text: str) -> TokenizedText:
-        return TokenizedText(text=text, tokens=self.tokens)
-
 
 def _line_groups(tt: TokenizedText) -> list[list[Token]]:
     """Consecutive tokens with no newline between them."""
@@ -193,6 +196,8 @@ def mix_with_silver(gold: list, silver: list, ratio: tuple[int, int] | None):
     """
     if not silver:
         return list(gold)
+    if not gold:
+        raise ValueError("silver items need a non-empty gold set to mix with")
     if ratio is None:
         return list(gold) + list(silver)
     g, s = ratio
@@ -239,11 +244,6 @@ def predict_spans(model: SiTagger, tokenized: dict[str, TokenizedText],
     return spans
 
 
-def _eval_si(model: SiTagger, dev: SpanDataset, max_len: int) -> FlcScore:
-    pred = predict_spans(model, dev.tokenized, max_len)
-    return flc_f1(pred, dev.spans)
-
-
 def _snapshot(model) -> dict[str, np.ndarray]:
     return {k: v.data.copy() for k, v in model.params().items()}
 
@@ -256,9 +256,64 @@ def _restore(model, snap: dict[str, np.ndarray]) -> None:
 def _make_optimizer(params, hp: HyperParams) -> Optimizer:
     if hp.optimizer == "sgd":
         return sgd(params, lr=hp.lr, momentum=hp.momentum)
-    if hp.optimizer == "adamw":
-        return adamw(params, lr=hp.lr, weight_decay=hp.weight_decay)
-    raise ValueError(f"unknown optimizer {hp.optimizer!r}")
+    return adamw(params, lr=hp.lr, weight_decay=hp.weight_decay)
+
+
+def _model_config(encoder_cfg: EncoderConfig | None, vocab: Vocab,
+                  hp: HyperParams) -> EncoderConfig:
+    cfg = encoder_cfg or desk_encoder_config(len(vocab), hp)
+    return replace(cfg, vocab_size=len(vocab), dropout=hp.dropout,
+                   attention_dropout=hp.attention_dropout)
+
+
+def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
+         data_rng: np.random.Generator) -> tuple[list[EvalPoint], float, int]:
+    """The training loop both tasks share; returns (trace, best score, best step).
+
+    ``batch_loss`` maps item indices to a scalar loss; ``evaluate`` scores the
+    model at a step. Each epoch walks a fresh permutation; evaluation runs
+    every ``hp.eval_every`` steps and after the last, and the best evaluated
+    parameters are restored at the end.
+    """
+    if n_items == 0:
+        raise ValueError("no training items: the training data has no tokens or spans")
+    opt = _make_optimizer(model.params(), hp)
+    trace: list[EvalPoint] = []
+    best = _snapshot(model)
+    best_score, best_step = -1.0, 0
+    stale = 0
+
+    def check(step: int) -> None:
+        nonlocal best, best_score, best_step, stale
+        point = evaluate(step)
+        trace.append(point)
+        if point.score > best_score:
+            best, best_score, best_step, stale = _snapshot(model), point.score, step, 0
+        else:
+            stale += 1
+
+    if hp.steps == 0:
+        check(0)
+        return trace, best_score, best_step
+
+    order = data_rng.permutation(n_items)
+    cursor = 0
+    for step in range(1, hp.steps + 1):
+        if cursor + hp.batch_size > n_items:
+            order = data_rng.permutation(n_items)
+            cursor = 0
+        loss = batch_loss(order[cursor:cursor + hp.batch_size])
+        cursor += hp.batch_size
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        if step % hp.eval_every == 0 or step == hp.steps:
+            check(step)
+            if stale >= hp.patience:
+                break
+
+    _restore(model, best)
+    return trace, best_score, best_step
 
 
 def train_si(train: SpanDataset, dev: SpanDataset, hp: HyperParams, seed: int,
@@ -266,8 +321,6 @@ def train_si(train: SpanDataset, dev: SpanDataset, hp: HyperParams, seed: int,
              ratio: tuple[int, int] | None = (1, 4),
              encoder_cfg: EncoderConfig | None = None) -> TrainResult:
     """Tagger training with periodic dev evaluation and early stopping."""
-    if not train.articles:
-        raise ValueError("empty training dataset")
     gold_windows = build_si_windows(train, hp.max_seq_len)
     silver_windows = build_si_windows(silver, hp.max_seq_len) if silver else []
     windows = mix_with_silver(gold_windows, silver_windows, ratio)
@@ -277,12 +330,8 @@ def train_si(train: SpanDataset, dev: SpanDataset, hp: HyperParams, seed: int,
         texts += [[t.surface for t in tt.tokens] for tt in silver.tokenized.values()]
     vocab = Vocab.build(texts)
 
-    cfg = encoder_cfg or desk_encoder_config(len(vocab), hp)
-    if cfg.vocab_size != len(vocab):
-        cfg = replace(cfg, vocab_size=len(vocab))
-    cfg = replace(cfg, dropout=hp.dropout, attention_dropout=hp.attention_dropout)
-    model = SiTagger(cfg, vocab, use_crf=use_crf, seed=seed)
-    opt = _make_optimizer(model.params(), hp)
+    model = SiTagger(_model_config(encoder_cfg, vocab, hp), vocab, use_crf=use_crf,
+                     seed=seed)
     data_rng = np.random.default_rng(derive_seed(seed, 101))
     drop_rng = np.random.default_rng(derive_seed(seed, 102))
 
@@ -291,45 +340,17 @@ def train_si(train: SpanDataset, dev: SpanDataset, hp: HyperParams, seed: int,
             "batch_size": hp.batch_size, "gold_windows": len(gold_windows),
             "silver_windows": len(silver_windows), "train_windows": len(windows)}
 
-    trace: list[EvalPoint] = []
-    best = _snapshot(model)
-    best_score, best_step = -1.0, 0
-    stale = 0
+    def batch_loss(idx: np.ndarray) -> T.Tensor:
+        ids, mask, tags, lengths = _pad_si_batch([windows[j] for j in idx], vocab)
+        return model.loss(ids, mask, tags, lengths, train=True, rng=drop_rng,
+                          loss_kind=hp.loss)
 
-    def evaluate(step: int) -> None:
-        nonlocal best, best_score, best_step, stale
-        score = _eval_si(model, dev, hp.max_seq_len)
-        trace.append(EvalPoint(step, score.f1, score.precision, score.recall))
-        if score.f1 > best_score:
-            best, best_score, best_step, stale = _snapshot(model), score.f1, step, 0
-        else:
-            stale += 1
+    def evaluate(step: int) -> EvalPoint:
+        score = flc_f1(predict_spans(model, dev.tokenized, hp.max_seq_len), dev.spans)
+        return EvalPoint(step, score.f1, score.precision, score.recall)
 
-    if hp.steps == 0:
-        evaluate(0)
-        return TrainResult(model, trace, best_score, best_step, meta)
-
-    order = data_rng.permutation(len(windows))
-    cursor = 0
-    for step in range(1, hp.steps + 1):
-        if cursor + hp.batch_size > len(order):
-            order = data_rng.permutation(len(windows))
-            cursor = 0
-        batch = [windows[j] for j in order[cursor:cursor + hp.batch_size]]
-        cursor += hp.batch_size
-        ids, mask, tags, lengths = _pad_si_batch(batch, vocab)
-        loss = model.loss(ids, mask, tags, lengths, train=True, rng=drop_rng,
-                          loss_kind="margin" if hp.loss == "margin" else "nll")
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        if step % hp.eval_every == 0 or step == hp.steps:
-            evaluate(step)
-            if stale >= hp.patience:
-                break
-
-    _restore(model, best)
-    return TrainResult(model, trace, best_score, best_step, meta)
+    fitted = _fit(model, len(windows), batch_loss, evaluate, hp, data_rng)
+    return TrainResult(model, *fitted, meta)
 
 
 def annotate_si(model: SiTagger, pool: SpanDataset,
@@ -465,13 +486,6 @@ def predict_tc_probs(model: TcClassifier, items: list[TcItem],
     return np.concatenate(out, axis=0)
 
 
-def _eval_tc(model: TcClassifier, items: list[TcItem]) -> float:
-    probs = predict_tc_probs(model, items)
-    pred = probs.argmax(axis=1)
-    gold = np.array([it.label for it in items], dtype=np.int64)
-    return micro_f1(pred, gold)
-
-
 def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[str],
              opts: TcOptions, hp: HyperParams, seed: int,
              silver_items: list[TcItem] | None = None,
@@ -486,8 +500,6 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
     the whole run by default; pass ``apply_overwrite=False`` to keep the
     base hyperparameters instead.
     """
-    if not train_items:
-        raise ValueError("empty training dataset")
     if opts.self_train and silver_items is None:
         raise ValueError("self_train option requires a silver item set "
                          "(see build_tc_silver)")
@@ -497,13 +509,10 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
     mixed = mix_with_silver(list(train_items), silver, ratio)
 
     vocab = Vocab.build([it.window_tokens for it in mixed])
-    cfg = encoder_cfg or desk_encoder_config(len(vocab), hp)
-    if cfg.vocab_size != len(vocab):
-        cfg = replace(cfg, vocab_size=len(vocab))
-    cfg = replace(cfg, dropout=hp.dropout, attention_dropout=hp.attention_dropout)
     head_kind = "span_cls" if opts.span_cls else "marker"
-    model = TcClassifier(cfg, vocab, labels, head_kind=head_kind,
-                         span_cfg=span_cfg or SpanClsConfig(), seed=seed)
+    model = TcClassifier(_model_config(encoder_cfg, vocab, hp), vocab, labels,
+                         head_kind=head_kind, span_cfg=span_cfg or SpanClsConfig(),
+                         seed=seed)
 
     n_classes = len(labels)
     if opts.reweight:
@@ -515,7 +524,6 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
     else:
         weights = uniform_weights(n_classes)
 
-    opt = _make_optimizer(model.params(), hp)
     data_rng = np.random.default_rng(derive_seed(seed, 201))
     drop_rng = np.random.default_rng(derive_seed(seed, 202))
 
@@ -527,48 +535,22 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
             "batch_size": hp.batch_size, "gold_items": len(train_items),
             "silver_items": len(silver), "train_items": len(mixed)}
 
-    trace: list[EvalPoint] = []
-    best = _snapshot(model)
-    best_score, best_step = -1.0, 0
-    stale = 0
-
-    def evaluate(step: int) -> None:
-        nonlocal best, best_score, best_step, stale
-        score = _eval_tc(model, dev_items)
-        trace.append(EvalPoint(step, score))
-        if score > best_score:
-            best, best_score, best_step, stale = _snapshot(model), score, step, 0
-        else:
-            stale += 1
-
-    if hp.steps == 0:
-        evaluate(0)
-        return TrainResult(model, trace, best_score, best_step, meta)
-
-    order = data_rng.permutation(len(mixed))
-    cursor = 0
-    for step in range(1, hp.steps + 1):
-        if cursor + hp.batch_size > len(order):
-            order = data_rng.permutation(len(mixed))
-            cursor = 0
-        chunk = [mixed[j] for j in order[cursor:cursor + hp.batch_size]]
-        cursor += hp.batch_size
+    def batch_loss(idx: np.ndarray) -> T.Tensor:
+        chunk = [mixed[j] for j in idx]
         ids, mask, spans = _pad_tc_batch(chunk, vocab, head_kind)
         logits = model.logits(ids, mask,
                               spans if head_kind == "span_cls" else None,
                               train=True, rng=drop_rng)
-        y = _multi_hot(chunk, n_classes)
-        loss = reweighted_bce(T.sigmoid(logits), y, weights)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        if step % hp.eval_every == 0 or step == hp.steps:
-            evaluate(step)
-            if stale >= hp.patience:
-                break
+        return reweighted_bce(T.sigmoid(logits), _multi_hot(chunk, n_classes), weights)
 
-    _restore(model, best)
-    return TrainResult(model, trace, best_score, best_step, meta)
+    dev_gold = np.array([it.label for it in dev_items], dtype=np.int64)
+
+    def evaluate(step: int) -> EvalPoint:
+        pred = predict_tc_probs(model, dev_items).argmax(axis=1)
+        return EvalPoint(step, micro_f1(pred, dev_gold))
+
+    fitted = _fit(model, len(mixed), batch_loss, evaluate, hp, data_rng)
+    return TrainResult(model, *fitted, meta)
 
 
 def build_tc_silver(si_model: SiTagger, tc_model: TcClassifier, pool: SpanDataset,

@@ -254,6 +254,47 @@ def test_unknown_hp_key_exit_1(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_train_si_rejects_bce_loss(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"hp.loss": "bce"}))
+    code = run(["train-si", "--seed", "1", "--config", str(cfg),
+                "--articles", str(synth_dir / "train" / "articles"),
+                "--labels", str(synth_dir / "train" / "labels-si.tsv"),
+                "--dev-articles", str(synth_dir / "dev" / "articles"),
+                "--dev-labels", str(synth_dir / "dev" / "labels-si.tsv"),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "'bce'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model-si.spfg").exists()
+
+
+@pytest.mark.parametrize("task,row,reason", [
+    ("si", "1\t0", "expected 3 tab-separated fields"),
+    ("tc", "1\tNo_Such_Technique\t0\t5", "unknown technique 'No_Such_Technique'"),
+    ("si", "1\t5\t5", "bad offsets (5, 5)"),
+    ("tc", "1\t{technique}\t9\t3", "bad offsets (9, 3)"),
+])
+def test_score_malformed_row_names_file_and_line(synth_dir, tmp_path, capsys,
+                                                 task, row, reason):
+    gold = synth_dir / "dev" / f"labels-{task}.tsv"
+    techniques = synth_dir / "techniques.txt"
+    row = row.format(technique=techniques.read_text().splitlines()[0])
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(gold.read_text().splitlines()[0] + "\n" + row + "\n")
+    code = run(["score", "--task", task, "--pred", str(pred), "--gold", str(gold),
+                "--techniques", str(techniques), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{pred}: line 2: {reason}" in capsys.readouterr().err
+
+
+def test_score_tc_without_techniques_exit_1(synth_dir, tmp_path, capsys):
+    gold = synth_dir / "dev" / "labels-tc.tsv"
+    code = run(["score", "--task", "tc", "--pred", str(gold), "--gold", str(gold),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "--techniques" in capsys.readouterr().err
+
+
 def test_help_prints_both_profiles(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from propspan.datasets import (load_dataset, read_articles, read_techniques,
-                               write_articles, write_spans_tsv, write_techniques)
+from propspan.datasets import (load_dataset, read_articles, read_spans_tsv,
+                               read_techniques, write_articles, write_spans_tsv,
+                               write_techniques)
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tokens import Span
 
@@ -85,6 +91,41 @@ def test_span_tsv_round_trip(tmp_path):
     assert text == "1\tA\t0\t3\n2\tB\t4\t9\n"  # sorted, labeled
     write_spans_tsv(tmp_path / "y.tsv", [Span("1", 0, 3)])
     assert (tmp_path / "y.tsv").read_text() == "1\t0\t3\n"
+
+
+# field text: no control characters (tab, newline) and no line separators
+_field = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                 min_size=1, max_size=8)
+
+
+@st.composite
+def _span_rows(draw):
+    labels = draw(st.lists(_field, min_size=1, max_size=4, unique=True))
+    labeled = draw(st.booleans())
+    spans = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(0, 5000))
+        technique = draw(st.integers(0, len(labels) - 1)) if labeled else None
+        spans.append(Span(draw(_field), start, start + draw(st.integers(1, 300)),
+                          technique))
+    return spans, (labels if labeled else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_span_rows())
+def test_write_then_read_spans_round_trips(case):
+    spans, labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spans.tsv"
+        write_spans_tsv(path, spans, labels)
+        got = read_spans_tsv(path, "si" if labels is None else "tc", labels)
+    assert got == sorted(spans, key=lambda s: (s.article_id, s.start, s.end))
+
+
+def test_read_spans_tsv_tc_needs_inventory(tmp_path):
+    (tmp_path / "x.tsv").write_text("1\tA\t0\t3\n")
+    with pytest.raises(ValueError, match="inventory"):
+        read_spans_tsv(tmp_path / "x.tsv", "tc")
 
 
 def test_techniques_round_trip(tmp_path):

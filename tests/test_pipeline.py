@@ -6,14 +6,15 @@ import pytest
 from propspan.datasets import SpanDataset
 from propspan.encoder import EncoderConfig, SpanClsConfig
 from propspan.models import TcClassifier
-from propspan.pipeline import (HyperParams, SelfTrainOverwrite, TcOptions,
-                               annotate_si, build_si_windows, build_tc_items,
+from propspan.pipeline import (EvalPoint, HyperParams, SelfTrainOverwrite, TcOptions,
+                               _fit, annotate_si, build_si_windows, build_tc_items,
                                build_tc_silver, cross_validate, derive_seed,
                                desk_encoder_config, ensemble_predict, ensemble_probs,
                                enumerate_ensembles, kfold_split, mix_with_silver,
                                partition_pool, predict_tc_probs, self_train_si,
                                train_si, train_tc)
 from propspan.synth import SynthConfig, gen_synth
+from propspan.tensor import Tensor
 from propspan.tokens import Span, Vocab
 
 
@@ -55,6 +56,17 @@ class TestHyperParams:
         hp = ow.apply(HyperParams.paper("si"))
         assert (hp.dropout, hp.attention_dropout, hp.batch_size) == (0.0, 0.0, 16)
         assert hp.lr == 5e-4  # untouched
+
+    def test_loss_must_fit_task(self):
+        with pytest.raises(ValueError, match="bce"):
+            replace(HyperParams.desk("si"), loss="bce")
+        with pytest.raises(ValueError, match="nll"):
+            replace(HyperParams.desk("tc"), loss="nll")
+        assert replace(HyperParams.desk("si"), loss="margin").loss == "margin"
+
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(ValueError, match="rmsprop"):
+            replace(HyperParams.desk("tc"), optimizer="rmsprop")
 
     def test_tc_option_rows(self):
         rows = TcOptions.table_rows()
@@ -100,6 +112,41 @@ class TestMixWithSilver:
         mixed = mix_with_silver(["g"], silver, (1, 4))
         assert [x for x in mixed if x.startswith("s")] == silver
 
+    def test_empty_gold_with_silver_rejected(self):
+        for ratio in ((1, 4), None):
+            with pytest.raises(ValueError, match="gold"):
+                mix_with_silver([], ["s"], ratio)
+
+
+class _OneWeight:
+    def __init__(self):
+        self.w = Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)
+
+    def params(self):
+        return {"w": self.w}
+
+
+def test_fit_stops_after_patience_and_restores_best():
+    model = _OneWeight()
+    scores = iter([0.5, 0.9, 0.7, 0.8, 0.95])
+    batches = []
+
+    def batch_loss(idx):
+        batches.append(set(idx.tolist()))
+        return (model.w * -1.0).sum()  # each SGD step (lr 1) adds 1 to w
+
+    hp = replace(HyperParams.desk("si"), steps=100, eval_every=2, patience=2,
+                 batch_size=2, lr=1.0, momentum=0.0)
+    trace, best_score, best_step = _fit(
+        model, 5, batch_loss, lambda step: EvalPoint(step, next(scores)), hp,
+        np.random.default_rng(0))
+    assert [p.step for p in trace] == [2, 4, 6, 8]
+    assert (best_score, best_step) == (0.9, 4)
+    assert model.w.data[0] == pytest.approx(4.0)  # the step-4 parameters
+    # 5 items in batches of 2: each epoch is two disjoint batches, then a reshuffle
+    assert all(len(b) == 2 for b in batches)
+    assert not batches[0] & batches[1] and not batches[2] & batches[3]
+
 
 class TestTrainSi:
     def test_zero_steps_returns_initialized_model(self):
@@ -125,6 +172,21 @@ class TestTrainSi:
         with pytest.raises(ValueError):
             train_si(SpanDataset(articles={}, spans=[]), SpanDataset(articles={}, spans=[]),
                      hp, seed=0)
+
+    def test_tokenless_articles_rejected(self):
+        corpus = tiny_corpus()
+        hp = fast_hp("si")
+        blank = SpanDataset(articles={"a": "  \n\t ", "b": ""}, spans=[])
+        with pytest.raises(ValueError, match="no training items"):
+            train_si(blank, corpus.dev, hp, seed=0, encoder_cfg=small_encoder(hp))
+
+    def test_tokenless_gold_with_silver_rejected(self):
+        corpus = tiny_corpus()
+        hp = fast_hp("si")
+        blank = SpanDataset(articles={"a": "  \n\t "}, spans=[])
+        with pytest.raises(ValueError, match="gold"):
+            train_si(blank, corpus.dev, hp, seed=0, silver=corpus.train,
+                     encoder_cfg=small_encoder(hp))
 
     def test_trace_and_meta_recorded(self):
         corpus = tiny_corpus()
@@ -250,6 +312,14 @@ class TestTrainTc:
         a.model.save(tmp_path / "a.spfg")
         b.model.save(tmp_path / "b.spfg")
         assert (tmp_path / "a.spfg").read_bytes() == (tmp_path / "b.spfg").read_bytes()
+
+    def test_empty_items_rejected(self):
+        corpus = tiny_corpus()
+        hp = fast_hp("tc")
+        dev_items = build_tc_items(corpus.dev, hp.max_seq_len)
+        with pytest.raises(ValueError, match="no training items"):
+            train_tc([], dev_items, corpus.labels, TcOptions(), hp, seed=0,
+                     encoder_cfg=small_encoder(hp))
 
     def test_self_train_needs_silver(self):
         corpus = tiny_corpus()
