@@ -3,7 +3,10 @@
 Training-path functions take autograd Tensors so gradients flow back into
 emissions and the transition parameters; the padded-batch functions are the
 one implementation, and the single-sequence ``path_score``/``log_partition``
-run them at batch size 1. Decoding is plain numpy.
+run them at batch size 1. ``log_partition_batch`` is a single graph node
+whose backward pass is the adjoint of the forward recursion (the
+forward-backward marginals; Lafferty et al. 2001, Sutton & McCallum 2012).
+Decoding is plain numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, _logsumexp_weights
 
 NEG_INF = -1e9
 
@@ -116,10 +119,11 @@ def nll(emissions: Tensor, tags, params: CrfParams,
 def margin_loss(emissions: Tensor, tags, params: CrfParams,
                 constraint: ConstraintMask | None = None) -> Tensor:
     """Score gap between the Viterbi path and the gold path (perceptron margin)."""
-    with T.no_grad():
-        best_tags, _ = viterbi(emissions.numpy(), params, constraint)
-    gap = path_score(emissions, np.asarray(best_tags), params) - path_score(emissions, tags, params)
-    return gap
+    emissions = T.as_tensor(emissions)
+    length, n_labels = emissions.shape
+    tags = _check_tags(tags, n_labels, length)
+    batch = T.reshape(emissions, (1, length, n_labels))
+    return T.reshape(margin_loss_batch(batch, tags[None, :], [length], params, constraint), ())
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams,
@@ -158,12 +162,23 @@ def viterbi(emissions: np.ndarray, params: CrfParams,
 
 # -- batched training path -------------------------------------------------------
 
+def _check_lengths(lengths, bsz: int, max_len: int) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (bsz,):
+        raise ValueError(f"lengths has shape {lengths.shape}, expected ({bsz},)")
+    bad = np.flatnonzero((lengths < 1) | (lengths > max_len))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"row {row}: length {int(lengths[row])} is outside [1, {max_len}]")
+    return lengths
+
+
 def path_score_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
                      params: CrfParams) -> Tensor:
     """Per-sequence gold path scores for padded batches. Returns [B]."""
     tags = np.asarray(tags, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
     bsz, max_len, n_labels = emissions.shape
+    lengths = _check_lengths(lengths, bsz, max_len)
     if tags.min() < 0 or tags.max() >= n_labels:
         raise ValueError(f"label id out of range [0, {n_labels})")
     pos_mask = np.arange(max_len)[None, :] < lengths[:, None]
@@ -186,16 +201,57 @@ def path_score_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
 
 def log_partition_batch(emissions: Tensor, lengths: np.ndarray,
                         params: CrfParams) -> Tensor:
-    """Per-sequence log partition for padded batches. Returns [B]."""
-    lengths = np.asarray(lengths, dtype=np.int64)
+    """Per-sequence log partition for padded batches. Returns [B].
+
+    One graph node. The forward pass runs the max-shifted forward recursion
+    and keeps each step's softmax weights over the previous label; the
+    backward pass is the adjoint of that recursion, walked from the last step
+    down. It repeats the arithmetic of the recursion written as tensor ops,
+    so values and gradients are the same bit for bit.
+    """
+    emissions = T.as_tensor(emissions)
     bsz, max_len, n_labels = emissions.shape
-    alpha = T.reshape(params.start_scores, (1, -1)) + emissions[:, 0, :]
-    for t in range(1, int(lengths.max())):
-        inner = T.reshape(alpha, (bsz, n_labels, 1)) + T.reshape(params.transitions, (1, n_labels, n_labels))
-        nxt = T.logsumexp_t(inner, axis=1) + emissions[:, t, :]
-        alive = (lengths > t)[:, None]
-        alpha = T.where(alive, nxt, alpha)
-    return T.logsumexp_t(alpha + T.reshape(params.end_scores, (1, -1)), axis=1)
+    lengths = _check_lengths(lengths, bsz, max_len)
+    em = emissions.data
+    trans = params.transitions.data
+    steps = int(lengths.max())
+    alive = [(lengths > t)[:, None] for t in range(steps)]
+
+    alpha = params.start_scores.data.reshape(1, -1) + em[:, 0, :]
+    weights = [None]  # weights[t]: [B, from, to]
+    for t in range(1, steps):
+        lse, w = _logsumexp_weights(alpha[:, :, None] + trans[None], axis=1)
+        weights.append(w)
+        alpha = np.where(alive[t], lse[:, 0, :] + em[:, t, :], alpha)
+    logz, w_end = _logsumexp_weights(alpha + params.end_scores.data.reshape(1, -1), axis=1)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_alpha = g[:, None] * w_end
+        g_end = g_alpha.sum(axis=0)
+        g_em = np.zeros_like(em)
+        g_trans = np.zeros_like(trans)
+        for t in range(steps - 1, 0, -1):
+            g_next = np.where(alive[t], g_alpha, 0.0)
+            g_em[:, t, :] += g_next
+            g_inner = g_next[:, None, :] * weights[t]
+            g_trans = g_trans + g_inner.sum(axis=0)
+            g_alpha = np.where(alive[t], 0.0, g_alpha) + g_inner.sum(axis=2)
+        g_em[:, 0, :] += g_alpha
+        return g_em, g_trans, g_alpha.sum(axis=0), g_end
+
+    return T.fused(logz[:, 0], (emissions, params.transitions, params.start_scores,
+                                params.end_scores), backward)
+
+
+def margin_loss_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
+                      params: CrfParams, constraint: ConstraintMask | None = None) -> Tensor:
+    """Per-sequence Viterbi path score minus gold path score. Returns [B]."""
+    lengths = _check_lengths(lengths, *emissions.shape[:2])
+    best = np.zeros(emissions.shape[:2], dtype=np.int64)
+    for i, ln in enumerate(lengths):
+        best[i, :ln], _ = viterbi(emissions.data[i, :ln], params, constraint)
+    return (path_score_batch(emissions, best, lengths, params)
+            - path_score_batch(emissions, tags, lengths, params))
 
 
 def nll_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,

@@ -273,7 +273,8 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
     ``batch_loss`` maps item indices to a scalar loss; ``evaluate`` scores the
     model at a step. Each epoch walks a fresh permutation; evaluation runs
     every ``hp.eval_every`` steps and after the last, and the best evaluated
-    parameters are restored at the end.
+    parameters are restored at the end. A non-finite loss stops the run with a
+    ``RuntimeError`` before its backward pass.
     """
     if n_items == 0:
         raise ValueError("no training items: the training data has no tokens or spans")
@@ -304,6 +305,9 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
             cursor = 0
         loss = batch_loss(order[cursor:cursor + hp.batch_size])
         cursor += hp.batch_size
+        value = loss.item()
+        if not np.isfinite(value):
+            raise RuntimeError(f"non-finite training loss {value} at step {step}")
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -148,6 +148,25 @@ def _make_result(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
+def fused(data: np.ndarray, parents: Sequence[Tensor],
+          backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """One graph node for a multi-parent op whose gradients share their work.
+
+    ``backward(g)`` returns one gradient per parent. It runs once per backward
+    pass, however many of the parents take a gradient.
+    """
+    latest: list = [None, None]  # the seed gradient and its results
+
+    def make_back(i: int):
+        def back(g: np.ndarray) -> np.ndarray:
+            if latest[0] is not g:
+                latest[0], latest[1] = g, backward(g)
+            return latest[1][i]
+        return back
+
+    return _make_result(data, parents, tuple(make_back(i) for i in range(len(parents))))
+
+
 def as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -316,15 +335,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make_result(out_data, (a,), (back,))
 
 
+def _logsumexp_weights(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted log-sum-exp over ``axis`` (kept as size 1) and the softmax weights."""
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    return m + np.log(s), e / s
+
+
 def logsumexp_t(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """log sum exp over an axis, computed with a max shift."""
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_full = m + np.log(s)
+    out_full, soft = _logsumexp_weights(a.data, axis)
     out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
-    soft = e / s
 
     def back(g: np.ndarray) -> np.ndarray:
         g2 = g if keepdims else np.expand_dims(g, axis)
@@ -403,8 +426,14 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     out_data = weight.data[ids]
 
     def back(g: np.ndarray) -> np.ndarray:
+        # segment sum: group equal ids with a stable sort, add each run once
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[:1] - 1))
         full = np.zeros_like(weight.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
+        full[sorted_ids[starts]] = np.add.reduceat(
+            g.reshape(-1, weight.data.shape[-1])[order], starts, axis=0)
         return full
 
     return _make_result(out_data, (weight,), (back,))

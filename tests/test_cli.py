@@ -96,6 +96,20 @@ class TestTrainSi:
         assert (tmp_path / "a" / "model-si.spfg").read_bytes() == \
             (tmp_path / "b" / "model-si.spfg").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_diverging_loss_exit_2(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "hp.lr": 1e30}))
+        code = run(["train-si", "--seed", "3",
+                    "--articles", str(synth_dir / "train" / "articles"),
+                    "--labels", str(synth_dir / "train" / "labels-si.tsv"),
+                    "--dev-articles", str(synth_dir / "dev" / "articles"),
+                    "--dev-labels", str(synth_dir / "dev" / "labels-si.tsv"),
+                    "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "non-finite training loss" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model-si.spfg").exists()
+
     def test_missing_articles_dir_exit_1(self, synth_dir, tmp_path):
         code = run(["train-si", "--seed", "1", "--articles", str(tmp_path / "none"),
                     "--labels", str(synth_dir / "train" / "labels-si.tsv"),

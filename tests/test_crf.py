@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propspan import crf as C
+from propspan import tensor as T
 from propspan.tensor import Tensor, grad_check
 
 
@@ -19,6 +22,20 @@ def make_params(rng, n_labels, dtype=np.float64, zero=False):
         Tensor(rng.normal(size=(n_labels, n_labels)), requires_grad=True, dtype=dtype),
         Tensor(rng.normal(size=n_labels), requires_grad=True, dtype=dtype),
         Tensor(rng.normal(size=n_labels), requires_grad=True, dtype=dtype))
+
+
+def composite_log_partition_batch(emissions, lengths, params):
+    """The forward recursion as a chain of autograd ops: the fused op's oracle."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    bsz, max_len, n_labels = emissions.shape
+    alpha = T.reshape(params.start_scores, (1, -1)) + emissions[:, 0, :]
+    for t in range(1, int(lengths.max())):
+        inner = (T.reshape(alpha, (bsz, n_labels, 1))
+                 + T.reshape(params.transitions, (1, n_labels, n_labels)))
+        nxt = T.logsumexp_t(inner, axis=1) + emissions[:, t, :]
+        alive = (lengths > t)[:, None]
+        alpha = T.where(alive, nxt, alpha)
+    return T.logsumexp_t(alpha + T.reshape(params.end_scores, (1, -1)), axis=1)
 
 
 def enumerate_paths(length, n_labels):
@@ -252,6 +269,19 @@ def test_margin_loss_nonnegative_and_zero_on_viterbi_path():
     assert C.margin_loss(em_t, other, params).item() >= 0.0
 
 
+def test_margin_loss_batch_rows_match_single_sequence():
+    rng = np.random.default_rng(20)
+    lengths = np.array([4, 1, 3])
+    em = rng.normal(size=(3, 4, 3))
+    tags = rng.integers(0, 3, size=(3, 4))
+    params = make_params(rng, 3)
+    mask = C.ConstraintMask.bio()
+    gaps = C.margin_loss_batch(Tensor(em), tags, lengths, params, mask).numpy()
+    for i, ln in enumerate(lengths):
+        want = C.margin_loss(Tensor(em[i, :ln]), tags[i, :ln], params, mask).item()
+        assert gaps[i] == pytest.approx(want, abs=1e-12)
+
+
 def test_constraint_mask_validation():
     with pytest.raises(ValueError):
         C.ConstraintMask(np.ones((3, 3), dtype=bool), np.zeros(3, dtype=bool))
@@ -277,3 +307,81 @@ def test_oracle_200_instances_under_10s():
             params.end_scores.data)
         assert path == want_path and score == pytest.approx(want_score, abs=1e-6)
     assert time.time() - start < 10.0
+
+
+def _padded_case(rng, em_dtype):
+    bsz, n_labels, width = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (2, 5), (1, 9)))
+    lengths = rng.integers(1, width + 1, size=bsz)
+    lengths[rng.integers(bsz)] = 1
+    em = rng.normal(0.0, 3.0, size=(bsz, width, n_labels)).astype(em_dtype)
+    params = [rng.normal(size=shape).astype(np.float32)
+              for shape in ((n_labels, n_labels), (n_labels,), (n_labels,))]
+    tags = rng.integers(0, n_labels, size=(bsz, width))
+    return em, lengths, params, tags
+
+
+def _run(log_partition, em, lengths, params, tags, with_gold):
+    """Values and the four gradients of a scalar built on ``log_partition``."""
+    em_t = Tensor(em.copy(), requires_grad=True)
+    crf = C.CrfParams(*[Tensor(p.copy(), requires_grad=True) for p in params])
+    logz = log_partition(em_t, lengths, crf)
+    if with_gold:  # the training loss: gold scores share transitions and emissions
+        loss = (logz - C.path_score_batch(em_t, tags, lengths, crf)).sum() \
+            * (1.0 / lengths.sum())
+    else:
+        loss = (logz * Tensor(np.linspace(0.3, 1.7, len(lengths)))).sum()
+    loss.backward()
+    leaves = [em_t, crf.transitions, crf.start_scores, crf.end_scores]
+    # a batch of length-1 rows never reaches the composite's transitions
+    return [logz.data] + [np.zeros_like(t.data) if t.grad is None else t.grad
+                          for t in leaves]
+
+
+@pytest.mark.parametrize("em_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_gold", [False, True])
+def test_fused_log_partition_bit_identical_to_composite(em_dtype, with_gold):
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        case = _padded_case(rng, em_dtype)
+        want = _run(composite_log_partition_batch, *case, with_gold)
+        got = _run(C.log_partition_batch, *case, with_gold)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_fused_log_partition_is_one_graph_node():
+    rng = np.random.default_rng(15)
+    em, lengths, params, _ = _padded_case(rng, np.float64)
+    em_t = Tensor(em, requires_grad=True)
+    crf = C.CrfParams(*[Tensor(p, requires_grad=True) for p in params])
+    logz = C.log_partition_batch(em_t, lengths, crf)
+    assert logz._parents == (em_t, crf.transitions, crf.start_scores, crf.end_scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_rows_match_oracle_and_dominate_viterbi(bsz, width, n_labels, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, width + 1, size=bsz)
+    em = rng.normal(0.0, 2.0, size=(bsz, width, n_labels))
+    params = make_params(rng, n_labels)
+    logz = C.log_partition_batch(Tensor(em), lengths, params).numpy()
+    want = composite_log_partition_batch(Tensor(em), lengths, params).numpy()
+    for i, ln in enumerate(lengths):
+        assert logz[i] == want[i]
+        _, best = C.viterbi(em[i, :ln], params)
+        assert logz[i] >= best - 1e-9
+
+
+@pytest.mark.parametrize("fn", ["log_partition_batch", "path_score_batch"])
+@pytest.mark.parametrize("lengths, match", [
+    ([2, 0], "row 1: length 0"),     # an empty row used to add a phantom loss
+    ([5, 2], "row 0: length 5"),     # past the padded width: used to be an IndexError
+    ([4], r"shape \(1,\)"),          # used to broadcast over the batch
+])
+def test_bad_lengths_rejected(fn, lengths, match):
+    params = make_params(np.random.default_rng(16), 3)
+    em = Tensor(np.zeros((2, 4, 3)))
+    args = (em, np.zeros((2, 4), dtype=np.int64)) if fn == "path_score_batch" else (em,)
+    with pytest.raises(ValueError, match=match):
+        getattr(C, fn)(*args, lengths, params)

@@ -148,6 +148,22 @@ def test_fit_stops_after_patience_and_restores_best():
     assert not batches[0] & batches[1] and not batches[2] & batches[3]
 
 
+def test_fit_stops_on_non_finite_loss():
+    model = _OneWeight()
+    steps = []
+
+    def batch_loss(idx):
+        steps.append(len(steps) + 1)
+        value = np.nan if len(steps) == 3 else 1.0
+        return (model.w * 0.0).sum() + value
+
+    hp = replace(HyperParams.desk("si"), steps=10, eval_every=5, batch_size=1)
+    with pytest.raises(RuntimeError, match="non-finite training loss nan at step 3"):
+        _fit(model, 4, batch_loss, lambda step: EvalPoint(step, 0.0), hp,
+             np.random.default_rng(0))
+    assert steps == [1, 2, 3]
+
+
 class TestTrainSi:
     def test_zero_steps_returns_initialized_model(self):
         corpus = tiny_corpus()
@@ -187,6 +203,14 @@ class TestTrainSi:
         with pytest.raises(ValueError, match="gold"):
             train_si(blank, corpus.dev, hp, seed=0, silver=corpus.train,
                      encoder_cfg=small_encoder(hp))
+
+    def test_margin_loss_stays_finite_under_desk_sgd(self):
+        # the per-sequence mean of path-score gaps reached NaN at step 28 here;
+        # _fit raises on a non-finite loss, so finishing is the check
+        corpus = gen_synth(SynthConfig(seed=7))
+        hp = replace(HyperParams.desk("si"), steps=60, eval_every=60, loss="margin")
+        res = train_si(corpus.train, corpus.dev, hp, seed=3)
+        assert all(np.isfinite(p.data).all() for p in res.model.params().values())
 
     def test_trace_and_meta_recorded(self):
         corpus = tiny_corpus()

@@ -100,6 +100,38 @@ def test_gather_ops_gradients():
     assert grad_check(lambda y: (y[1:3, ::2] * 2.0).sum(), [y]) <= 1e-4
 
 
+def test_embedding_backward_matches_add_at():
+    # repeated ids, and rows 1, 5 and 7 that no id uses
+    rng = np.random.default_rng(17)
+    ids = np.array([[3, 0, 3, 6], [2, 3, 0, 4], [6, 6, 6, 3]])
+    w = randt(rng, (8, 5))
+    g = rng.normal(size=ids.shape + (5,))
+    T.embedding(w, ids).backward(g)
+    want = np.zeros_like(w.data)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 5))
+    assert np.allclose(w.grad, want, rtol=1e-12, atol=1e-12)
+    assert not w.grad[[1, 5, 7]].any()
+    weights = Tensor(g)
+    assert grad_check(lambda w: (T.embedding(w, ids) * weights).sum(), [w]) <= 1e-4
+    w.zero_grad()
+    T.embedding(w, np.zeros((0,), dtype=np.int64)).backward(np.zeros((0, 5)))
+    assert not w.grad.any()
+
+
+def test_fused_backward_runs_once_per_pass():
+    calls = []
+    a, b = randt(np.random.default_rng(18), (3,)), randt(np.random.default_rng(19), (3,))
+
+    def backward(g):
+        calls.append(g)
+        return g * b.data, g * a.data
+
+    out = T.fused(a.data * b.data, (a, b), backward)
+    (out * 2.0).sum().backward()
+    assert len(calls) == 1
+    assert np.array_equal(a.grad, 2.0 * b.data) and np.array_equal(b.grad, 2.0 * a.data)
+
+
 def test_concat_and_where_gradients():
     rng = np.random.default_rng(7)
     a, b = randt(rng, (2, 3)), randt(rng, (2, 3))
