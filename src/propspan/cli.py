@@ -20,9 +20,9 @@ import numpy as np
 
 from . import analysis as ana
 from . import pipeline as pl
-from .datasets import (SpanDataset, load_dataset, read_articles, read_spans_tsv,
-                       read_techniques, write_articles, write_spans_tsv,
-                       write_techniques)
+from .datasets import (SpanDataset, check_spans_in_articles, load_dataset, read_articles,
+                       read_spans_tsv, read_techniques, write_articles,
+                       write_spans_tsv, write_techniques)
 from .encoder import EncoderConfig
 from .metrics import confusion_matrix, flc_f1, flc_f1_per_article, micro_f1, span_outcomes
 from .models import SiTagger, TcClassifier
@@ -464,6 +464,13 @@ def cmd_cv(args) -> int:
     return 0
 
 
+def _ranges_by_article(spans: list[Span]) -> dict[str, list[tuple[int, int]]]:
+    out: dict[str, list[tuple[int, int]]] = {}
+    for s in spans:
+        out.setdefault(s.article_id, []).append((s.start, s.end))
+    return out
+
+
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     articles = read_articles(args.articles)
@@ -473,13 +480,15 @@ def cmd_analyze(args) -> int:
     if args.task == "si":
         pred = read_spans_tsv(args.pred, "si")
         gold = read_spans_tsv(args.gold, "si")
+        check_spans_in_articles(pred, articles, args.pred)
+        check_spans_in_articles(gold, articles, args.gold)
         per_article = flc_f1_per_article(pred, gold)
+        gold_by, pred_by = _ranges_by_article(gold), _ranges_by_article(pred)
         items, scores = [], []
         for aid in sorted(per_article):
-            items.append(ana.AnalysisItem(
-                text=articles[aid],
-                expected_spans=[(s.start, s.end) for s in gold if s.article_id == aid],
-                output_spans=[(s.start, s.end) for s in pred if s.article_id == aid]))
+            items.append(ana.AnalysisItem(text=articles[aid],
+                                          expected_spans=gold_by.get(aid, []),
+                                          output_spans=pred_by.get(aid, [])))
             scores.append(per_article[aid].f1)
     else:
         techniques = read_techniques(args.techniques) if args.techniques else None
@@ -487,6 +496,7 @@ def cmd_analyze(args) -> int:
             raise CliError("--techniques is required for tc analysis")
         pred = read_spans_tsv(args.pred, "tc", techniques)
         gold = read_spans_tsv(args.gold, "tc", techniques)
+        check_spans_in_articles(gold, articles, args.gold)
         pred_by_key = {(s.article_id, s.start, s.end): s.technique for s in pred}
         items, scores = [], []
         for g in sorted(gold, key=lambda s: (s.article_id, s.start, s.end)):

@@ -115,13 +115,19 @@ def load_dataset(articles_dir: str | Path, labels_file: str | Path, task: str,
         labels = sorted({row.split("\t")[1] for row in rows if row.count("\t") == 3})
 
     spans = read_spans_tsv(labels_file, task, labels)
+    check_spans_in_articles(spans, articles, labels_file)
+    return SpanDataset(articles=articles, spans=spans, labels=labels)
+
+
+def check_spans_in_articles(spans: list[Span], articles: dict[str, str],
+                            source: str | Path) -> None:
+    """Every span must name a known article and end inside its text."""
     for sp in spans:
         if sp.article_id not in articles:
-            raise ValueError(f"span references unknown article {sp.article_id!r}")
+            raise ValueError(f"{source}: span references unknown article {sp.article_id!r}")
         if sp.end > len(articles[sp.article_id]):
-            raise ValueError(f"span ({sp.start}, {sp.end}) outside article "
+            raise ValueError(f"{source}: span ({sp.start}, {sp.end}) outside article "
                              f"{sp.article_id!r} of length {len(articles[sp.article_id])}")
-    return SpanDataset(articles=articles, spans=spans, labels=labels)
 
 
 def write_articles(out_dir: str | Path, articles: dict[str, str]) -> None:

@@ -105,8 +105,7 @@ class TransformerStack:
         p = self.params
         bsz, seq, hid = x.shape
         def proj(name):
-            flat = T.reshape(x, (bsz * seq, hid))
-            out = T.matmul(flat, p[f"{base}.{name}"]) + p[f"{base}.{name}_b"]
+            out = T.linear(x, p[f"{base}.{name}"], p[f"{base}.{name}_b"])
             out = T.reshape(out, (bsz, seq, self.heads, self.head_dim))
             return T.swapaxes(out, 1, 2)  # [B, heads, T, dh]
         q, k, v = proj("wq"), proj("wk"), proj("wv")
@@ -115,9 +114,8 @@ class TransformerStack:
         attn = T.softmax(scores, axis=-1)
         attn = T.dropout(attn, self.attention_dropout, rng, train)
         ctx = T.matmul(attn, v)  # [B, heads, T, dh]
-        ctx = T.reshape(T.swapaxes(ctx, 1, 2), (bsz * seq, hid))
-        out = T.matmul(ctx, p[f"{base}.wo"]) + p[f"{base}.wo_b"]
-        return T.reshape(out, (bsz, seq, hid))
+        ctx = T.reshape(T.swapaxes(ctx, 1, 2), (bsz, seq, hid))
+        return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
 
     def __call__(self, x: Tensor, attn_allowed: np.ndarray,
                  train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
@@ -131,11 +129,8 @@ class TransformerStack:
                                 bias, base, train, rng)
             h = h + T.dropout(a, self.dropout, rng, train)
             m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
-            bsz, seq, hid = m.shape
-            m = T.reshape(m, (bsz * seq, hid))
-            m = T.gelu(T.matmul(m, p[f"{base}.w1"]) + p[f"{base}.w1_b"])
-            m = T.matmul(m, p[f"{base}.w2"]) + p[f"{base}.w2_b"]
-            m = T.reshape(m, (bsz, seq, hid))
+            m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))
+            m = T.linear(m, p[f"{base}.w2"], p[f"{base}.w2_b"])
             h = h + T.dropout(m, self.dropout, rng, train)
         return T.layer_norm(h, p[f"{self.prefix}.ln_f_g"], p[f"{self.prefix}.ln_f_b"])
 
@@ -182,35 +177,17 @@ class Encoder:
         return self.stack(x, key_padding_allowed(mask), train=train, rng=rng)
 
 
-class EmissionHead:
-    """Per-position linear projection onto the tag space."""
+class LinearHead:
+    """One projection of the last axis, owning ``<prefix>.w`` and ``<prefix>.b``."""
 
-    def __init__(self, hidden: int, n_labels: int, rng: np.random.Generator,
+    def __init__(self, prefix: str, hidden: int, n_out: int, rng: np.random.Generator,
                  dtype=np.float32):
-        self.params = {
-            "emit.w": Tensor(_init(rng, (hidden, n_labels), dtype), requires_grad=True),
-            "emit.b": Tensor(np.zeros(n_labels, dtype=dtype), requires_grad=True),
-        }
+        self.w = Tensor(_init(rng, (hidden, n_out), dtype), requires_grad=True)
+        self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
+        self.params = {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-    def __call__(self, hidden: Tensor) -> Tensor:
-        bsz, seq, hid = hidden.shape
-        flat = T.reshape(hidden, (bsz * seq, hid))
-        out = T.matmul(flat, self.params["emit.w"]) + self.params["emit.b"]
-        return T.reshape(out, (bsz, seq, -1))
-
-
-class MarkerClsHead:
-    """Class logits from the [BOS] position, for marker-token inputs."""
-
-    def __init__(self, hidden: int, n_classes: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.params = {
-            "cls.w": Tensor(_init(rng, (hidden, n_classes), dtype), requires_grad=True),
-            "cls.b": Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True),
-        }
-
-    def __call__(self, hidden: Tensor) -> Tensor:
-        return T.matmul(hidden[:, 0, :], self.params["cls.w"]) + self.params["cls.b"]
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.linear(x, self.w, self.b)
 
 
 class SpanClsHead:
@@ -232,13 +209,13 @@ class SpanClsHead:
                                       attention_dropout, rng, dtype)
         self.params = dict(self.stack.params)
         self.params["span.bos"] = Tensor(_init(rng, (1, hidden), dtype), requires_grad=True)
-        self.params["span.w"] = Tensor(_init(rng, (hidden, n_classes), dtype), requires_grad=True)
-        self.params["span.b"] = Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True)
+        self.out = LinearHead("span", hidden, n_classes, rng, dtype)
+        self.params.update(self.out.params)
 
     def _classify(self, seqs: Tensor, train: bool, rng) -> Tensor:
         allowed = np.ones((1, 1, 1, seqs.shape[1]), dtype=bool)
         out = self.stack(seqs, allowed, train=train, rng=rng)
-        return T.matmul(out[:, 0, :], self.params["span.w"]) + self.params["span.b"]
+        return self.out(out[:, 0, :])
 
     def logits(self, hidden: Tensor, spans: list[tuple[int, int]],
                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
@@ -286,4 +263,4 @@ class SpanClsHead:
         allowed_keys[1 + s:1 + e] = True
         allowed = np.broadcast_to(allowed_keys, (1, 1, seq_len + 1, seq_len + 1))
         out = self.stack(seqs, allowed, train=train, rng=rng)
-        return T.matmul(out[:, 0, :], self.params["span.w"]) + self.params["span.b"]
+        return self.out(out[:, 0, :])

@@ -13,8 +13,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import (Encoder, EncoderConfig, EmissionHead, MarkerClsHead,
-                      SpanClsConfig, SpanClsHead)
+from .encoder import Encoder, EncoderConfig, LinearHead, SpanClsConfig, SpanClsHead
 from .tensor import Tensor
 from .tokens import SPECIAL_TOKENS, Vocab
 
@@ -34,7 +33,7 @@ class SiTagger:
         self.dtype = dtype
         self.encoder = Encoder(config, seed=seed, dtype=dtype)
         rng = np.random.default_rng([seed, 1])
-        self.emission_head = EmissionHead(config.hidden_size, N_TAGS, rng, dtype)
+        self.emission_head = LinearHead("emit", config.hidden_size, N_TAGS, rng, dtype)
         self.crf = crf_mod.CrfParams.create(N_TAGS, rng=rng, dtype=dtype)
         self.constraint = crf_mod.ConstraintMask.bio()
 
@@ -124,7 +123,7 @@ class TcClassifier:
         self.encoder = Encoder(config, seed=seed, dtype=dtype)
         rng = np.random.default_rng([seed, 2])
         if head_kind == "marker":
-            self.head = MarkerClsHead(config.hidden_size, len(labels), rng, dtype)
+            self.head = LinearHead("cls", config.hidden_size, len(labels), rng, dtype)
         else:
             self.head = SpanClsHead(config.hidden_size, len(labels), self.span_cfg,
                                     rng, config.dropout, config.attention_dropout, dtype)
@@ -138,8 +137,8 @@ class TcClassifier:
                spans: list[tuple[int, int]] | None = None, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
         hidden = self.encoder.encode(ids, mask, train=train, rng=rng)
-        if self.head_kind == "marker":
-            return self.head(hidden)
+        if self.head_kind == "marker":  # class logits from the [BOS] position
+            return self.head(hidden[:, 0, :])
         if spans is None:
             raise ValueError("span ranges are required for the span-cls head")
         return self.head.logits(hidden, spans, train=train, rng=rng)

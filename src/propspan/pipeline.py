@@ -114,13 +114,9 @@ class TcOptions:
         return rows
 
 
-def desk_encoder_config(vocab_size: int, hp: HyperParams,
-                        hidden: int = 64, layers: int = 2, heads: int = 4,
-                        intermediate: int = 128) -> EncoderConfig:
-    return EncoderConfig(vocab_size=vocab_size, hidden_size=hidden, layers=layers,
-                         heads=heads, intermediate_size=intermediate,
-                         max_positions=hp.max_seq_len, dropout=hp.dropout,
-                         attention_dropout=hp.attention_dropout)
+def desk_encoder_config(vocab_size: int, hp: HyperParams) -> EncoderConfig:
+    return EncoderConfig(vocab_size=vocab_size, max_positions=hp.max_seq_len,
+                         dropout=hp.dropout, attention_dropout=hp.attention_dropout)
 
 
 def derive_seed(seed: int, k: int) -> int:
@@ -381,28 +377,25 @@ def partition_pool(pool: SpanDataset, parts: int) -> list[SpanDataset]:
 
 
 def self_train_si(gold: SpanDataset, dev: SpanDataset, pool: SpanDataset,
-                  iterations: int, hp: HyperParams,
-                  overwrite: SelfTrainOverwrite | None = None, seed: int = 0,
+                  iterations: int, hp: HyperParams, seed: int = 0,
                   ratio: tuple[int, int] | None = (1, 4), use_crf: bool = True,
-                  overwrite_from_iteration: int = 2,
                   encoder_cfg: EncoderConfig | None = None) -> list[TrainResult]:
     """Base model plus ``iterations`` rounds of annotate-and-retrain.
 
     Each round trains a fresh model on gold plus the silver set produced by
     the previous round's best model over a fresh pool partition. Silver
-    sets take every pool text, with no confidence filtering. Hyperparameter
-    overwrites kick in at ``overwrite_from_iteration`` (the first round
+    sets take every pool text, with no confidence filtering. The
+    ``SelfTrainOverwrite`` profile applies from iteration 2 (the first round
     keeps the base hyperparameters, matching the original recipe).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    overwrite = overwrite or SelfTrainOverwrite()
     chunks = partition_pool(pool, iterations)
     results = [train_si(gold, dev, hp, seed, use_crf=use_crf,
                         encoder_cfg=encoder_cfg)]
     for i in range(1, iterations + 1):
         silver = annotate_si(results[-1].model, chunks[i - 1], hp.max_seq_len)
-        hp_i = overwrite.apply(hp) if i >= overwrite_from_iteration else hp
+        hp_i = SelfTrainOverwrite().apply(hp) if i >= 2 else hp
         res = train_si(gold, dev, hp_i, derive_seed(seed, i), use_crf=use_crf,
                        silver=silver, ratio=ratio, encoder_cfg=encoder_cfg)
         res.meta["self_train_iteration"] = i
@@ -495,20 +488,17 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
              silver_items: list[TcItem] | None = None,
              ratio: tuple[int, int] | None = (1, 4),
              encoder_cfg: EncoderConfig | None = None,
-             span_cfg: SpanClsConfig | None = None,
-             overwrite: SelfTrainOverwrite | None = None,
-             apply_overwrite: bool = True) -> TrainResult:
+             span_cfg: SpanClsConfig | None = None) -> TrainResult:
     """Span classifier training; head, loss weighting and silver mix follow ``opts``.
 
-    Self-trained runs take the overwrite profile (dropout 0, batch 16) for
-    the whole run by default; pass ``apply_overwrite=False`` to keep the
-    base hyperparameters instead.
+    Self-trained runs take the ``SelfTrainOverwrite`` profile (dropout 0,
+    batch 16) for the whole run.
     """
     if opts.self_train and silver_items is None:
         raise ValueError("self_train option requires a silver item set "
                          "(see build_tc_silver)")
-    if opts.self_train and apply_overwrite:
-        hp = (overwrite or SelfTrainOverwrite()).apply(hp)
+    if opts.self_train:
+        hp = SelfTrainOverwrite().apply(hp)
     silver = list(silver_items) if (opts.self_train and silver_items) else []
     mixed = mix_with_silver(list(train_items), silver, ratio)
 
@@ -640,7 +630,6 @@ def kfold_split(train_items: list, dev_items: list, k: int = 6,
 def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],
                    labels: list[str], opts: TcOptions, hp: HyperParams,
                    k: int = 6, seed: int = 0,
-                   silver_items: list[TcItem] | None = None,
                    encoder_cfg: EncoderConfig | None = None) -> list[float]:
     """Per-fold dev scores: each fold once as the held-out set."""
     folds = kfold_split(train_items, dev_items, k=k, seed=seed)
@@ -649,7 +638,7 @@ def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],
         held = folds[i]
         rest = [it for j, fold in enumerate(folds) if j != i for it in fold]
         res = train_tc(rest, held, labels, opts, hp, derive_seed(seed, i),
-                       silver_items=silver_items, encoder_cfg=encoder_cfg)
+                       encoder_cfg=encoder_cfg)
         scores.append(res.best_score)
     return scores
 

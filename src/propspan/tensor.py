@@ -467,6 +467,18 @@ def matmul(a, b) -> Tensor:
     return _make_result(out_data, (a, b), (back_a, back_b))
 
 
+def linear(x, weight, bias) -> Tensor:
+    """``x @ weight + bias`` over the last axis of an input of any rank, as one node."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    n_in, n_out = weight.data.shape
+    x2d = x.data.reshape(-1, n_in)
+    out_data = (np.matmul(x2d, weight.data) + bias.data).reshape(x.data.shape[:-1] + (n_out,))
+    return _make_result(out_data, (x, weight, bias), (
+        lambda g: np.matmul(g.reshape(-1, n_out), weight.data.T).reshape(x.data.shape),
+        lambda g: np.matmul(x2d.T, g.reshape(-1, n_out)),
+        lambda g: _unbroadcast(g.reshape(-1, n_out), bias.data.shape)))
+
+
 # -- normalization / regularization ---------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

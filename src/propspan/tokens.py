@@ -177,34 +177,18 @@ def extend_context(tt: TokenizedText, span: Span, max_tokens: int,
     return ContextWindow(s0 - left, s1 + right, s0, s1)
 
 
-def inject_markers(window_tokens: list[str], span_start: int, span_end: int,
-                   max_len: int | None = None) -> list[str]:
-    """[BOS] left [BOP] span [EOP] right [EOS], optionally padded/truncated.
+def inject_markers(window_tokens: list[str], span_start: int,
+                   span_end: int) -> list[str]:
+    """[BOS] left [BOP] span [EOP] right [EOS].
 
-    ``span_start``/``span_end`` index into ``window_tokens``. Truncation drops
-    context from the right, then from the left; the marked span is never cut.
+    ``span_start``/``span_end`` index into ``window_tokens``; the window is
+    already budgeted (see ``extend_context``).
     """
     if not (0 <= span_start < span_end <= len(window_tokens)):
         raise ValueError(f"span range ({span_start}, {span_end}) outside window "
                          f"of {len(window_tokens)} tokens")
-    left = list(window_tokens[:span_start])
-    mid = list(window_tokens[span_start:span_end])
-    right = list(window_tokens[span_end:])
-    if max_len is not None:
-        fixed = len(mid) + 4
-        if fixed > max_len:
-            raise ValueError(f"marked span needs {fixed} tokens, budget is {max_len}")
-        over = fixed + len(left) + len(right) - max_len
-        if over > 0:
-            cut = min(over, len(right))
-            right = right[:len(right) - cut]
-            over -= cut
-        if over > 0:
-            left = left[over:]
-    seq = [BOS] + left + [BOP] + mid + [EOP] + right + [EOS]
-    if max_len is not None and len(seq) < max_len:
-        seq = seq + [PAD] * (max_len - len(seq))
-    return seq
+    return [BOS, *window_tokens[:span_start], BOP, *window_tokens[span_start:span_end],
+            EOP, *window_tokens[span_end:], EOS]
 
 
 class Vocab:

@@ -257,6 +257,55 @@ class TestAnalyze:
         assert code == 0
         assert (out / "worsening-tc.tsv").exists()
 
+    def test_si_report_matches_per_article_scan(self, synth_dir, tmp_path):
+        from propspan import analysis as ana
+        from propspan.datasets import read_articles, read_spans_tsv, write_spans_tsv
+        from propspan.metrics import flc_f1_per_article
+        from propspan.tokens import Span
+        articles = read_articles(synth_dir / "dev" / "articles")
+        gold = read_spans_tsv(synth_dir / "dev" / "labels-si.tsv", "si")
+        # drop every third span and shift the rest by one character
+        pred = [Span(s.article_id, s.start + 1, s.end) for i, s in enumerate(gold)
+                if i % 3 and s.end - s.start > 1]
+        pred_path = tmp_path / "pred.tsv"
+        write_spans_tsv(pred_path, pred)
+        out = tmp_path / "ana"
+        assert run(["analyze", "--task", "si",
+                    "--articles", str(synth_dir / "dev" / "articles"),
+                    "--gold", str(synth_dir / "dev" / "labels-si.tsv"),
+                    "--pred", str(pred_path), "--out", str(out)]) == 0
+        pred = read_spans_tsv(pred_path, "si")
+        per_article = flc_f1_per_article(pred, gold)
+        items = [ana.AnalysisItem(
+            text=articles[aid],
+            expected_spans=[(s.start, s.end) for s in gold if s.article_id == aid],
+            output_spans=[(s.start, s.end) for s in pred if s.article_id == aid])
+            for aid in sorted(per_article)]
+        scores = [per_article[aid].f1 for aid in sorted(per_article)]
+        want = tmp_path / "want.tsv"
+        ana.write_report(want, ana.worsening_features(items, scores,
+                                                      ana.default_features("si")))
+        assert (out / "worsening-si.tsv").read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("task", ["si", "tc"])
+    @pytest.mark.parametrize("bad", ["unknown", "past_end"])
+    def test_span_outside_articles_exit_1(self, synth_dir, tmp_path, capsys, task, bad):
+        gold = synth_dir / "dev" / f"labels-{task}.tsv"
+        first = gold.read_text().splitlines()[0].split("\t")
+        aid = "nosuch" if bad == "unknown" else first[0]
+        if bad == "past_end":
+            text = (synth_dir / "dev" / "articles" / f"article{aid}.txt").read_text()
+            first[-2:] = [str(len(text)), str(len(text) + 5)]
+        labels = tmp_path / "gold.tsv"
+        labels.write_text(gold.read_text() + "\t".join([aid] + first[1:]) + "\n")
+        code = run(["analyze", "--task", task,
+                    "--articles", str(synth_dir / "dev" / "articles"),
+                    "--gold", str(labels), "--pred", str(labels),
+                    "--techniques", str(synth_dir / "techniques.txt"),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert repr(aid) in capsys.readouterr().err
+
 
 def test_unknown_hp_key_exit_1(tmp_path, capsys):
     cfg = tmp_path / "c.json"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from propspan import tensor as T
-from propspan.encoder import (Encoder, EncoderConfig, EmissionHead, MarkerClsHead,
-                              SpanClsConfig, SpanClsHead, key_padding_allowed)
+from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
+                              SpanClsHead, key_padding_allowed)
 from propspan.tensor import Tensor, grad_check
 
 
@@ -106,7 +106,7 @@ class TestHeads:
 
     def test_emission_shape_and_zero_weights(self):
         rng = np.random.default_rng(5)
-        head = EmissionHead(16, 3, rng)
+        head = LinearHead("emit", 16, 3, rng)
         h = self.make_hidden(rng)
         out = head(h)
         assert out.shape == (2, 7, 3)
@@ -116,14 +116,14 @@ class TestHeads:
 
     def test_marker_head_reads_bos(self):
         rng = np.random.default_rng(6)
-        head = MarkerClsHead(16, 4, rng)
+        head = LinearHead("cls", 16, 4, rng)
         h = self.make_hidden(rng)
-        out = head(h)
+        out = head(h[:, 0, :])
         assert out.shape == (2, 4)
         h2 = Tensor(np.concatenate([h.numpy()[:, :1],
                                     rng.normal(size=(2, 6, 16)).astype(np.float32)],
                                    axis=1))
-        np.testing.assert_allclose(head(h2).numpy(), out.numpy(), atol=0)
+        np.testing.assert_allclose(head(h2[:, 0, :]).numpy(), out.numpy(), atol=0)
 
     def test_span_cls_ignores_out_of_span_states(self):
         rng = np.random.default_rng(7)
@@ -219,3 +219,32 @@ def test_encoder_gradients_flow_end_to_end():
 def test_key_padding_allowed_shape():
     mask = np.ones((2, 5), dtype=bool)
     assert key_padding_allowed(mask).shape == (2, 1, 1, 5)
+
+
+def _graph_nodes(root) -> int:
+    """Op nodes reachable from ``root`` along ``requires_grad`` parents."""
+    seen, stack, nodes = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            nodes += 1
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return nodes
+
+
+def test_si_loss_graph_node_count():
+    # every projection is one linear node; a regrown op chain changes this count
+    from propspan.models import SiTagger
+    from propspan.tokens import Vocab
+    vocab = Vocab([f"w{i}" for i in range(10)])
+    cfg = small_config(vocab=len(vocab), max_positions=8)
+    model = SiTagger(cfg, vocab, seed=0)
+    lengths = np.array([4, 3])
+    ids = np.array([[2, 7, 8, 9, 0], [3, 10, 11, 0, 0]])
+    mask = np.arange(5)[None, :] < lengths[:, None]
+    tags = np.zeros((2, 5), dtype=np.int64)
+    loss = model.loss(ids, mask, tags, lengths, train=True, rng=np.random.default_rng(0))
+    assert _graph_nodes(loss) == 77

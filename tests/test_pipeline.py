@@ -526,7 +526,3 @@ def test_tc_self_train_applies_overwrite_profile_by_default():
     assert res.meta["dropout"] == 0.0
     assert res.meta["attention_dropout"] == 0.0
     assert res.meta["batch_size"] == 16
-    res2 = train_tc(items, dev, corpus.labels, TcOptions(self_train=True), hp, seed=0,
-                    silver_items=silver, encoder_cfg=small_encoder(hp),
-                    apply_overwrite=False)
-    assert res2.meta["dropout"] == hp.dropout

@@ -132,6 +132,38 @@ def test_fused_backward_runs_once_per_pass():
     assert np.array_equal(a.grad, 2.0 * b.data) and np.array_equal(b.grad, 2.0 * a.data)
 
 
+def composite_linear(x, w, b):
+    """The reshape -> matmul -> bias add -> reshape chain that ``T.linear`` fuses."""
+    flat = T.reshape(x, (-1, x.shape[-1]))
+    return T.reshape(T.matmul(flat, w) + b, x.shape[:-1] + (w.shape[1],))
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4), (1, 3, 4), (1, 4)])
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+def test_linear_bit_identical_to_composite(shape, x_dtype):
+    rng = np.random.default_rng(20)
+    x_data = rng.normal(size=shape).astype(x_dtype)
+    w_data = rng.normal(size=(4, 3)).astype(np.float32)
+    b_data = rng.normal(size=3).astype(np.float32)
+    results = []
+    for op in (T.linear, composite_linear):
+        x, w, b = (Tensor(d, requires_grad=True) for d in (x_data, w_data, b_data))
+        out = op(x, w, b)
+        out.backward(np.random.default_rng(21).normal(size=out.shape))
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_linear_gradients_and_single_node():
+    rng = np.random.default_rng(22)
+    x, w, b = randt(rng, (2, 3, 4)), randt(rng, (4, 5)), randt(rng, (5,))
+    weights = Tensor(rng.normal(size=(2, 3, 5)))
+    assert grad_check(lambda x, w, b: (T.linear(x, w, b) * weights).sum(), [x, w, b]) <= 1e-6
+    assert T.linear(x, w, b)._parents == (x, w, b)
+
+
 def test_concat_and_where_gradients():
     rng = np.random.default_rng(7)
     a, b = randt(rng, (2, 3)), randt(rng, (2, 3))

@@ -197,15 +197,6 @@ class TestInjectMarkers:
         with pytest.raises(ValueError):
             inject_markers(["a"], 0, 2)
 
-    def test_padding_and_truncation(self):
-        seq = inject_markers(["a", "b", "c"], 1, 2, max_len=8)
-        assert len(seq) == 8 and seq[-1] == PAD
-        seq = inject_markers(["a", "b", "c", "d", "e"], 2, 3, max_len=6)
-        assert len(seq) == 6
-        assert seq.count(BOP) == 1 and seq.count(EOP) == 1
-        with pytest.raises(ValueError):
-            inject_markers(["a", "b", "c"], 0, 3, max_len=6)
-
 
 def test_span_token_range_snaps_outward():
     tt = tokenize("alpha beta gamma")
