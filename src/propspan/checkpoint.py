@@ -44,22 +44,48 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
         fh.write(bytes(payload))
 
 
+def _corrupt(path, reason: str) -> ValueError:
+    return ValueError(f"{path}: corrupt checkpoint: {reason}")
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, dict]:
     """Returns (tensors, config, meta); shape validation is the caller's job
-    since only the model class knows what the config implies."""
+    since only the model class knows what the config implies. A file that is
+    not laid out as ``save_checkpoint`` writes raises one ``ValueError``."""
     blob = Path(path).read_bytes()
     if blob[:len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
     header_start = len(MAGIC) + 8
-    header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
-    payload = blob[header_start + header_len:]
+    if len(blob) < header_start:
+        raise _corrupt(path, "file ends inside the header length")
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    payload_start = header_start + header_len
+    if payload_start > len(blob):
+        raise _corrupt(path, f"{header_len}-byte header runs past the end of the "
+                             f"{len(blob)}-byte file")
+    try:
+        header = json.loads(blob[header_start:payload_start].decode("utf-8"))
+        config, meta, entries = header["config"], header["meta"], header["tensors"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _corrupt(path, f"unreadable header ({exc})") from None
+    payload = blob[payload_start:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        dtype = _DTYPES[entry["dtype"]]
-        shape = tuple(entry["shape"])
+    for entry in entries:
+        try:
+            name, code, start = entry["name"], entry["dtype"], int(entry["offset"])
+            shape = tuple(int(d) for d in entry["shape"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _corrupt(path, f"malformed tensor entry ({exc})") from None
+        if code not in _DTYPES:
+            raise _corrupt(path, f"tensor {name!r} has unknown dtype code {code!r}")
+        if start < 0 or any(d < 0 for d in shape):
+            raise _corrupt(path, f"tensor {name!r} has a negative offset or dimension")
+        dtype = _DTYPES[code]
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        end = start + count * dtype.itemsize
+        if end > len(payload):
+            raise _corrupt(path, f"tensor {name!r} needs payload bytes {start}..{end}, "
+                                 f"but the payload has {len(payload)}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-    return tensors, header["config"], header["meta"]
+        tensors[name] = arr.reshape(shape).copy()
+    return tensors, config, meta

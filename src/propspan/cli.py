@@ -201,10 +201,14 @@ def _parse_ratio(text: str) -> tuple[int, int] | None:
         raise CliError(f"--gold-silver-ratio must look like 1:4, got {text!r}") from None
 
 
-def _effective(args, hp: pl.HyperParams | None = None, **extra) -> dict:
+def _effective(args, hp: pl.HyperParams | None = None, enc: EncoderConfig | None = None,
+               **extra) -> dict:
+    """The hashed run config; a training run records ``encoder: None`` for the
+    desk encoder and the resolved ``encoder.*`` config otherwise."""
     config = {"command": args.command, "seed": getattr(args, "seed", None)}
     if hp is not None:
         config["hp"] = hp.to_dict()
+        config["encoder"] = None if enc is None else enc.to_dict()
     config.update(extra)
     return config
 
@@ -264,7 +268,7 @@ def cmd_train_si(args) -> int:
     ckpt = out / "model-si.spfg"
     res.model.save(ckpt, meta={"best_score": res.best_score, "best_step": res.best_step,
                                "seed": args.seed})
-    config = _effective(args, hp, use_crf=not args.no_crf)
+    config = _effective(args, hp, enc, use_crf=not args.no_crf)
     pl.append_manifest(out, pl.run_record("train-si", config, args.seed, res, str(ckpt)))
     print(f"best dev FLC-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
     return 0
@@ -304,9 +308,9 @@ def cmd_train_tc(args) -> int:
     ckpt = out / "model-tc.spfg"
     res.model.save(ckpt, meta={"best_score": res.best_score, "best_step": res.best_step,
                                "seed": args.seed})
-    config = _effective(args, hp, options={"reweight": opts.reweight,
-                                           "span_cls": opts.span_cls,
-                                           "self_train": opts.self_train},
+    config = _effective(args, hp, enc, options={"reweight": opts.reweight,
+                                                "span_cls": opts.span_cls,
+                                                "self_train": opts.self_train},
                         ratio=args.gold_silver_ratio)
     pl.append_manifest(out, pl.run_record("train-tc", config, args.seed, res, str(ckpt)))
     print(f"best dev micro-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
@@ -325,7 +329,7 @@ def cmd_self_train(args) -> int:
                                seed=args.seed, ratio=ratio, use_crf=not args.no_crf,
                                encoder_cfg=enc)
     out = _out_dir(args)
-    config = _effective(args, hp, iterations=args.iterations,
+    config = _effective(args, hp, enc, iterations=args.iterations,
                         ratio=args.gold_silver_ratio, use_crf=not args.no_crf)
     for i, res in enumerate(results):
         name = "model-si-base.spfg" if i == 0 else f"model-si-iter{i}.spfg"
@@ -457,7 +461,7 @@ def cmd_cv(args) -> int:
               "options": {"reweight": opts.reweight, "span_cls": opts.span_cls}}
     (out / "cv.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                  encoding="utf-8")
-    config = _effective(args, hp, k=args.k, reweight=args.reweight,
+    config = _effective(args, hp, enc, k=args.k, reweight=args.reweight,
                         span_cls=args.span_cls)
     pl.append_manifest(out, pl.run_record("cv", config, args.seed, None))
     print(f"{args.k}-fold micro-F1 {mean:.4f} +/- {std:.4f}")

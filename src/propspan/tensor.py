@@ -5,6 +5,13 @@ runs). A Tensor produced by an op remembers its parents and per-parent
 backward closures; calling ``backward()`` on a scalar walks the graph in
 reverse topological order. Graph recording can be switched off with
 ``no_grad()`` for inference paths.
+
+Dtype rule: a model keeps the dtype it is built in. In ``add``, ``sub``,
+``mul`` and ``div`` a non-Tensor operand (a Python or NumPy scalar, or an
+array of any rank) takes the dtype of the Tensor operand; two Tensors
+promote as numpy does. A gradient that lands on a leaf is cast to that
+leaf's dtype, so parameter gradients and optimizer slots match their
+parameters.
 """
 
 from __future__ import annotations
@@ -75,9 +82,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -119,6 +123,7 @@ class Tensor:
             if g is None:
                 continue
             if not node._parents:
+                g = g.astype(node.data.dtype, copy=False)
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, fn in zip(node._parents, node._backward_fns):
@@ -188,8 +193,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- elementwise arithmetic ----------------------------------------------------
 
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a non-Tensor one takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(a, dtype=b.data.dtype if isinstance(b, Tensor) else None)
+    if not isinstance(b, Tensor):
+        b = Tensor(b, dtype=a.data.dtype)
+    return a, b
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     return _make_result(
         a.data + b.data, (a, b),
         (lambda g: _unbroadcast(g, a.data.shape),
@@ -197,7 +211,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     return _make_result(
         a.data - b.data, (a, b),
         (lambda g: _unbroadcast(g, a.data.shape),
@@ -205,7 +219,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     return _make_result(
         a.data * b.data, (a, b),
         (lambda g: _unbroadcast(g * b.data, a.data.shape),
@@ -213,7 +227,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     return _make_result(
         a.data / b.data, (a, b),
         (lambda g: _unbroadcast(g / b.data, a.data.shape),

@@ -1,8 +1,10 @@
 import json
+import struct
 
-
+import numpy as np
 import pytest
 
+from propspan.checkpoint import MAGIC, save_checkpoint
 from propspan.cli import main
 
 
@@ -385,13 +387,42 @@ def test_paper_scale_flag_swaps_table_values(synth_dir, tmp_path):
     assert hp["dropout"] == 0.1 and hp["max_seq_len"] == 256
 
 
-def test_runtime_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "model.spfg"
-    bad.write_bytes(b"SPFG1\n\xff\xff")  # valid magic, truncated header length
+CORRUPTIONS = {
+    "header_length": lambda raw: raw[:len(MAGIC) + 2],
+    "header_past_end": lambda raw: (raw[:len(MAGIC)] + struct.pack("<Q", len(raw))
+                                    + raw[len(MAGIC) + 8:]),
+    "dtype_code": lambda raw: raw.replace(b'"<f4"', b'"<i9"'),
+    "payload": lambda raw: raw[:-4],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_exit_1(tmp_path, capsys, case):
+    good = tmp_path / "good.spfg"
+    save_checkpoint(good, {"w": np.ones((2, 3), dtype=np.float32)}, {"kind": "si"})
+    bad = tmp_path / "bad.spfg"
+    bad.write_bytes(CORRUPTIONS[case](good.read_bytes()))
     code = run(["annotate", "--task", "si", "--model", str(bad),
                 "--pool", str(tmp_path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert code == 1
+    assert f"{bad}: corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_encoder_config_changes_config_hash(synth_dir, tmp_path):
+    records = []
+    for hidden in (16, 8):
+        cfg = tmp_path / f"h{hidden}.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "encoder.hidden_size": hidden}))
+        out = tmp_path / f"h{hidden}"
+        assert run(["train-si", "--seed", "1", "--steps", "1",
+                    "--articles", str(synth_dir / "train" / "articles"),
+                    "--labels", str(synth_dir / "train" / "labels-si.tsv"),
+                    "--dev-articles", str(synth_dir / "dev" / "articles"),
+                    "--dev-labels", str(synth_dir / "dev" / "labels-si.tsv"),
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        records.append(json.loads((out / "runs.jsonl").read_text().splitlines()[0]))
+    assert [r["config"]["encoder"]["hidden_size"] for r in records] == [16, 8]
+    assert records[0]["config_hash"] != records[1]["config_hash"]
 
 
 def test_score_tc_writes_outcomes_tsv(synth_dir, tmp_path):

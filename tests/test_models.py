@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from propspan import tensor as T
 from propspan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from propspan.encoder import EncoderConfig, SpanClsConfig
+from propspan.losses import class_weights, reweighted_bce
 from propspan.models import SiTagger, TcClassifier
 from propspan.tokens import Vocab
 
@@ -149,3 +151,47 @@ class TestTcClassifier:
         b = TcClassifier(tiny_cfg(len(vocab)), vocab, ["A", "B"], seed=7)
         for name, p in a.params().items():
             assert p.data.tobytes() == b.params()[name].data.tobytes()
+
+
+def graph_nodes(out):
+    """Every node reachable from ``out``, constants and leaves included."""
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def train_loss(kind, vocab, dtype):
+    """One train-mode loss (dropout on) of each model and head the pipeline trains."""
+    cfg = tiny_cfg(len(vocab), layers=2, dropout=0.1, attention_dropout=0.1)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(6, len(vocab), (3, 7))
+    mask = np.ones((3, 7), dtype=bool)
+    drop = np.random.default_rng(1)
+    if kind.startswith("si"):
+        model = SiTagger(cfg, vocab, use_crf=kind == "si_crf", seed=1, dtype=dtype)
+        loss = model.loss(ids, mask, rng.integers(0, 3, (3, 7)), np.array([7, 5, 3]),
+                          train=True, rng=drop)
+    else:
+        model = TcClassifier(cfg, vocab, ["A", "B", "C"], head_kind=kind[3:],
+                             span_cfg=SpanClsConfig(layers=1, heads=2, intermediate_size=16),
+                             seed=3, dtype=dtype)
+        logits = model.logits(ids, mask, [(1, 3), (0, 2), (2, 6)], train=True, rng=drop)
+        loss = reweighted_bce(T.sigmoid(logits), np.eye(3), class_weights([3, 1, 2]))
+    return model, loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["si_crf", "si_no_crf", "tc_marker", "tc_span_cls"])
+def test_train_graph_keeps_model_dtype(vocab, kind, dtype):
+    model, loss = train_loss(kind, vocab, dtype)
+    bad = {str(n) for n in graph_nodes(loss) if n.dtype != dtype}
+    assert not bad
+    loss.backward()
+    grads = {name: p.grad.dtype for name, p in model.params().items() if p.grad is not None}
+    assert set(model.encoder.params) <= set(grads)  # the CRF is idle without use_crf
+    assert set(grads.values()) == {np.dtype(dtype)}

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from propspan.optim import OptimState, adamw_step, sgd_step
+from propspan.encoder import EncoderConfig
+from propspan.models import SiTagger
+from propspan.optim import OptimState, adamw, adamw_step, sgd, sgd_step
 from propspan.tensor import Tensor
+from propspan.tokens import Vocab
 
 
 def one_param(value):
@@ -79,3 +82,22 @@ class TestAdamW:
             OptimState(kind="sgd", lr=-1.0)
         with pytest.raises(ValueError):
             OptimState(kind="sgd", lr=0.1, step_count=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [sgd, adamw], ids=["sgd", "adamw"])
+def test_step_keeps_parameter_dtype(make, dtype):
+    vocab = Vocab([f"w{i}" for i in range(20)])
+    cfg = EncoderConfig(vocab_size=len(vocab), hidden_size=16, layers=1, heads=2,
+                        intermediate_size=24, max_positions=16)
+    model = SiTagger(cfg, vocab, seed=1, dtype=dtype)
+    ids = np.random.default_rng(0).integers(6, len(vocab), (2, 5))
+    loss = model.loss(ids, np.ones((2, 5), dtype=bool), np.zeros((2, 5), dtype=np.int64),
+                      np.array([5, 4]), rng=np.random.default_rng(1))
+    opt = make(model.params(), lr=0.01)
+    loss.backward()
+    opt.step()
+    arrays = [p.grad for p in model.params().values()] + [p.data for p in model.params().values()]
+    arrays += [a for slot in opt.state.slots.values() for a in slot.values()]
+    assert len(opt.state.slots) == len(model.params())
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}

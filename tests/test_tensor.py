@@ -1,3 +1,4 @@
+import operator
 import zlib
 
 import numpy as np
@@ -203,6 +204,42 @@ class TestDropout:
     def test_train_mode_needs_rng(self):
         with pytest.raises(ValueError):
             T.dropout(Tensor(np.ones(3)), 0.5, None, train=True)
+
+
+SCALARS = {"float": 0.3, "np.float64": np.float64(0.3), "0d-float64": np.asarray(0.3)}
+BINARY = {"add": (operator.add, np.add), "sub": (operator.sub, np.subtract),
+          "mul": (operator.mul, np.multiply), "div": (operator.truediv, np.divide)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@pytest.mark.parametrize("op", sorted(BINARY))
+def test_scalar_operand_takes_tensor_dtype(op, kind, dtype):
+    t_op, np_op = BINARY[op]
+    x = Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3), dtype=dtype)
+    s = SCALARS[kind]
+    for out, want in ((t_op(x, s), np_op(x.data, dtype(s))),
+                      (t_op(s, x), np_op(dtype(s), x.data))):
+        assert isinstance(out, Tensor) and out.dtype == dtype
+        np.testing.assert_array_equal(out.data, want)
+
+
+def test_array_operand_takes_tensor_dtype():
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    out = T.mul(x, np.full(3, 0.1))
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, np.full((2, 3), 0.1, dtype=np.float32))
+
+
+def test_leaf_gradient_keeps_leaf_dtype():
+    # a float64 Tensor operand promotes the graph; the leaf gradient comes back float32
+    w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    c = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True, dtype=np.float64)
+    out = (w * c).sum()
+    assert out.dtype == np.float64
+    out.backward()
+    assert w.grad.dtype == np.float32 and c.grad.dtype == np.float64
+    np.testing.assert_array_equal(w.grad, np.array([1.0, 2.0, 3.0], dtype=np.float32))
 
 
 def test_no_grad_blocks_graph():
