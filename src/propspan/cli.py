@@ -180,15 +180,20 @@ def _resolve_hp(args, task: str, cfg: dict) -> pl.HyperParams:
     return hp
 
 
+# The encoder.* keys that shape the model; the vocabulary, dropout and
+# position count follow the data and hp.*.
+ENCODER_KEYS = ("hidden_size", "layers", "heads", "intermediate_size")
+
+
 def _resolve_encoder(cfg: dict, hp: pl.HyperParams) -> EncoderConfig | None:
     overrides = _scoped(cfg, "encoder")
     if not overrides:
         return None
-    base = pl.desk_encoder_config(1, hp)
-    bad = set(overrides) - set(base.to_dict())
+    bad = set(overrides) - set(ENCODER_KEYS)
     if bad:
-        raise CliError(f"unknown encoder.* config keys: {sorted(bad)}")
-    return replace(base, **overrides)
+        raise CliError(f"unknown encoder.* config keys: {sorted(bad)} "
+                       f"(accepted: {', '.join(ENCODER_KEYS)})")
+    return replace(pl.desk_encoder_config(1, hp), **overrides)
 
 
 def _parse_ratio(text: str) -> tuple[int, int] | None:
@@ -204,11 +209,11 @@ def _parse_ratio(text: str) -> tuple[int, int] | None:
 def _effective(args, hp: pl.HyperParams | None = None, enc: EncoderConfig | None = None,
                **extra) -> dict:
     """The hashed run config; a training run records ``encoder: None`` for the
-    desk encoder and the resolved ``encoder.*`` config otherwise."""
+    desk encoder and the resolved ``encoder.*`` keys otherwise."""
     config = {"command": args.command, "seed": getattr(args, "seed", None)}
     if hp is not None:
         config["hp"] = hp.to_dict()
-        config["encoder"] = None if enc is None else enc.to_dict()
+        config["encoder"] = None if enc is None else {k: getattr(enc, k) for k in ENCODER_KEYS}
     config.update(extra)
     return config
 

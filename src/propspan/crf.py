@@ -2,8 +2,8 @@
 
 Training-path functions take autograd Tensors so gradients flow back into
 emissions and the transition parameters; the padded-batch functions are the
-one implementation, and the single-sequence ``path_score``/``log_partition``
-run them at batch size 1. ``log_partition_batch`` is a single graph node
+one implementation, and the single-sequence ``log_partition``/``nll`` run
+them at batch size 1. ``log_partition_batch`` is a single graph node
 whose backward pass is the adjoint of the forward recursion (the
 forward-backward marginals; Lafferty et al. 2001, Sutton & McCallum 2012).
 Decoding is plain numpy.
@@ -91,15 +91,6 @@ def _check_tags(tags: np.ndarray, n_labels: int, length: int) -> np.ndarray:
     return tags
 
 
-def path_score(emissions: Tensor, tags, params: CrfParams) -> Tensor:
-    """start + sum of emissions along the path + transitions + end. Scalar Tensor."""
-    emissions = T.as_tensor(emissions)
-    length, n_labels = emissions.shape
-    tags = _check_tags(tags, n_labels, length)
-    batch = T.reshape(emissions, (1, length, n_labels))
-    return T.reshape(path_score_batch(batch, tags[None, :], [length], params), ())
-
-
 def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
     """Forward recursion with logsumexp over all label paths. Scalar Tensor."""
     emissions = T.as_tensor(emissions)
@@ -111,19 +102,13 @@ def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
 def nll(emissions: Tensor, tags, params: CrfParams,
         constraint: ConstraintMask | None = None) -> Tensor:
     """Negative log-likelihood of the tag path; >= 0 up to float error."""
-    if constraint is not None:
-        constraint.validate_tags(np.asarray(tags))
-    return log_partition(emissions, params) - path_score(emissions, tags, params)
-
-
-def margin_loss(emissions: Tensor, tags, params: CrfParams,
-                constraint: ConstraintMask | None = None) -> Tensor:
-    """Score gap between the Viterbi path and the gold path (perceptron margin)."""
     emissions = T.as_tensor(emissions)
     length, n_labels = emissions.shape
     tags = _check_tags(tags, n_labels, length)
+    if constraint is not None:
+        constraint.validate_tags(tags)
     batch = T.reshape(emissions, (1, length, n_labels))
-    return T.reshape(margin_loss_batch(batch, tags[None, :], [length], params, constraint), ())
+    return T.reshape(nll_batch(batch, tags[None, :], [length], params), ())
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams,
@@ -241,17 +226,6 @@ def log_partition_batch(emissions: Tensor, lengths: np.ndarray,
 
     return T.fused(logz[:, 0], (emissions, params.transitions, params.start_scores,
                                 params.end_scores), backward)
-
-
-def margin_loss_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
-                      params: CrfParams, constraint: ConstraintMask | None = None) -> Tensor:
-    """Per-sequence Viterbi path score minus gold path score. Returns [B]."""
-    lengths = _check_lengths(lengths, *emissions.shape[:2])
-    best = np.zeros(emissions.shape[:2], dtype=np.int64)
-    for i, ln in enumerate(lengths):
-        best[i, :ln], _ = viterbi(emissions.data[i, :ln], params, constraint)
-    return (path_score_batch(emissions, best, lengths, params)
-            - path_score_batch(emissions, tags, lengths, params))
 
 
 def nll_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,

@@ -1,4 +1,4 @@
-"""Multi-label binary cross-entropy and its class-frequency re-weighted variant.
+"""Multi-label binary cross-entropy, re-weighted by class frequency.
 
 The weight for class k is max(f)/f_k where f holds absolute class counts
 from the training split, so the most frequent class keeps weight 1 and
@@ -59,7 +59,3 @@ def reweighted_bce(x: Tensor, y: np.ndarray, w: ClassWeights) -> Tensor:
     neg_ = T.mul(T.log(T.sub(1.0, xc)), 1.0 - y)
     return T.mul(T.add(pos, neg_).sum(), -1.0 / (n * d))
 
-
-def bce(x: Tensor, y: np.ndarray) -> Tensor:
-    """Unweighted multi-label BCE."""
-    return reweighted_bce(x, y, uniform_weights(int(T.as_tensor(x).shape[-1])))

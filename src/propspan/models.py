@@ -50,17 +50,10 @@ class SiTagger:
 
     def loss(self, ids: np.ndarray, mask: np.ndarray, tags: np.ndarray,
              lengths: np.ndarray, train: bool = True,
-             rng: np.random.Generator | None = None,
-             loss_kind: str = "nll") -> Tensor:
+             rng: np.random.Generator | None = None) -> Tensor:
         emissions = self.emissions(ids, mask, train=train, rng=rng)
         if self.use_crf:
-            if loss_kind == "nll":
-                return crf_mod.nll_batch(emissions, tags, lengths, self.crf,
-                                         per_token=True)
-            if loss_kind == "margin":  # unconstrained Viterbi, divided per token
-                gaps = crf_mod.margin_loss_batch(emissions, tags, lengths, self.crf)
-                return gaps.sum() * (1.0 / float(np.asarray(lengths).sum()))
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
+            return crf_mod.nll_batch(emissions, tags, lengths, self.crf, per_token=True)
         # no CRF: mean per-token cross-entropy over real positions
         logp = emissions - T.logsumexp_t(emissions, axis=-1, keepdims=True)
         gold = T.take_along_last(logp, np.asarray(tags, dtype=np.int64))

@@ -43,17 +43,17 @@ class HyperParams:
     momentum: float = 0.9
     weight_decay: float = 0.01
     optimizer: str = "sgd"
-    loss: str = "nll"
     eval_every: int = 200
     patience: int = 5
 
     def __post_init__(self):
+        if self.task not in ("si", "tc"):
+            raise ValueError(f"unknown task {self.task!r}")
         if self.lr <= 0 or self.batch_size <= 0 or self.steps < 0:
             raise ValueError("lr and batch_size must be positive, steps >= 0")
-        losses = {"si": ("nll", "margin"), "tc": ("bce",)}
-        if self.loss not in losses.get(self.task, ()):
-            raise ValueError(f"loss {self.loss!r} does not fit task {self.task!r} "
-                             "(si: nll or margin; tc: bce)")
+        for name in ("max_seq_len", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
 
@@ -62,11 +62,11 @@ class HyperParams:
         if task == "si":
             return cls(task="si", batch_size=8, lr=0.05, steps=DESK_STEPS_SI,
                        momentum=0.9, weight_decay=0.0, optimizer="sgd",
-                       loss="nll", eval_every=200)
+                       eval_every=200)
         if task == "tc":
             return cls(task="tc", batch_size=16, lr=1e-3, steps=DESK_STEPS_TC,
                        momentum=0.0, weight_decay=0.01, optimizer="adamw",
-                       loss="bce", eval_every=100)
+                       eval_every=100)
         raise ValueError(f"unknown task {task!r}")
 
     @classmethod
@@ -74,27 +74,20 @@ class HyperParams:
         if task == "si":
             return cls(task="si", batch_size=8, lr=5e-4, steps=60_000,
                        momentum=0.9, weight_decay=0.0, optimizer="sgd",
-                       loss="nll", eval_every=2000)
+                       eval_every=2000)
         if task == "tc":
             return cls(task="tc", batch_size=16, lr=2e-5, steps=20_000,
                        momentum=0.0, weight_decay=0.01, optimizer="adamw",
-                       loss="bce", eval_every=2000)
+                       eval_every=2000)
         raise ValueError(f"unknown task {task!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
-class SelfTrainOverwrite:
-    dropout: float = 0.0
-    attention_dropout: float = 0.0
-    batch_size: int = 16
-
-    def apply(self, hp: HyperParams) -> HyperParams:
-        return replace(hp, dropout=self.dropout,
-                       attention_dropout=self.attention_dropout,
-                       batch_size=self.batch_size)
+def self_train_overwrite(hp: HyperParams) -> HyperParams:
+    """The self-training profile: no dropout, batch 16."""
+    return replace(hp, dropout=0.0, attention_dropout=0.0, batch_size=16)
 
 
 @dataclass(frozen=True)
@@ -102,16 +95,6 @@ class TcOptions:
     reweight: bool = False
     span_cls: bool = False
     self_train: bool = False
-
-    @classmethod
-    def table_rows(cls) -> list["TcOptions"]:
-        """The eight flag combinations, ordered (1)..(8)."""
-        rows = []
-        for reweight in (False, True):
-            for span_cls in (False, True):
-                for self_train in (False, True):
-                    rows.append(cls(reweight, span_cls, self_train))
-        return rows
 
 
 def desk_encoder_config(vocab_size: int, hp: HyperParams) -> EncoderConfig:
@@ -147,6 +130,8 @@ def _line_groups(tt: TokenizedText) -> list[list[Token]]:
 
 def build_si_windows(data: SpanDataset, max_len: int) -> list[SiWindow]:
     """Pack whole lines into windows of at most ``max_len`` tokens."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     windows: list[SiWindow] = []
     for aid in sorted(data.tokenized):
         tt = data.tokenized[aid]
@@ -342,8 +327,7 @@ def train_si(train: SpanDataset, dev: SpanDataset, hp: HyperParams, seed: int,
 
     def batch_loss(idx: np.ndarray) -> T.Tensor:
         ids, mask, tags, lengths = _pad_si_batch([windows[j] for j in idx], vocab)
-        return model.loss(ids, mask, tags, lengths, train=True, rng=drop_rng,
-                          loss_kind=hp.loss)
+        return model.loss(ids, mask, tags, lengths, train=True, rng=drop_rng)
 
     def evaluate(step: int) -> EvalPoint:
         score = flc_f1(predict_spans(model, dev.tokenized, hp.max_seq_len), dev.spans)
@@ -385,7 +369,7 @@ def self_train_si(gold: SpanDataset, dev: SpanDataset, pool: SpanDataset,
     Each round trains a fresh model on gold plus the silver set produced by
     the previous round's best model over a fresh pool partition. Silver
     sets take every pool text, with no confidence filtering. The
-    ``SelfTrainOverwrite`` profile applies from iteration 2 (the first round
+    ``self_train_overwrite`` profile applies from iteration 2 (the first round
     keeps the base hyperparameters, matching the original recipe).
     """
     if iterations < 1:
@@ -395,7 +379,7 @@ def self_train_si(gold: SpanDataset, dev: SpanDataset, pool: SpanDataset,
                         encoder_cfg=encoder_cfg)]
     for i in range(1, iterations + 1):
         silver = annotate_si(results[-1].model, chunks[i - 1], hp.max_seq_len)
-        hp_i = SelfTrainOverwrite().apply(hp) if i >= 2 else hp
+        hp_i = self_train_overwrite(hp) if i >= 2 else hp
         res = train_si(gold, dev, hp_i, derive_seed(seed, i), use_crf=use_crf,
                        silver=silver, ratio=ratio, encoder_cfg=encoder_cfg)
         res.meta["self_train_iteration"] = i
@@ -491,14 +475,14 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
              span_cfg: SpanClsConfig | None = None) -> TrainResult:
     """Span classifier training; head, loss weighting and silver mix follow ``opts``.
 
-    Self-trained runs take the ``SelfTrainOverwrite`` profile (dropout 0,
+    Self-trained runs take the ``self_train_overwrite`` profile (dropout 0,
     batch 16) for the whole run.
     """
     if opts.self_train and silver_items is None:
         raise ValueError("self_train option requires a silver item set "
                          "(see build_tc_silver)")
     if opts.self_train:
-        hp = SelfTrainOverwrite().apply(hp)
+        hp = self_train_overwrite(hp)
     silver = list(silver_items) if (opts.self_train and silver_items) else []
     mixed = mix_with_silver(list(train_items), silver, ratio)
 

@@ -370,18 +370,6 @@ def logsumexp_t(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _make_result(out_data, (a,), (back,))
 
 
-def logsumexp(values) -> float:
-    """Scalar log-sum-exp of a non-empty vector; safe for large magnitudes."""
-    arr = values.data if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
-    arr = np.asarray(arr, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("logsumexp of an empty vector")
-    m = float(arr.max())
-    if not np.isfinite(m):
-        return m
-    return m + math.log(float(np.exp(arr - m).sum()))
-
-
 # -- shape / indexing ----------------------------------------------------------
 
 def reshape(a, shape) -> Tensor:

@@ -51,9 +51,6 @@ class TokenizedText:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 def tokenize(text: str) -> TokenizedText:
     """Whitespace words with punctuation characters split into single tokens."""

@@ -309,27 +309,46 @@ class TestAnalyze:
         assert repr(aid) in capsys.readouterr().err
 
 
-def test_unknown_hp_key_exit_1(tmp_path, capsys):
+def train_si_with(synth_dir, tmp_path, config: dict) -> int:
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"hp.warp_speed": 9}))
-    code = main(["train-si", "--seed", "1", "--articles", "x", "--labels", "y",
-                 "--dev-articles", "z", "--dev-labels", "w",
-                 "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "warp_speed" in capsys.readouterr().err
-
-
-def test_train_si_rejects_bce_loss(synth_dir, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"hp.loss": "bce"}))
-    code = run(["train-si", "--seed", "1", "--config", str(cfg),
+    cfg.write_text(json.dumps(config))
+    return run(["train-si", "--seed", "1", "--config", str(cfg),
                 "--articles", str(synth_dir / "train" / "articles"),
                 "--labels", str(synth_dir / "train" / "labels-si.tsv"),
                 "--dev-articles", str(synth_dir / "dev" / "articles"),
                 "--dev-labels", str(synth_dir / "dev" / "labels-si.tsv"),
                 "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "'bce'" in capsys.readouterr().err
+
+
+def test_unknown_hp_key_exit_1(synth_dir, tmp_path, capsys):
+    assert train_si_with(synth_dir, tmp_path, {"hp.warp_speed": 9}) == 1
+    assert "'warp_speed'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model-si.spfg").exists()
+
+
+def test_train_si_rejects_bce_loss(synth_dir, tmp_path, capsys):
+    # hp.loss was an option once; the CRF likelihood is the only SI objective
+    # now, so any hp.loss value is an unknown key
+    for value in ("bce", "nll"):
+        assert train_si_with(synth_dir, tmp_path, {"hp.loss": value}) == 1
+        assert "'loss'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model-si.spfg").exists()
+
+
+@pytest.mark.parametrize("key", ["max_seq_len", "eval_every"])
+def test_non_positive_hp_value_exit_1(synth_dir, tmp_path, capsys, key):
+    assert train_si_with(synth_dir, tmp_path, {**TRAIN_CFG, f"hp.{key}": 0}) == 1
+    assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model-si.spfg").exists()
+
+
+@pytest.mark.parametrize("key", ["vocab_size", "max_positions", "dropout",
+                                 "attention_dropout"])
+def test_encoder_key_without_effect_exit_1(synth_dir, tmp_path, capsys, key):
+    # the vocabulary comes from the data, the positions from hp.max_seq_len and
+    # the dropout rates from hp.*, so these keys would be recorded but not used
+    assert train_si_with(synth_dir, tmp_path, {**TRAIN_CFG, f"encoder.{key}": 1}) == 1
+    assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o" / "model-si.spfg").exists()
 
 
@@ -422,6 +441,8 @@ def test_encoder_config_changes_config_hash(synth_dir, tmp_path):
                     "--config", str(cfg), "--out", str(out)]) == 0
         records.append(json.loads((out / "runs.jsonl").read_text().splitlines()[0]))
     assert [r["config"]["encoder"]["hidden_size"] for r in records] == [16, 8]
+    assert all(set(r["config"]["encoder"]) == {"hidden_size", "layers", "heads",
+                                               "intermediate_size"} for r in records)
     assert records[0]["config_hash"] != records[1]["config_hash"]
 
 

@@ -38,6 +38,13 @@ def composite_log_partition_batch(emissions, lengths, params):
     return T.logsumexp_t(alpha + T.reshape(params.end_scores, (1, -1)), axis=1)
 
 
+def path_score(em, path, params):
+    """Gold path score of one sequence: a batch-size-1 ``path_score_batch`` call."""
+    em = np.asarray(em, dtype=np.float64)
+    return C.path_score_batch(Tensor(em[None], dtype=np.float64), np.asarray([path]),
+                              [len(em)], params).numpy()[0]
+
+
 def enumerate_paths(length, n_labels):
     return itertools.product(range(n_labels), repeat=length)
 
@@ -67,25 +74,24 @@ def brute_viterbi(em, tr, st, en):
 class TestPathScore:
     def test_length_one(self):
         params = make_params(None, 3, zero=True)
-        em = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        assert C.path_score(em, [2], params).item() == pytest.approx(3.0)
+        assert path_score([[1.0, 2.0, 3.0]], [2], params) == pytest.approx(3.0)
 
     def test_length_two_hand_sum(self):
         rng = np.random.default_rng(0)
         em = rng.normal(size=(2, 2))
         tr = rng.normal(size=(2, 2))
         params = C.CrfParams(Tensor(tr), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
-        got = C.path_score(Tensor(em), [0, 1], params).item()
+        got = path_score(em, [0, 1], params)
         assert got == pytest.approx(em[0, 0] + tr[0, 1] + em[1, 1], abs=1e-9)
 
     def test_all_zero(self):
         params = make_params(None, 2, zero=True)
-        assert C.path_score(Tensor(np.zeros((3, 2))), [0, 1, 0], params).item() == 0.0
+        assert path_score(np.zeros((3, 2)), [0, 1, 0], params) == 0.0
 
     def test_label_out_of_range(self):
         params = make_params(None, 2, zero=True)
         with pytest.raises(ValueError):
-            C.path_score(Tensor(np.zeros((2, 2))), [0, 5], params)
+            path_score(np.zeros((2, 2)), [0, 5], params)
 
 
 class TestLogPartition:
@@ -112,8 +118,7 @@ class TestLogPartition:
         params = make_params(rng, 3)
         logz = C.log_partition(Tensor(em, dtype=np.float64), params).item()
         for path in enumerate_paths(4, 3):
-            assert logz >= C.path_score(Tensor(em, dtype=np.float64),
-                                        list(path), params).item()
+            assert logz >= path_score(em, list(path), params)
 
 
 class TestNll:
@@ -151,6 +156,39 @@ class TestNll:
             worst = max(worst, grad_check(
                 fn, [em, params.transitions, params.start_scores, params.end_scores]))
         assert worst <= 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_log_partition_minus_path_score(self, dtype):
+        # nll is the batch-size-1 nll_batch; it keeps the value and all four
+        # gradients of the difference it replaced, bit for bit
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            length = int(rng.integers(1, 8))
+            em = rng.normal(size=(length, 3))
+            tags = rng.integers(0, 3, size=length)
+            results = []
+            for use_nll in (True, False):
+                params = make_params(np.random.default_rng(int(tags.sum())), 3, dtype)
+                e = Tensor(em, requires_grad=True, dtype=dtype)
+                if use_nll:
+                    loss = C.nll(e, tags, params)
+                else:
+                    gold = C.path_score_batch(T.reshape(e, (1, length, 3)), tags[None],
+                                              [length], params)
+                    loss = C.log_partition(e, params) - T.reshape(gold, ())
+                loss.backward()
+                results.append([loss.data, e.grad, params.transitions.grad,
+                                params.start_scores.grad, params.end_scores.grad])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_tag_shape_and_range_checked(self):
+        params = make_params(None, 3, zero=True)
+        with pytest.raises(ValueError, match="expected 2 tags"):
+            C.nll(Tensor(np.zeros((2, 3))), [0, 1, 0], params)
+        with pytest.raises(ValueError, match="out of range"):
+            C.nll(Tensor(np.zeros((2, 3))), [0, 3], params)
 
     def test_invalid_tags_under_constraint_rejected(self):
         params = make_params(None, 3, zero=True)
@@ -220,8 +258,7 @@ def test_path_probabilities_sum_to_one():
         em = rng.normal(size=(length, n_labels))
         params = make_params(rng, n_labels)
         logz = C.log_partition(Tensor(em, dtype=np.float64), params).item()
-        total = sum(math.exp(C.path_score(Tensor(em, dtype=np.float64),
-                                          list(p), params).item() - logz)
+        total = sum(math.exp(path_score(em, list(p), params) - logz)
                     for p in enumerate_paths(length, n_labels))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -256,30 +293,6 @@ def test_batched_nll_gradient():
     err = grad_check(fn, [em, params.transitions, params.start_scores,
                           params.end_scores])
     assert err <= 1e-4
-
-
-def test_margin_loss_nonnegative_and_zero_on_viterbi_path():
-    rng = np.random.default_rng(12)
-    em = rng.normal(size=(5, 3))
-    params = make_params(rng, 3)
-    best, _ = C.viterbi(em, params)
-    em_t = Tensor(em, dtype=np.float64)
-    assert C.margin_loss(em_t, best, params).item() == pytest.approx(0.0, abs=1e-9)
-    other = [(t + 1) % 3 for t in best]
-    assert C.margin_loss(em_t, other, params).item() >= 0.0
-
-
-def test_margin_loss_batch_rows_match_single_sequence():
-    rng = np.random.default_rng(20)
-    lengths = np.array([4, 1, 3])
-    em = rng.normal(size=(3, 4, 3))
-    tags = rng.integers(0, 3, size=(3, 4))
-    params = make_params(rng, 3)
-    mask = C.ConstraintMask.bio()
-    gaps = C.margin_loss_batch(Tensor(em), tags, lengths, params, mask).numpy()
-    for i, ln in enumerate(lengths):
-        want = C.margin_loss(Tensor(em[i, :ln]), tags[i, :ln], params, mask).item()
-        assert gaps[i] == pytest.approx(want, abs=1e-12)
 
 
 def test_constraint_mask_validation():

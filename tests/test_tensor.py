@@ -5,26 +5,11 @@ import numpy as np
 import pytest
 
 from propspan import tensor as T
-from propspan.tensor import Tensor, grad_check, logsumexp, no_grad
+from propspan.tensor import Tensor, grad_check, no_grad
 
 
 def randt(rng, shape, scale=1.0):
     return Tensor(rng.normal(0, scale, shape), requires_grad=True, dtype=np.float64)
-
-
-class TestLogsumexp:
-    def test_single_element_identity(self):
-        assert logsumexp([0.0]) == 0.0
-
-    def test_two_equal(self):
-        assert logsumexp([1.0, 1.0]) == pytest.approx(1.0 + np.log(2), abs=1e-12)
-
-    def test_no_overflow(self):
-        assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2), abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            logsumexp([])
 
 
 class TestGradCheck:
@@ -186,6 +171,12 @@ class TestSoftmax:
         s = T.softmax(Tensor([[1000.0, 1000.0, -1000.0]]), axis=-1).numpy()
         assert np.isfinite(s).all()
         assert s[0, 0] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_logsumexp_t_large_magnitudes_stable():
+    got = T.logsumexp_t(Tensor([[1000.0, 1000.0], [-1000.0, -1000.0]], dtype=np.float64),
+                        axis=-1).numpy()
+    np.testing.assert_allclose(got, [1000.0 + np.log(2), -1000.0 + np.log(2)], atol=1e-9)
 
 
 class TestDropout:

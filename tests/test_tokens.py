@@ -15,7 +15,7 @@ class TestTokenize:
             ("Democrats", 0, 9), ("acted", 10, 15), ("like", 16, 20), ("babies", 21, 27)]
 
     def test_punctuation_split_off(self):
-        assert tokenize("folks,'").surfaces() == ["folks", ",", "'"]
+        assert [t.surface for t in tokenize("folks,'").tokens] == ["folks", ",", "'"]
 
     def test_empty_text(self):
         assert tokenize("").tokens == ()
@@ -34,7 +34,7 @@ class TestTokenize:
                 assert a.end <= b.start
 
     def test_unicode_quotes_are_single_tokens(self):
-        assert tokenize("‘tortured’").surfaces() == ["‘", "tortured", "’"]
+        assert [t.surface for t in tokenize("‘tortured’").tokens] == ["‘", "tortured", "’"]
 
 
 class TestSpansToTags:
