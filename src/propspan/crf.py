@@ -6,7 +6,8 @@ one implementation, and the single-sequence ``log_partition``/``nll`` run
 them at batch size 1. ``log_partition_batch`` is a single graph node
 whose backward pass is the adjoint of the forward recursion (the
 forward-backward marginals; Lafferty et al. 2001, Sutton & McCallum 2012).
-Decoding is plain numpy.
+Decoding is plain numpy: ``viterbi_batch`` decodes a padded batch, and
+``viterbi`` runs it at batch size 1.
 """
 
 from __future__ import annotations
@@ -114,35 +115,55 @@ def nll(emissions: Tensor, tags, params: CrfParams,
 def viterbi(emissions: np.ndarray, params: CrfParams,
             constraint: ConstraintMask | None = None) -> tuple[list[int], float]:
     """Best path and its score; ties resolve to the lowest label id."""
-    emissions = np.asarray(emissions.data if isinstance(emissions, Tensor) else emissions,
-                           dtype=np.float64)
-    length, n_labels = emissions.shape
-    if length < 1:
-        raise ValueError("empty sequence")
-    trans = params.transitions.data.astype(np.float64).copy()
-    start = params.start_scores.data.astype(np.float64).copy()
+    emissions = np.asarray(emissions.data if isinstance(emissions, Tensor) else emissions)
+    paths, scores = viterbi_batch(emissions[None], [len(emissions)], params, constraint)
+    return paths[0], float(scores[0])
+
+
+def viterbi_batch(emissions: np.ndarray, lengths, params: CrfParams,
+                  constraint: ConstraintMask | None = None) -> tuple[list[list[int]], np.ndarray]:
+    """Best path and its score for every row of a padded ``[B, T, L]`` batch.
+
+    One float64 recursion over the batch: a row past its length keeps its
+    scores, and the backtrace walks all rows at once. Ties resolve to the
+    lowest label id. Returns the paths (row ``i`` has ``lengths[i]`` labels)
+    and the ``[B]`` scores.
+    """
+    emissions = np.asarray(emissions, dtype=np.float64)
+    bsz, max_len, n_labels = emissions.shape
+    lengths = _check_lengths(lengths, bsz, max_len)
+    trans = params.transitions.data.astype(np.float64)
+    start = params.start_scores.data.astype(np.float64)
     end = params.end_scores.data.astype(np.float64)
     if constraint is not None:
-        trans[~constraint.allowed_transitions] = NEG_INF
-        start[~constraint.allowed_start] = NEG_INF
+        trans = np.where(constraint.allowed_transitions, trans, NEG_INF)
+        start = np.where(constraint.allowed_start, start, NEG_INF)
 
-    score = start + emissions[0]
-    back: list[np.ndarray] = []
-    for t in range(1, length):
-        cand = score[:, None] + trans  # [from, to]
-        best_from = cand.argmax(axis=0)  # argmax returns the lowest index on ties
-        back.append(best_from)
-        score = cand[best_from, np.arange(n_labels)] + emissions[t]
+    steps = int(lengths.max())
+    score = start + emissions[:, 0, :]  # [B, L]
+    back = np.zeros((bsz, steps, n_labels), dtype=np.int64)
+    for t in range(1, steps):
+        cand = score[:, :, None] + trans  # [B, from, to]
+        best_from = cand.argmax(axis=1)  # argmax returns the lowest index on ties
+        back[:, t] = best_from
+        best = np.take_along_axis(cand, best_from[:, None, :], axis=1)[:, 0, :]
+        score = np.where((lengths > t)[:, None], best + emissions[:, t, :], score)
     final = score + end
-    if final.max() <= NEG_INF / 2:
-        raise ValueError("no feasible path under the constraint mask")
-    last = int(final.argmax())
-    best_score = float(final[last])
-    path = [last]
-    for best_from in reversed(back):
-        path.append(int(best_from[path[-1]]))
-    path.reverse()
-    return path, best_score
+    infeasible = np.flatnonzero(final.max(axis=1) <= NEG_INF / 2)
+    if infeasible.size:
+        raise ValueError(f"row {int(infeasible[0])}: no feasible path under the constraint mask")
+    rows = np.arange(bsz)
+    last = final.argmax(axis=1)
+    scores = final[rows, last]
+
+    labels = np.empty((bsz, steps), dtype=np.int64)
+    cur = last
+    for t in range(steps - 1, 0, -1):
+        alive = lengths > t
+        labels[:, t] = cur
+        cur = np.where(alive, back[rows, t, cur], cur)
+    labels[:, 0] = cur
+    return [labels[i, :ln].tolist() for i, ln in enumerate(lengths)], scores
 
 
 # -- batched training path -------------------------------------------------------

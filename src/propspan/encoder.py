@@ -78,7 +78,6 @@ class TransformerStack:
         self.hidden = hidden
         self.layers = layers
         self.heads = heads
-        self.head_dim = hidden // heads
         self.dropout = dropout
         self.attention_dropout = attention_dropout
         self.params: dict[str, Tensor] = {}
@@ -103,18 +102,9 @@ class TransformerStack:
     def _attention(self, x: Tensor, bias: np.ndarray, base: str,
                    train: bool, rng) -> Tensor:
         p = self.params
-        bsz, seq, hid = x.shape
-        def proj(name):
-            out = T.linear(x, p[f"{base}.{name}"], p[f"{base}.{name}_b"])
-            out = T.reshape(out, (bsz, seq, self.heads, self.head_dim))
-            return T.swapaxes(out, 1, 2)  # [B, heads, T, dh]
-        q, k, v = proj("wq"), proj("wk"), proj("wv")
-        scores = T.matmul(q, T.swapaxes(k, 2, 3)) * (1.0 / np.sqrt(self.head_dim))
-        scores = scores + bias  # [B, 1, Tq, Tk] broadcast over heads
-        attn = T.softmax(scores, axis=-1)
-        attn = T.dropout(attn, self.attention_dropout, rng, train)
-        ctx = T.matmul(attn, v)  # [B, heads, T, dh]
-        ctx = T.reshape(T.swapaxes(ctx, 1, 2), (bsz, seq, hid))
+        q, k, v = (T.linear(x, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
+                   for nm in ("wq", "wk", "wv"))
+        ctx = T.attention(q, k, v, bias, self.heads, self.attention_dropout, rng, train)
         return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
 
     def __call__(self, x: Tensor, attn_allowed: np.ndarray,

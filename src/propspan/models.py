@@ -63,20 +63,28 @@ class SiTagger:
 
     def decode(self, ids: np.ndarray, mask: np.ndarray,
                lengths: np.ndarray) -> list[list[int]]:
-        """Best tag path per sequence (BIO-constrained when using the CRF)."""
+        """Best tag path per sequence (BIO-constrained when using the CRF).
+
+        Raises ``RuntimeError`` naming the first row whose real positions
+        carry a non-finite emission.
+        """
         with T.no_grad():
             emissions = self.emissions(ids, mask, train=False).numpy()
-        out = []
-        for i, ln in enumerate(np.asarray(lengths)):
-            ln = int(ln)
-            if ln == 0:
-                out.append([])
-                continue
-            if self.use_crf:
-                path, _ = crf_mod.viterbi(emissions[i, :ln], self.crf, self.constraint)
-            else:
-                path = emissions[i, :ln].argmax(axis=-1).tolist()
-            out.append(path)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        valid = np.arange(emissions.shape[1])[None, :] < lengths[:, None]
+        bad = np.flatnonzero((valid & ~np.isfinite(emissions).all(axis=-1)).any(axis=1))
+        if bad.size:
+            raise RuntimeError(f"non-finite emissions in row {int(bad[0])}")
+        if not self.use_crf:
+            best = emissions.argmax(axis=-1)
+            return [best[i, :ln].tolist() for i, ln in enumerate(lengths)]
+        out: list[list[int]] = [[] for _ in lengths]
+        rows = np.flatnonzero(lengths > 0)
+        if rows.size:
+            paths, _ = crf_mod.viterbi_batch(emissions[rows], lengths[rows], self.crf,
+                                             self.constraint)
+            for i, path in zip(rows, paths):
+                out[i] = path
         return out
 
     def save(self, path, meta: dict | None = None) -> None:

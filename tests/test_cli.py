@@ -141,6 +141,19 @@ class TestAnnotateAndScore:
                     "--out", str(out)]) == 0
         assert (out / "silver-si.tsv").exists()
 
+    def test_annotate_nan_weights_exit_2(self, synth_dir, si_model, tmp_path, capsys):
+        from propspan.models import SiTagger
+        model = SiTagger.load(si_model)
+        model.emission_head.w.data[0, 0] = np.nan
+        bad = tmp_path / "nan-si.spfg"
+        model.save(bad)
+        out = tmp_path / "silver"
+        assert run(["annotate", "--task", "si", "--model", str(bad),
+                    "--pool", str(synth_dir / "pool" / "articles"),
+                    "--out", str(out)]) == 2
+        assert "non-finite emissions in row 0" in capsys.readouterr().err
+        assert not (out / "silver-si.tsv").exists()
+
     def test_score_identical_files_f1_one(self, synth_dir, tmp_path, capsys):
         gold = synth_dir / "dev" / "labels-si.tsv"
         out = tmp_path / "score"

@@ -65,10 +65,35 @@ def brute_log_partition(em, tr, st, en):
 def brute_viterbi(em, tr, st, en):
     best_path, best_score = None, -np.inf
     for p in enumerate_paths(em.shape[0], em.shape[1]):
+        p = p[::-1]  # visit paths ordered by their last label, then the one before, ...
         s = brute_path_score(em, tr, st, en, p)
-        if s > best_score:  # strict: first (lexicographically lowest) max wins
-            best_path, best_score = p, s
+        if s > best_score:  # strict: of equal scores the first visited wins, which
+            best_path, best_score = p, s  # is the path a lowest-id backtrace picks
     return list(best_path), best_score
+
+
+def loop_viterbi(em, params, constraint=None):
+    """Viterbi one sequence at a time: the batched decoder's oracle."""
+    em = np.asarray(em, dtype=np.float64)
+    length, n_labels = em.shape
+    trans = params.transitions.data.astype(np.float64).copy()
+    start = params.start_scores.data.astype(np.float64).copy()
+    end = params.end_scores.data.astype(np.float64)
+    if constraint is not None:
+        trans[~constraint.allowed_transitions] = C.NEG_INF
+        start[~constraint.allowed_start] = C.NEG_INF
+    score = start + em[0]
+    back = []
+    for t in range(1, length):
+        cand = score[:, None] + trans  # [from, to]
+        best_from = cand.argmax(axis=0)
+        back.append(best_from)
+        score = cand[best_from, np.arange(n_labels)] + em[t]
+    final = score + end
+    path = [int(final.argmax())]
+    for best_from in reversed(back):
+        path.append(int(best_from[path[-1]]))
+    return path[::-1], float(final[path[0]])
 
 
 class TestPathScore:
@@ -398,3 +423,42 @@ def test_bad_lengths_rejected(fn, lengths, match):
     args = (em, np.zeros((2, 4), dtype=np.int64)) if fn == "path_score_batch" else (em,)
     with pytest.raises(ValueError, match=match):
         getattr(C, fn)(*args, lengths, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(2, 4), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_viterbi_batch_rows_match_loop_and_brute_force(bsz, width, n_labels, rounded,
+                                                        bio, seed):
+    rng = np.random.default_rng(seed)
+    constraint = None
+    if bio:
+        n_labels, constraint = 3, C.ConstraintMask.bio()
+    lengths = rng.integers(1, width + 1, size=bsz)
+    em = rng.normal(0.0, 2.0, size=(bsz, width, n_labels))
+    params = make_params(rng, n_labels)
+    if rounded:  # small integers: sums are exact and many paths tie
+        em = np.round(em)
+        for p in (params.transitions, params.start_scores, params.end_scores):
+            p.data = np.round(p.data)
+    paths, scores = C.viterbi_batch(em, lengths, params, constraint)
+    assert scores.shape == (bsz,) and scores.dtype == np.float64
+    tr, st_, en = (p.data.copy() for p in (params.transitions, params.start_scores,
+                                            params.end_scores))
+    if bio:
+        tr[~constraint.allowed_transitions] = C.NEG_INF
+        st_[~constraint.allowed_start] = C.NEG_INF
+    for i, ln in enumerate(lengths):
+        want_path, want_score = loop_viterbi(em[i, :ln], params, constraint)
+        assert (paths[i], scores[i]) == (want_path, want_score)
+        brute_path, brute_score = brute_viterbi(em[i, :ln], tr, st_, en)
+        assert paths[i] == brute_path
+        assert scores[i] == (brute_score if rounded else pytest.approx(brute_score, abs=1e-9))
+        assert C.viterbi(em[i, :ln], params, constraint) == (paths[i], scores[i])
+
+
+def test_viterbi_batch_reports_infeasible_row():
+    em = np.zeros((2, 3, 3))
+    em[1, :, :2] = C.NEG_INF  # row 1 can only use I, which cannot start
+    with pytest.raises(ValueError, match="row 1: no feasible path"):
+        C.viterbi_batch(em, [3, 2], make_params(None, 3, zero=True), C.ConstraintMask.bio())

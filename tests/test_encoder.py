@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from propspan import tensor as T
-from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
-                              SpanClsHead, key_padding_allowed)
+from propspan.encoder import (ATTN_MASK_BIAS, Encoder, EncoderConfig, LinearHead,
+                              SpanClsConfig, SpanClsHead, key_padding_allowed)
 from propspan.tensor import Tensor, grad_check
 
 
@@ -78,26 +78,82 @@ class TestEncode:
         assert a.tobytes() == b.tobytes()
 
 
+def chain_attention(q, k, v, bias, heads, p, rng, train):
+    """The attention block as a chain of autograd ops: the fused op's oracle."""
+    bsz, seq, hid = q.shape
+    dh = hid // heads
+
+    def split(t):
+        return T.swapaxes(T.reshape(t, (bsz, seq, heads, dh)), 1, 2)  # [B, heads, T, dh]
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    scores = T.matmul(q4, T.swapaxes(k4, 2, 3)) * (1.0 / np.sqrt(dh))
+    attn = T.softmax(scores + bias, axis=-1)
+    attn = T.dropout(attn, p, rng, train)
+    ctx = T.matmul(attn, v4)
+    return T.reshape(T.swapaxes(ctx, 1, 2), (bsz, seq, hid))
+
+
+def _padded_bias(lengths, seq, dtype):
+    mask = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
+    return np.where(key_padding_allowed(mask), 0.0, ATTN_MASK_BIAS).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("mask_kind", ["padded_keys", "all_allowed"])
+def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind):
+    rng = np.random.default_rng(21)
+    bsz, seq, hid, heads = 3, 6, 12, 4  # head dim 3: the scale 1/sqrt(3) is inexact
+    if mask_kind == "padded_keys":
+        bias = _padded_bias([6, 4, 1], seq, dtype)
+    else:  # the span head's mask: every key allowed
+        bias = np.zeros((1, 1, 1, seq), dtype=dtype)
+    data = [rng.normal(size=(bsz, seq, hid)).astype(dtype) for _ in range(3)]
+    seed_grad = rng.normal(size=(bsz, seq, hid)).astype(dtype)
+    results, next_draws = [], []
+    for op in (T.attention, chain_attention):
+        ins = [Tensor(d.copy(), requires_grad=True) for d in data]
+        drop_rng = np.random.default_rng(9)
+        out = op(*ins, bias, heads, 0.25, drop_rng, train)
+        out.backward(seed_grad)
+        results.append([out.data] + [t.grad for t in ins])
+        next_draws.append(drop_rng.random())
+    for fused_arr, chain_arr in zip(*results):
+        assert fused_arr.dtype == chain_arr.dtype == dtype
+        assert np.array_equal(fused_arr, chain_arr)
+    assert next_draws[0] == next_draws[1]  # the same dropout draws were taken
+
+
+def test_fused_attention_is_one_graph_node():
+    rng = np.random.default_rng(22)
+    q, k, v = (Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True) for _ in range(3))
+    out = T.attention(q, k, v, _padded_bias([4, 2], 4, np.float64), 2, 0.1,
+                      np.random.default_rng(0), True)
+    assert out._parents == (q, k, v)
+
+
 def test_masked_attention_weights_are_zero():
-    # measure softmax attention over a masked key directly
-    from propspan.encoder import TransformerStack
+    # a masked key has weight exactly 0: its k/v rows cannot move any query's output
     rng = np.random.default_rng(4)
-    stack = TransformerStack("s", 8, 1, 2, 16, 0.0, 0.0, rng)
-    x = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
-    allowed = np.ones((1, 1, 1, 5), dtype=bool)
-    allowed[..., 3:] = False
-    # reproduce the internal score computation on the first layer
-    bias = np.where(allowed, 0.0, -1e9).astype(np.float32)
-    p = stack.params
-    xn = T.layer_norm(x, p["s.layer0.ln1_g"], p["s.layer0.ln1_b"])
-    flat = T.reshape(xn, (5, 8))
-    q = T.reshape(T.matmul(flat, p["s.layer0.wq"]) + p["s.layer0.wq_b"], (1, 5, 2, 4))
-    k = T.reshape(T.matmul(flat, p["s.layer0.wk"]) + p["s.layer0.wk_b"], (1, 5, 2, 4))
-    q, k = T.swapaxes(q, 1, 2), T.swapaxes(k, 1, 2)
-    scores = T.matmul(q, T.swapaxes(k, 2, 3)) * (1 / 2.0) + bias
-    attn = T.softmax(scores, axis=-1).numpy()
-    assert np.abs(attn[..., 3:]).max() <= 1e-7
-    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+    bsz, seq, hid, heads = 2, 5, 8, 2
+    lengths = np.array([5, 3])
+    keys_masked = np.arange(seq)[None, :] >= lengths[:, None]
+    bias = _padded_bias(lengths, seq, np.float32)
+    q, k, v = (rng.normal(size=(bsz, seq, hid)).astype(np.float32) for _ in range(3))
+
+    def attend(k_rows, v_rows):
+        return T.attention(Tensor(q), Tensor(k_rows), Tensor(v_rows), bias, heads,
+                           0.0, None, False).numpy()
+
+    base = attend(k, v)
+    k2, v2 = k.copy(), v.copy()
+    k2[keys_masked] = rng.normal(0.0, 10.0, size=k2[keys_masked].shape)
+    v2[keys_masked] = rng.normal(0.0, 10.0, size=v2[keys_masked].shape)
+    assert attend(k2, v2).tobytes() == base.tobytes()  # every query, padded ones too
+    v3 = v.copy()
+    v3[1, 0] += 1.0  # a key that may be attended does change the output
+    assert not np.array_equal(attend(k, v3)[1], base[1])
 
 
 class TestHeads:
@@ -235,16 +291,38 @@ def _graph_nodes(root) -> int:
     return nodes
 
 
+def _tiny_batch():
+    lengths = np.array([4, 3])
+    ids = np.array([[2, 7, 8, 9, 0], [3, 10, 11, 0, 0]])
+    mask = np.arange(5)[None, :] < lengths[:, None]
+    return ids, mask, lengths
+
+
 def test_si_loss_graph_node_count():
-    # every projection is one linear node; a regrown op chain changes this count
+    # every projection is one linear node and each attention block one node;
+    # a regrown op chain changes this count
     from propspan.models import SiTagger
     from propspan.tokens import Vocab
     vocab = Vocab([f"w{i}" for i in range(10)])
     cfg = small_config(vocab=len(vocab), max_positions=8)
     model = SiTagger(cfg, vocab, seed=0)
-    lengths = np.array([4, 3])
-    ids = np.array([[2, 7, 8, 9, 0], [3, 10, 11, 0, 0]])
-    mask = np.arange(5)[None, :] < lengths[:, None]
+    ids, mask, lengths = _tiny_batch()
     tags = np.zeros((2, 5), dtype=np.int64)
     loss = model.loss(ids, mask, tags, lengths, train=True, rng=np.random.default_rng(0))
-    assert _graph_nodes(loss) == 77
+    assert _graph_nodes(loss) == 49
+
+
+def test_span_cls_loss_graph_node_count():
+    from propspan.losses import reweighted_bce, uniform_weights
+    from propspan.models import TcClassifier
+    from propspan.tokens import Vocab
+    vocab = Vocab([f"w{i}" for i in range(10)])
+    cfg = small_config(vocab=len(vocab), max_positions=8)
+    model = TcClassifier(cfg, vocab, ["a", "b", "c"], head_kind="span_cls",
+                         span_cfg=SpanClsConfig(layers=2, heads=2, intermediate_size=32))
+    ids, mask, _ = _tiny_batch()
+    logits = model.logits(ids, mask, [(1, 3), (0, 2)], train=True,
+                          rng=np.random.default_rng(0))
+    targets = np.array([[0, 1, 0], [0, 0, 1]])
+    loss = reweighted_bce(T.sigmoid(logits), targets, uniform_weights(3))
+    assert _graph_nodes(loss) == 83

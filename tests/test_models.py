@@ -98,6 +98,36 @@ class TestSiTagger:
             for a, b in zip(path, path[1:]):
                 assert not (a == 0 and b == 2)
 
+    @pytest.mark.parametrize("use_crf", [True, False])
+    def test_decode_rows_match_single_row_decoding(self, vocab, use_crf):
+        from propspan import crf
+        model = SiTagger(tiny_cfg(len(vocab)), vocab, use_crf=use_crf, seed=3)
+        rng = np.random.default_rng(1)
+        lengths = np.array([8, 0, 5, 1])
+        ids = rng.integers(6, len(vocab), (4, 8))
+        mask = np.arange(8)[None, :] < lengths[:, None]
+        paths = model.decode(ids, mask, lengths)
+        with T.no_grad():
+            em = model.emissions(ids, mask).numpy()
+        for i, ln in enumerate(lengths):
+            if ln == 0:
+                want = []
+            elif use_crf:
+                want, _ = crf.viterbi(em[i, :ln], model.crf, model.constraint)
+            else:
+                want = em[i, :ln].argmax(axis=-1).tolist()
+            assert paths[i] == want
+
+    @pytest.mark.parametrize("use_crf", [True, False])
+    def test_non_finite_emissions_raise(self, vocab, use_crf):
+        model = SiTagger(tiny_cfg(len(vocab)), vocab, use_crf=use_crf, seed=4)
+        model.encoder.params["emb.tok"].data[9] = np.nan
+        ids = np.array([[6, 7, 8], [6, 9, 7], [6, 7, 8]])  # id 9 only in row 1
+        lengths = np.array([3, 3, 0])
+        mask = np.arange(3)[None, :] < lengths[:, None]
+        with pytest.raises(RuntimeError, match="non-finite emissions in row 1"):
+            model.decode(ids, mask, lengths)
+
     def test_vocab_size_mismatch_rejected(self, vocab):
         with pytest.raises(ValueError):
             SiTagger(tiny_cfg(len(vocab) + 5), vocab)
