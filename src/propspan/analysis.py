@@ -6,7 +6,8 @@ rank test (present scoring lower) gives the p-value. Low p means the
 feature plausibly hurts the system. Feature patterns are either literal
 token sequences or one of the punctuation classes named below, matched in
 a region relative to the span: inside / before / after the classified
-span, or over the expected (gold) vs output (system) spans.
+span, or over the expected (gold) vs output (system) spans. Each text is
+tokenized once; a region's tokens are cut from that token list.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .stats import mann_whitney_u
-from .tokens import tokenize
+from .tokens import _token_range, tokenize
 
 LOCATIONS = ("inside-span", "before-span", "after-span", "expected-span", "output-span")
 
@@ -62,33 +63,70 @@ class WorseningRow:
     p_value: float
 
 
-def _region_text(item: AnalysisItem, location: str) -> str:
+def _regions(item: AnalysisItem, location: str) -> list[slice]:
+    """The slices of ``item.text`` a location covers; expected/output regions
+    are the spans' texts joined by " \\n "."""
     if location == "expected-span":
-        return " \n ".join(item.text[s:e] for s, e in item.expected_spans)
+        return [slice(s, e) for s, e in item.expected_spans]
     if location == "output-span":
-        return " \n ".join(item.text[s:e] for s, e in item.output_spans)
+        return [slice(s, e) for s, e in item.output_spans]
     if item.span is None:
         raise ValueError(f"location {location!r} needs a classified span")
     s, e = item.span
     if location == "inside-span":
-        return item.text[s:e]
+        return [slice(s, e)]
     if location == "before-span":
-        return item.text[:s]
+        return [slice(None, s)]
     if location == "after-span":
-        return item.text[e:]
+        return [slice(e, None)]
     raise ValueError(f"unknown location {location!r}")
 
 
-def extract_feature(item: AnalysisItem, spec: FeatureSpec) -> bool:
-    region = _region_text(item, spec.location)
+class TextTokens:
+    """A text tokenized once; any region's tokens are cut from that list."""
+
+    def __init__(self, text: str):
+        self.tt = tokenize(text)
+        self.lowered = [t.surface.lower() for t in self.tt.tokens]
+
+    def region(self, part: slice) -> list[str]:
+        """The lower-cased surfaces of ``tokenize(text[part])``: the whole
+        tokens inside the region, plus the clipped piece of a word that the
+        region's edge cuts."""
+        text = self.tt.text
+        start, end, _ = part.indices(len(text))
+        first, stop = _token_range(self.tt, start, end)
+        if start >= end or first >= stop:
+            return []
+        words = self.lowered[first:stop]
+        for j in {first, stop - 1}:
+            tok = self.tt.tokens[j]
+            if tok.start < start or tok.end > end:
+                words[j - first] = text[max(tok.start, start):min(tok.end, end)].lower()
+        return words
+
+
+def extract_feature(item: AnalysisItem, spec: FeatureSpec,
+                    tokens: TextTokens | None = None) -> bool:
+    """Whether the feature occurs in the item's region; ``tokens`` is the
+    ``TextTokens`` of ``item.text`` when the caller keeps one."""
+    parts = _regions(item, spec.location)
     if spec.pattern in CHAR_CLASSES:
-        return any(ch in region for ch in CHAR_CLASSES[spec.pattern])
+        return any(ch in item.text[part] for part in parts
+                   for ch in CHAR_CLASSES[spec.pattern])
     needle = [t.lower() for t in spec.pattern.split()]
-    hay = [t.surface.lower() for t in tokenize(region).tokens]
-    if len(needle) > len(hay):
-        return False
-    return any(hay[i:i + len(needle)] == needle
-               for i in range(len(hay) - len(needle) + 1))
+    if not needle:
+        return True
+    tokens = tokens or TextTokens(item.text)
+    hay = [w for part in parts for w in tokens.region(part)]
+    i = -1
+    while True:
+        try:
+            i = hay.index(needle[0], i + 1)
+        except ValueError:
+            return False
+        if hay[i:i + len(needle)] == needle:
+            return True
 
 
 @dataclass
@@ -107,10 +145,14 @@ def worsening_features(items: list[AnalysisItem], per_item_scores,
     if len(items) != len(per_item_scores):
         raise ValueError("one score per item required")
     scores = [float(s) for s in per_item_scores]
+    texts: dict[str, TextTokens] = {}
+    for it in items:
+        if it.text not in texts:
+            texts[it.text] = TextTokens(it.text)
     rows: list[WorseningRow] = []
     skipped: list[str] = []
     for spec in specs:
-        present = [extract_feature(it, spec) for it in items]
+        present = [extract_feature(it, spec, texts[it.text]) for it in items]
         with_f = [s for s, p in zip(scores, present) if p]
         without = [s for s, p in zip(scores, present) if not p]
         if not with_f or not without:

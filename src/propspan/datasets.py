@@ -20,7 +20,8 @@ _ARTICLE_RE = re.compile(r"^article(.+)\.txt$")
 
 @dataclass
 class SpanDataset:
-    """Articles plus their gold spans; tokenization is computed once."""
+    """Articles plus their gold spans; tokenization and the per-article span
+    index are computed once, so ``spans`` is not to be changed afterwards."""
 
     articles: dict[str, str]
     spans: list[Span]
@@ -30,9 +31,12 @@ class SpanDataset:
     def __post_init__(self):
         if not self.tokenized:
             self.tokenized = {aid: tokenize(text) for aid, text in self.articles.items()}
+        self._by_article: dict[str, list[Span]] = {}
+        for sp in self.spans:
+            self._by_article.setdefault(sp.article_id, []).append(sp)
 
     def spans_for(self, article_id: str) -> list[Span]:
-        return [s for s in self.spans if s.article_id == article_id]
+        return list(self._by_article.get(article_id, []))
 
 
 def read_articles(articles_dir: str | Path) -> dict[str, str]:

@@ -4,13 +4,19 @@ Covers the two task recipes (sequence tagging with SGD on the CRF loss,
 span classification with AdamW on BCE), naive self-training for both,
 probability-averaging ensembles with full subset enumeration, and k-fold
 splits over train+dev unions. A JSON line per run is appended to
-``runs.jsonl`` for downstream ablation tooling.
+``runs.jsonl`` for downstream ablation tooling. Independent work (the folds
+of a cross-validation, the batches of a classification pass) goes through
+``parallel_map``, which spreads it over forked processes on the CPUs this
+process may use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -105,6 +111,101 @@ def desk_encoder_config(vocab_size: int, hp: HyperParams) -> EncoderConfig:
 def derive_seed(seed: int, k: int) -> int:
     """Deterministic child stream id."""
     return (seed * 1_000_003 + k) % (2 ** 31 - 1)
+
+
+# -- parallel map ---------------------------------------------------------------------
+
+_in_map = False  # true while a parallel_map runs here, and in its workers
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` narrows them); 1 without fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker(fn, tasks: list, write_fd: int) -> None:
+    """Body of a forked worker: runs its share, sends the results (or the
+    exception) up the pipe and exits the process."""
+    code = 1
+    try:
+        try:
+            reply = ("ok", [fn(t) for t in tasks])
+        except Exception as exc:  # re-raised in the parent
+            reply = ("error", exc)
+            try:  # an exception that does not survive pickling goes back as its text
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                reply = ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
+        data = pickle.dumps(reply)  # a result that cannot be pickled sends nothing
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handlers, no flush of the parent's buffers
+
+
+def parallel_map(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]``, spread over forked processes; results in task order.
+
+    With n = min(len(tasks), usable CPUs), this process runs ``tasks[0::n]``
+    and forked worker w runs ``tasks[w::n]``. The map runs serially when n < 2,
+    inside another ``parallel_map`` (in either process) and where there is no
+    fork or CPU affinity. A worker's exception is re-raised here with its
+    type; a worker that dies without a result raises ``RuntimeError``. No
+    worker outlives the call.
+    """
+    global _in_map
+    tasks = list(tasks)
+    n = min(len(tasks), _usable_cpus())
+    if n < 2 or _in_map:
+        return [fn(t) for t in tasks]
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    _in_map = True
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                # a bare fork: with multiprocessing's, the caller's peak RSS in a
+                # TC classification pass grew by ~10 MB (glibc's mmap threshold)
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _worker(fn, tasks[w::n], write_fd)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        shares = [[fn(t) for t in tasks[0::n]]]
+        replies = []
+        for _, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _in_map = False
+        codes = []
+        for pid, read_fd in workers:
+            os.close(read_fd)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for w, (reply, code) in enumerate(zip(replies, codes), 1):
+        if not reply:
+            raise RuntimeError(f"parallel_map worker {w} exited with code {code} "
+                               "and no result")
+        status, value = pickle.loads(reply)
+        if status == "error":
+            raise value
+        shares.append(value)
+    results = [None] * len(tasks)
+    for w, share in enumerate(shares):
+        results[w::n] = share
+    return results
 
 
 # -- sequence-tagging data ---------------------------------------------------------
@@ -458,13 +559,15 @@ def _multi_hot(items: list[TcItem], n_classes: int) -> np.ndarray:
 
 def predict_tc_probs(model: TcClassifier, items: list[TcItem],
                      batch_size: int = 32) -> np.ndarray:
-    """Per-class sigmoid probabilities, [n_items, n_classes]."""
-    out = []
-    for i in range(0, len(items), batch_size):
-        chunk = items[i:i + batch_size]
+    """Per-class sigmoid probabilities, [n_items, n_classes]; batches go
+    through ``parallel_map``."""
+    def batch_probs(start: int) -> np.ndarray:
+        chunk = items[start:start + batch_size]
         ids, mask, spans = _pad_tc_batch(chunk, model.vocab, model.head_kind)
-        out.append(model.probs(ids, mask, spans if model.head_kind == "span_cls" else None))
-    return np.concatenate(out, axis=0)
+        return model.probs(ids, mask, spans if model.head_kind == "span_cls" else None)
+
+    return np.concatenate(parallel_map(batch_probs, range(0, len(items), batch_size)),
+                          axis=0)
 
 
 def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[str],
@@ -615,16 +718,16 @@ def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],
                    labels: list[str], opts: TcOptions, hp: HyperParams,
                    k: int = 6, seed: int = 0,
                    encoder_cfg: EncoderConfig | None = None) -> list[float]:
-    """Per-fold dev scores: each fold once as the held-out set."""
+    """Per-fold dev scores: each fold once as the held-out set. The folds are
+    independent and go through ``parallel_map``."""
     folds = kfold_split(train_items, dev_items, k=k, seed=seed)
-    scores = []
-    for i in range(k):
-        held = folds[i]
+
+    def fold_score(i: int) -> float:
         rest = [it for j, fold in enumerate(folds) if j != i for it in fold]
-        res = train_tc(rest, held, labels, opts, hp, derive_seed(seed, i),
-                       encoder_cfg=encoder_cfg)
-        scores.append(res.best_score)
-    return scores
+        return train_tc(rest, folds[i], labels, opts, hp, derive_seed(seed, i),
+                        encoder_cfg=encoder_cfg).best_score
+
+    return parallel_map(fold_score, range(k))
 
 
 # -- run manifest -------------------------------------------------------------------

@@ -8,7 +8,9 @@ here keeps the two views convertible without loss.
 from __future__ import annotations
 
 import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 O, B, I = 0, 1, 2
@@ -50,6 +52,20 @@ class TokenizedText:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    @cached_property
+    def starts(self) -> list[int]:
+        return [t.start for t in self.tokens]
+
+    @cached_property
+    def ends(self) -> list[int]:
+        return [t.end for t in self.tokens]
+
+
+def _token_range(tt: TokenizedText, start: int, end: int) -> tuple[int, int]:
+    """Half-open index range of the tokens that overlap [start, end); empty
+    when none does. Tokens are sorted and disjoint, so both bounds bisect."""
+    return bisect_right(tt.ends, start), bisect_left(tt.starts, end)
 
 
 def tokenize(text: str) -> TokenizedText:
@@ -95,14 +111,10 @@ def spans_to_tags(tt: TokenizedText, spans: list[Span]) -> list[int]:
             raise ValueError(f"span ({sp.start}, {sp.end}) outside text of length {len(tt.text)}")
     tags = [O] * len(tt.tokens)
     for ms, me in merge_spans([(sp.start, sp.end) for sp in spans]):
-        run_started = False
-        for j, tok in enumerate(tt.tokens):
-            if tok.start < me and tok.end > ms:
-                if tags[j] != O:
-                    run_started = True  # token straddles two merged spans; keep run going
-                    continue
-                tags[j] = I if run_started else B
-                run_started = True
+        first, stop = _token_range(tt, ms, me)
+        for j in range(first, stop):
+            if tags[j] == O:  # else the token straddles two merged spans
+                tags[j] = B if j == first else I
     return tags
 
 
@@ -132,15 +144,10 @@ def tags_to_spans(tt: TokenizedText, tags: list[int], article_id: str = "") -> l
 
 def span_token_range(tt: TokenizedText, span: Span) -> tuple[int, int]:
     """Half-open token index range intersecting the span (outward snap)."""
-    first = last = None
-    for j, tok in enumerate(tt.tokens):
-        if tok.start < span.end and tok.end > span.start:
-            if first is None:
-                first = j
-            last = j
-    if first is None:
+    first, stop = _token_range(tt, span.start, span.end)
+    if first >= stop:
         raise ValueError(f"span ({span.start}, {span.end}) covers no token")
-    return first, last + 1
+    return first, stop
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from propspan.analysis import (AnalysisItem, FeatureSpec, default_features,
-                               extract_feature, parse_feature_file, worsening_features,
-                               write_report)
+from propspan.analysis import (CHAR_CLASSES, LOCATIONS, AnalysisItem, FeatureSpec,
+                               TextTokens, default_features, extract_feature,
+                               parse_feature_file, worsening_features, write_report)
+from propspan.tokens import tokenize
 
 
 class TestExtractFeature:
@@ -155,3 +158,65 @@ def test_write_report(tmp_path):
     assert "feature\tcount\tp_value" in text
     assert "f\t3\t0.01" in text
     assert "skipped" in text
+
+
+# -- regions cut from one tokenization, against tokenizing each region ---------------
+
+def oracle_region_text(item, location):
+    """The region as one string, the way every region was tokenized before."""
+    if location == "expected-span":
+        return " \n ".join(item.text[s:e] for s, e in item.expected_spans)
+    if location == "output-span":
+        return " \n ".join(item.text[s:e] for s, e in item.output_spans)
+    s, e = item.span
+    return {"inside-span": item.text[s:e], "before-span": item.text[:s],
+            "after-span": item.text[e:]}[location]
+
+
+def oracle_extract_feature(item, spec):
+    region = oracle_region_text(item, spec.location)
+    if spec.pattern in CHAR_CLASSES:
+        return any(ch in region for ch in CHAR_CLASSES[spec.pattern])
+    needle = [t.lower() for t in spec.pattern.split()]
+    hay = [t.surface.lower() for t in tokenize(region).tokens]
+    if len(needle) > len(hay):
+        return False
+    return any(hay[i:i + len(needle)] == needle
+               for i in range(len(hay) - len(needle) + 1))
+
+
+# "İ" lower-cases to two characters; the quotes are punctuation tokens.
+_ALPHABET = "abAİ  \n\t?.,!'\"‘’“”-"
+_texts = st.text(alphabet=_ALPHABET, max_size=40)
+
+
+@st.composite
+def _item_and_spec(draw):
+    text = draw(_texts)
+    bound = st.integers(-3, len(text) + 3)  # slices take any ints
+    pairs = st.lists(st.tuples(bound, bound), max_size=3)
+    item = AnalysisItem(text=text, expected_spans=draw(pairs), output_spans=draw(pairs),
+                        span=(draw(bound), draw(bound)))
+    words = [t.surface for t in tokenize(text).tokens] or ["a"]
+    pattern = draw(st.one_of(
+        st.sampled_from(sorted(CHAR_CLASSES)),
+        st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join),
+        st.text(alphabet=_ALPHABET, min_size=1, max_size=6)))
+    return item, FeatureSpec("f", draw(st.sampled_from(LOCATIONS)), pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.integers(-3, 45), st.integers(-3, 45))
+def test_region_tokens_equal_tokenizing_the_region(text, start, end):
+    tokens = TextTokens(text)
+    for part in (slice(start, end), slice(None, start), slice(end, None)):
+        assert tokens.region(part) == [t.surface.lower() for t in tokenize(text[part]).tokens]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_item_and_spec())
+def test_extract_feature_matches_tokenizing_each_region(case):
+    item, spec = case
+    expected = oracle_extract_feature(item, spec)
+    assert extract_feature(item, spec) == expected
+    assert extract_feature(item, spec, TextTokens(item.text)) == expected

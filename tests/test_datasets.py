@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propspan.datasets import (load_dataset, read_articles, read_spans_tsv,
+from propspan.datasets import (SpanDataset, load_dataset, read_articles, read_spans_tsv,
                                read_techniques, write_articles, write_spans_tsv,
                                write_techniques)
 from propspan.synth import SynthConfig, gen_synth
@@ -198,3 +198,13 @@ class TestSynth:
             SynthConfig(class_skew=0.5)
         with pytest.raises(ValueError):
             SynthConfig(span_half_width=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 20), st.integers(1, 5)),
+                max_size=20))
+def test_spans_for_matches_scan(rows):
+    spans = [Span(aid, start, start + width) for aid, start, width in rows]
+    data = SpanDataset(articles={aid: "x" * 30 for aid in "abcd"}, spans=spans)
+    for aid in "abcde":
+        assert data.spans_for(aid) == [s for s in spans if s.article_id == aid]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propspan.tokens import (BOP, BOS, EOP, EOS, PAD, Span,
                              Vocab, extend_context, inject_markers, merge_spans,
@@ -215,3 +217,80 @@ class TestVocab:
     def test_unknown_maps_to_unk(self):
         v = Vocab(["known"])
         assert v.encode(["known", "new"]) == [v.stoi["known"], v.stoi["[UNK]"]]
+
+
+# -- bisect over token offsets, against the per-span scans it replaced ---------------
+
+def scan_span_token_range(tt, span):
+    first = last = None
+    for j, tok in enumerate(tt.tokens):
+        if tok.start < span.end and tok.end > span.start:
+            if first is None:
+                first = j
+            last = j
+    if first is None:
+        raise ValueError("covers no token")
+    return first, last + 1
+
+
+def scan_spans_to_tags(tt, spans):
+    tags = [O] * len(tt.tokens)
+    for ms, me in merge_spans([(sp.start, sp.end) for sp in spans]):
+        run_started = False
+        for j, tok in enumerate(tt.tokens):
+            if tok.start < me and tok.end > ms:
+                if tags[j] != O:
+                    run_started = True
+                    continue
+                tags[j] = I if run_started else B
+                run_started = True
+    return tags
+
+
+_texts = st.text(alphabet="ab  \n,.'‘", max_size=40)
+
+
+@st.composite
+def _text_and_spans(draw, max_spans=6):
+    text = draw(_texts.filter(bool))
+    spans = []
+    for _ in range(draw(st.integers(0, max_spans))):
+        start = draw(st.integers(0, len(text) - 1))
+        spans.append(Span("a", start, draw(st.integers(start + 1, len(text)))))
+    return tokenize(text), spans
+
+
+@settings(max_examples=400, deadline=None)
+@given(_text_and_spans(max_spans=1))
+def test_span_token_range_matches_scan(case):
+    tt, spans = case
+    for span in spans:
+        try:
+            expected = scan_span_token_range(tt, span)
+        except ValueError:
+            with pytest.raises(ValueError, match="covers no token"):
+                span_token_range(tt, span)
+        else:
+            assert span_token_range(tt, span) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_text_and_spans())
+def test_spans_to_tags_matches_scan(case):
+    tt, spans = case
+    assert spans_to_tags(tt, spans) == scan_spans_to_tags(tt, spans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.data())
+def test_tags_survive_decode_then_encode(text, data):
+    """Decoding any tag sequence and encoding the spans again gives the strict
+    BIO form: an I that opens a run (at the start or after O) becomes B."""
+    tt = tokenize(text)
+    tags = data.draw(st.lists(st.sampled_from([O, B, I]), min_size=len(tt),
+                              max_size=len(tt)))
+    strict = [B if t == I and (j == 0 or tags[j - 1] == O) else t
+              for j, t in enumerate(tags)]
+    spans = tags_to_spans(tt, tags, "a")
+    assert spans_to_tags(tt, spans) == strict
+    assert tags_to_spans(tt, strict, "a") == spans
