@@ -293,17 +293,15 @@ def cmd_train_tc(args) -> int:
     train, dev, labels = _tc_inputs(args)
     train_items = pl.build_tc_items(train, hp.max_seq_len)
     dev_items = pl.build_tc_items(dev, hp.max_seq_len)
-    opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls,
-                        self_train=args.self_train)
+    opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     ratio = _parse_ratio(args.gold_silver_ratio)
 
     silver_items = None
-    if opts.self_train:
+    if args.self_train:
         _require(args, "pool", "si-model")
         si_model = SiTagger.load(args.si_model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
-        annotator = pl.train_tc(train_items, dev_items, labels,
-                                replace(opts, self_train=False), hp,
+        annotator = pl.train_tc(train_items, dev_items, labels, opts, hp,
                                 pl.derive_seed(args.seed, 77), encoder_cfg=enc)
         silver_items = pl.build_tc_silver(si_model, annotator.model, pool, hp.max_seq_len)
 
@@ -315,7 +313,7 @@ def cmd_train_tc(args) -> int:
                                "seed": args.seed})
     config = _effective(args, hp, enc, options={"reweight": opts.reweight,
                                                 "span_cls": opts.span_cls,
-                                                "self_train": opts.self_train},
+                                                "self_train": args.self_train},
                         ratio=args.gold_silver_ratio)
     pl.append_manifest(out, pl.run_record("train-tc", config, args.seed, res, str(ckpt)))
     print(f"best dev micro-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
@@ -386,7 +384,8 @@ def cmd_ensemble(args) -> int:
     gold = np.array([it.label for it in items])
     out = _out_dir(args)
 
-    pred = pl.ensemble_predict(models, items)
+    probs = pl.member_probs(models, items)
+    pred = pl.mean_probs(probs).argmax(axis=1)
     score = micro_f1(pred, gold)
     spans = [Span(it.char_span.article_id, it.char_span.start, it.char_span.end, int(p))
              for it, p in zip(items, pred)]
@@ -394,7 +393,7 @@ def cmd_ensemble(args) -> int:
     print(f"ensemble of {len(models)} models: micro-F1 {score:.4f}")
 
     if args.enumerate_all:
-        results = pl.enumerate_ensembles(models, items)
+        results = pl.subset_scores(probs, gold)
         lines = ["members\tmicro_f1"]
         for r in sorted(results, key=lambda r: (-r.score, r.members)):
             lines.append(",".join(str(i) for i in r.members) + f"\t{r.score:.6f}")

@@ -1,12 +1,14 @@
-"""Parameter update rules: SGD with classical momentum, and AdamW.
+"""Parameter updates: SGD with classical momentum, and AdamW with decoupled
+weight decay.
 
-Both operate on named parameter dicts so that moment buffers survive
-checkpointing and shape mismatches are caught by name.
+An ``Optimizer`` updates a named parameter dict in place and keeps its moment
+buffers in per-name ``slots``, in each parameter's dtype. The slots live as
+long as the optimizer; checkpoints store the weights only. A parameter whose
+``.grad`` is None after the backward pass (the CRF of a tagger trained
+without it) is skipped: it gets no slot and no decay.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,102 +19,47 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class OptimState:
-    """Optimizer kind, hyperparameters, and per-parameter moment buffers."""
-
-    kind: str  # "sgd" | "adamw"
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    step_count: int = 0
-    slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adamw"):
-            raise ValueError(f"unknown optimizer kind: {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.step_count < 0:
-            raise ValueError("step_count must be >= 0")
-
-
-def _check_shapes(params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is not None and g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-
-
-def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-             state: OptimState) -> None:
-    """Classical momentum: v <- mu*v + g; p <- p - lr*v. Updates in place."""
-    if state.kind != "sgd":
-        raise ValueError("sgd_step called with non-SGD state")
-    _check_shapes(params, grads)
-    state.step_count += 1
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        slot = state.slots.setdefault(name, {})
-        v = slot.get("v")
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = state.momentum * v + g
-        slot["v"] = v
-        p.data -= (state.lr * v).astype(p.data.dtype, copy=False)
-
-
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimState) -> None:
-    """Decoupled weight decay plus bias-corrected adaptive step. In place."""
-    if state.kind != "adamw":
-        raise ValueError("adamw_step called with non-AdamW state")
-    _check_shapes(params, grads)
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        slot = state.slots.setdefault(name, {})
-        m = slot.get("m")
-        v = slot.get("v")
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        slot["m"], slot["v"] = m, v
-        step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if state.weight_decay:
-            p.data -= (state.lr * state.weight_decay * p.data).astype(p.data.dtype, copy=False)
-        p.data -= (state.lr * step).astype(p.data.dtype, copy=False)
-
-
 class Optimizer:
-    """Convenience wrapper binding an OptimState to a parameter dict."""
+    """``kind`` is "sgd" (v <- mu*v + g; p <- p - lr*v) or "adamw"; ``momentum``
+    applies to SGD only and ``weight_decay`` to AdamW only."""
 
-    def __init__(self, params: dict[str, Tensor], state: OptimState):
-        self.params = params
-        self.state = state
-        self._step_fn = sgd_step if state.kind == "sgd" else adamw_step
+    def __init__(self, params: dict[str, Tensor], kind: str, lr: float,
+                 momentum: float = 0.0, weight_decay: float = 0.0):
+        if kind not in ("sgd", "adamw"):
+            raise ValueError(f"unknown optimizer kind: {kind!r}")
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params, self.kind, self.lr = params, kind, lr
+        self.momentum, self.weight_decay = momentum, weight_decay
+        self.step_count = 0
+        self.slots: dict[str, dict[str, np.ndarray]] = {}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self) -> None:
-        grads = {name: p.grad for name, p in self.params.items() if p.grad is not None}
-        self._step_fn(self.params, grads, self.state)
-
-
-def sgd(params: dict[str, Tensor], lr: float, momentum: float = 0.9) -> Optimizer:
-    return Optimizer(params, OptimState(kind="sgd", lr=lr, momentum=momentum))
-
-
-def adamw(params: dict[str, Tensor], lr: float, weight_decay: float = 0.01) -> Optimizer:
-    return Optimizer(params, OptimState(kind="adamw", lr=lr, weight_decay=weight_decay))
+        live = {name: p for name, p in self.params.items() if p.grad is not None}
+        for name, p in live.items():
+            if p.grad.shape != p.data.shape:
+                raise ValueError(f"gradient shape {p.grad.shape} != param shape "
+                                 f"{p.data.shape} for {name!r}")
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
+        keys = ("v",) if self.kind == "sgd" else ("m", "v")
+        for name, p in live.items():
+            g = p.grad
+            slot = self.slots.get(name)
+            if slot is None:
+                slot = self.slots[name] = {k: np.zeros_like(p.data) for k in keys}
+            if self.kind == "sgd":
+                v = slot["v"] = self.momentum * slot["v"] + g
+                p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
+                continue
+            m = slot["m"] = ADAM_BETA1 * slot["m"] + (1.0 - ADAM_BETA1) * g
+            v = slot["v"] = ADAM_BETA2 * slot["v"] + (1.0 - ADAM_BETA2) * (g * g)
+            step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            if self.weight_decay:
+                p.data -= (self.lr * self.weight_decay * p.data).astype(p.data.dtype, copy=False)
+            p.data -= (self.lr * step).astype(p.data.dtype, copy=False)

@@ -29,7 +29,7 @@ from .encoder import EncoderConfig, SpanClsConfig
 from .losses import class_weights, reweighted_bce, uniform_weights
 from .metrics import flc_f1, micro_f1
 from .models import SiTagger, TcClassifier
-from .optim import Optimizer, adamw, sgd
+from .optim import Optimizer
 from .tokens import (BOS, EOS, Span, Token, TokenizedText, Vocab, extend_context,
                      inject_markers, spans_to_tags, tags_to_spans)
 
@@ -100,7 +100,6 @@ def self_train_overwrite(hp: HyperParams) -> HyperParams:
 class TcOptions:
     reweight: bool = False
     span_cls: bool = False
-    self_train: bool = False
 
 
 def desk_encoder_config(vocab_size: int, hp: HyperParams) -> EncoderConfig:
@@ -335,12 +334,6 @@ def _restore(model, snap: dict[str, np.ndarray]) -> None:
         v.data = snap[k].copy()
 
 
-def _make_optimizer(params, hp: HyperParams) -> Optimizer:
-    if hp.optimizer == "sgd":
-        return sgd(params, lr=hp.lr, momentum=hp.momentum)
-    return adamw(params, lr=hp.lr, weight_decay=hp.weight_decay)
-
-
 def _model_config(encoder_cfg: EncoderConfig | None, vocab: Vocab,
                   hp: HyperParams) -> EncoderConfig:
     cfg = encoder_cfg or desk_encoder_config(len(vocab), hp)
@@ -360,7 +353,7 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
     """
     if n_items == 0:
         raise ValueError("no training items: the training data has no tokens or spans")
-    opt = _make_optimizer(model.params(), hp)
+    opt = Optimizer(model.params(), hp.optimizer, hp.lr, hp.momentum, hp.weight_decay)
     trace: list[EvalPoint] = []
     best = _snapshot(model)
     best_score, best_step = -1.0, 0
@@ -578,15 +571,13 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
              span_cfg: SpanClsConfig | None = None) -> TrainResult:
     """Span classifier training; head, loss weighting and silver mix follow ``opts``.
 
-    Self-trained runs take the ``self_train_overwrite`` profile (dropout 0,
-    batch 16) for the whole run.
+    Given ``silver_items`` (even none), the run is self-trained and takes the
+    ``self_train_overwrite`` profile (dropout 0, batch 16) for the whole run.
     """
-    if opts.self_train and silver_items is None:
-        raise ValueError("self_train option requires a silver item set "
-                         "(see build_tc_silver)")
-    if opts.self_train:
+    self_train = silver_items is not None
+    if self_train:
         hp = self_train_overwrite(hp)
-    silver = list(silver_items) if (opts.self_train and silver_items) else []
+    silver = list(silver_items or [])
     mixed = mix_with_silver(list(train_items), silver, ratio)
 
     vocab = Vocab.build([it.window_tokens for it in mixed])
@@ -610,7 +601,7 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
 
     meta = {"task": "tc", "options": {"reweight": opts.reweight,
                                       "span_cls": opts.span_cls,
-                                      "self_train": opts.self_train},
+                                      "self_train": self_train},
             "seed": seed, "dropout": hp.dropout,
             "attention_dropout": hp.attention_dropout,
             "batch_size": hp.batch_size, "gold_items": len(train_items),
@@ -653,22 +644,26 @@ def build_tc_silver(si_model: SiTagger, tc_model: TcClassifier, pool: SpanDatase
 
 # -- ensembling and folds --------------------------------------------------------------
 
-def ensemble_probs(models: list[TcClassifier], items: list[TcItem]) -> np.ndarray:
-    """Arithmetic mean of per-model class probabilities."""
+def member_probs(models: list[TcClassifier], items: list[TcItem]) -> list[np.ndarray]:
+    """Each model's class probabilities; the models must share one label inventory."""
     if not models:
         raise ValueError("need at least one model")
-    inventories = {tuple(m.labels) for m in models}
-    if len(inventories) != 1:
+    if len({tuple(m.labels) for m in models}) != 1:
         raise ValueError("models carry different label inventories")
-    acc = np.zeros((len(items), len(models[0].labels)), dtype=np.float64)
-    for m in models:
-        acc += predict_tc_probs(m, items)
-    return acc / len(models)
+    return [predict_tc_probs(m, items) for m in models]
+
+
+def mean_probs(probs: list[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of per-model probabilities, accumulated in float64."""
+    acc = np.zeros(probs[0].shape, dtype=np.float64)
+    for p in probs:
+        acc += p
+    return acc / len(probs)
 
 
 def ensemble_predict(models: list[TcClassifier], items: list[TcItem]) -> np.ndarray:
     """Argmax of averaged probabilities; ties resolve to the lowest label id."""
-    return ensemble_probs(models, items).argmax(axis=1)
+    return mean_probs(member_probs(models, items)).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -677,23 +672,21 @@ class EnsembleResult:
     score: float
 
 
+def subset_scores(probs: list[np.ndarray], gold: np.ndarray) -> list[EnsembleResult]:
+    """Micro-F1 of every subset of two or more members, from their ``probs``."""
+    n = len(probs)
+    if n < 2:
+        raise ValueError("need at least two models to enumerate ensembles")
+    return [EnsembleResult(subset, micro_f1(
+                mean_probs([probs[i] for i in subset]).argmax(axis=1), gold))
+            for size in range(2, n + 1) for subset in combinations(range(n), size)]
+
+
 def enumerate_ensembles(models: list[TcClassifier],
                         dev_items: list[TcItem]) -> list[EnsembleResult]:
     """Score every subset of two or more models on the dev items."""
-    n = len(models)
-    if n < 2:
-        raise ValueError("need at least two models to enumerate ensembles")
-    inventories = {tuple(m.labels) for m in models}
-    if len(inventories) != 1:
-        raise ValueError("models carry different label inventories")
     gold = np.array([it.label for it in dev_items], dtype=np.int64)
-    per_model = [predict_tc_probs(m, dev_items) for m in models]
-    results = []
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            avg = sum(per_model[i] for i in subset) / len(subset)
-            results.append(EnsembleResult(subset, micro_f1(avg.argmax(axis=1), gold)))
-    return results
+    return subset_scores(member_probs(models, dev_items), gold)
 
 
 def kfold_split(train_items: list, dev_items: list, k: int = 6,

@@ -4,8 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from propspan import pipeline as pl
 from propspan.checkpoint import MAGIC, save_checkpoint
 from propspan.cli import main
+from propspan.datasets import read_spans_tsv, read_techniques
+from propspan.metrics import micro_f1
 
 
 def run(argv):
@@ -213,7 +216,11 @@ def tc_models(synth_dir, train_cfg_path, tmp_path_factory):
 
 
 class TestTrainTcAndEnsembleAndCv:
-    def test_ensemble_enumerate(self, synth_dir, tc_models, tmp_path, capsys):
+    def test_ensemble_enumerate(self, synth_dir, tc_models, tmp_path, capsys, monkeypatch):
+        calls = []
+        predict = pl.predict_tc_probs
+        monkeypatch.setattr(pl, "predict_tc_probs",
+                            lambda model, items: calls.append(model) or predict(model, items))
         out = tmp_path / "ens"
         code = run(["ensemble", "--models", ",".join(str(p) for p in tc_models),
                     "--articles", str(synth_dir / "dev" / "articles"),
@@ -224,6 +231,15 @@ class TestTrainTcAndEnsembleAndCv:
         assert (out / "ensemble-predictions.tsv").exists()
         lines = (out / "ensembles.tsv").read_text().splitlines()
         assert len(lines) == 2  # header + the single 2-model subset
+        assert len(calls) == len(tc_models)  # each model runs once for both outputs
+        # the all-members row scores the written predictions
+        techniques = read_techniques(synth_dir / "techniques.txt")
+        pred = {(s.article_id, s.start, s.end): s.technique for s in
+                read_spans_tsv(out / "ensemble-predictions.tsv", "tc", techniques)}
+        gold = read_spans_tsv(synth_dir / "dev" / "labels-tc.tsv", "tc", techniques)
+        f1 = micro_f1(np.array([pred[(g.article_id, g.start, g.end)] for g in gold]),
+                      np.array([g.technique for g in gold]))
+        assert lines[1] == f"0,1\t{f1:.6f}"
 
     def test_cv_report(self, synth_dir, train_cfg_path, tmp_path):
         out = tmp_path / "cv"

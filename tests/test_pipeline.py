@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from propspan.datasets import SpanDataset
 from propspan.encoder import EncoderConfig, SpanClsConfig
+from propspan.metrics import micro_f1
 from propspan.models import TcClassifier
 from propspan.pipeline import (EvalPoint, HyperParams, TcOptions, _fit, annotate_si,
                                build_si_windows, build_tc_items, build_tc_silver,
                                cross_validate, derive_seed, desk_encoder_config,
-                               ensemble_predict, ensemble_probs, enumerate_ensembles,
-                               kfold_split, mix_with_silver, partition_pool,
-                               predict_tc_probs, self_train_overwrite, self_train_si,
-                               train_si, train_tc)
+                               ensemble_predict, enumerate_ensembles, kfold_split,
+                               mean_probs, member_probs, mix_with_silver,
+                               partition_pool, predict_tc_probs, self_train_overwrite,
+                               self_train_si, subset_scores, train_si, train_tc)
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor
 from propspan.tokens import Span, Vocab
@@ -366,12 +367,17 @@ class TestTrainTc:
             train_tc([], dev_items, corpus.labels, TcOptions(), hp, seed=0,
                      encoder_cfg=small_encoder(hp))
 
-    def test_self_train_needs_silver(self):
+    def test_self_train_follows_silver_items(self):
+        # silver given, even none, means the self-train profile; no silver means gold only
         corpus = tiny_corpus()
         hp = fast_hp("tc", steps=5, eval_every=5)
         items = build_tc_items(corpus.train, hp.max_seq_len)
-        with pytest.raises(ValueError):
-            train_tc(items, items, corpus.labels, TcOptions(self_train=True), hp, 0)
+        for silver, self_train in ((None, False), ([], True)):
+            res = train_tc(items, items, corpus.labels, TcOptions(), hp, 0,
+                           silver_items=silver, encoder_cfg=small_encoder(hp))
+            assert res.meta["options"]["self_train"] is self_train
+            assert res.meta["batch_size"] == (16 if self_train else hp.batch_size)
+            assert res.meta["silver_items"] == 0
 
 
 class TestTcSilver:
@@ -430,7 +436,7 @@ class TestEnsembles:
     def test_single_model_mean_is_its_probs(self):
         models = self.make_models(1)
         items = self.make_items()
-        np.testing.assert_allclose(ensemble_probs(models, items),
+        np.testing.assert_allclose(mean_probs(member_probs(models, items)),
                                    predict_tc_probs(models[0], items))
 
     def test_hand_average_and_argmax(self):
@@ -453,14 +459,14 @@ class TestEnsembles:
     def test_permutation_invariant(self):
         models = self.make_models(3)
         items = self.make_items()
-        a = ensemble_probs(models, items)
-        b = ensemble_probs(models[::-1], items)
+        a = mean_probs(member_probs(models, items))
+        b = mean_probs(member_probs(models[::-1], items))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_label_mismatch_rejected(self):
         models = self.make_models(1) + self.make_models(1, labels=("A", "B", "C"))
         with pytest.raises(ValueError):
-            ensemble_probs(models, self.make_items())
+            member_probs(models, self.make_items())
 
     def test_enumerate_counts(self):
         items = self.make_items(6)
@@ -470,6 +476,25 @@ class TestEnsembles:
             assert len(results) == want == 2 ** n - n - 1
         with pytest.raises(ValueError):
             enumerate_ensembles(self.make_models(1), items)
+
+    def test_all_members_subset_matches_ensemble_predict(self):
+        models = self.make_models(3)
+        items = self.make_items(6)
+        gold = np.array([it.label for it in items])
+        full = [r for r in enumerate_ensembles(models, items) if len(r.members) == 3]
+        assert [r.score for r in full] == [micro_f1(ensemble_predict(models, items), gold)]
+
+    def test_subsets_average_in_float64(self):
+        # a float32 running sum rounds these to a tie that picks class 0; the
+        # float64 mean keeps class 1 ahead, as the ensemble's prediction does
+        probs = [np.array([row], dtype=np.float32) for row in
+                 ([0.9350724220275879, 0.9350723624229431],
+                  [0.8158535361289978, 0.8158536553382874],
+                  [0.0027385002467781305, 0.0027385002467781305])]
+        assert (sum(probs) / 3).argmax(axis=1)[0] == 0
+        assert mean_probs(probs).argmax(axis=1)[0] == 1
+        scores = {r.members: r.score for r in subset_scores(probs, np.array([1]))}
+        assert scores[(0, 1, 2)] == 1.0
 
     def test_subset_count_formula_up_to_10(self):
         import itertools
@@ -542,7 +567,7 @@ def test_tc_self_train_applies_overwrite_profile_by_default():
     items = build_tc_items(corpus.train, hp.max_seq_len)
     dev = build_tc_items(corpus.dev, hp.max_seq_len)
     silver = [items[0]]
-    res = train_tc(items, dev, corpus.labels, TcOptions(self_train=True), hp, seed=0,
+    res = train_tc(items, dev, corpus.labels, TcOptions(), hp, seed=0,
                    silver_items=silver, encoder_cfg=small_encoder(hp))
     assert res.meta["dropout"] == 0.0
     assert res.meta["attention_dropout"] == 0.0

@@ -249,14 +249,14 @@ def test_backward_accumulates_shared_parent():
 
 def test_forward_backward_step_deterministic():
     # identical seed -> bitwise identical parameters after a training step
-    from propspan.optim import sgd
+    from propspan.optim import Optimizer
 
     def run():
         rng = np.random.default_rng(42)
         w = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
         x = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
         drop = np.random.default_rng(7)
-        opt = sgd({"w": w}, lr=0.1, momentum=0.9)
+        opt = Optimizer({"w": w}, "sgd", lr=0.1, momentum=0.9)
         for _ in range(5):
             out = T.dropout(T.gelu(T.matmul(x, w)), 0.2, drop, train=True).sum()
             opt.zero_grad()
