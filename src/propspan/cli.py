@@ -57,48 +57,38 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, required=seed_required)
         sp.add_argument("--out", required=True, help="output directory")
 
+    def training(name, help_text, task):
+        """A training command: the splits, the step budget, the scale profile and
+        the task's model options."""
+        sp = sub.add_parser(name, help=help_text)
+        common(sp, seed_required=True)
+        for flag in ("--articles", "--labels", "--dev-articles", "--dev-labels"):
+            sp.add_argument(flag, required=True)
+        sp.add_argument("--steps", type=int)
+        sp.add_argument("--paper-scale", action="store_true")
+        if task == "si":
+            sp.add_argument("--no-crf", action="store_true",
+                            help="plain argmax decoding instead of the CRF")
+        else:
+            sp.add_argument("--techniques", required=True)
+            sp.add_argument("--reweight", action="store_true")
+            sp.add_argument("--span-cls", action="store_true")
+        return sp
+
     sp = sub.add_parser("gen-synth", help="generate a synthetic gold corpus and pool")
     common(sp, seed_required=True)
 
-    sp = sub.add_parser("train-si", help="train a span identification tagger")
-    common(sp, seed_required=True)
-    sp.add_argument("--articles", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--dev-articles", required=True)
-    sp.add_argument("--dev-labels", required=True)
-    sp.add_argument("--no-crf", action="store_true", help="plain argmax decoding instead of the CRF")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--paper-scale", action="store_true")
+    training("train-si", "train a span identification tagger", "si")
 
-    sp = sub.add_parser("train-tc", help="train a technique classifier")
-    common(sp, seed_required=True)
-    sp.add_argument("--articles", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--dev-articles", required=True)
-    sp.add_argument("--dev-labels", required=True)
-    sp.add_argument("--techniques", required=True)
-    sp.add_argument("--reweight", action="store_true")
-    sp.add_argument("--span-cls", action="store_true")
-    sp.add_argument("--self-train", action="store_true")
-    sp.add_argument("--pool", help="unlabeled article dir (needed with --self-train)")
-    sp.add_argument("--si-model", help="tagger checkpoint (needed with --self-train)")
+    sp = training("train-tc", "train a technique classifier", "tc")
+    sp.add_argument("--pool", help="unlabeled article dir; with --si-model, self-trains")
+    sp.add_argument("--si-model", help="tagger checkpoint; with --pool, self-trains")
     sp.add_argument("--gold-silver-ratio", default="1:4")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--paper-scale", action="store_true")
 
-    sp = sub.add_parser("self-train", help="iterated naive self-training")
-    common(sp, seed_required=True)
-    sp.add_argument("--task", choices=["si"], default="si")
-    sp.add_argument("--articles", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--dev-articles", required=True)
-    sp.add_argument("--dev-labels", required=True)
+    sp = training("self-train", "iterated naive self-training of the tagger", "si")
     sp.add_argument("--pool", required=True)
     sp.add_argument("--iterations", type=int, default=3)
     sp.add_argument("--gold-silver-ratio", default="1:4")
-    sp.add_argument("--no-crf", action="store_true")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--paper-scale", action="store_true")
 
     sp = sub.add_parser("annotate", help="auto-annotate a pool with a trained model")
     common(sp)
@@ -123,18 +113,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--gold", required=True)
     sp.add_argument("--techniques", help="needed for tc scoring and per-technique reports")
 
-    sp = sub.add_parser("cv", help="k-fold cross-validation on train+dev")
-    common(sp, seed_required=True)
-    sp.add_argument("--articles", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--dev-articles", required=True)
-    sp.add_argument("--dev-labels", required=True)
-    sp.add_argument("--techniques", required=True)
+    sp = training("cv", "k-fold cross-validation on train+dev", "tc")
     sp.add_argument("--k", type=int, default=6)
-    sp.add_argument("--reweight", action="store_true")
-    sp.add_argument("--span-cls", action="store_true")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--paper-scale", action="store_true")
 
     sp = sub.add_parser("analyze", help="rank score-worsening shallow features")
     common(sp)
@@ -166,34 +146,44 @@ def _scoped(cfg: dict, prefix: str) -> dict:
     return out
 
 
-def _resolve_hp(args, task: str, cfg: dict) -> pl.HyperParams:
-    hp = pl.HyperParams.paper(task) if getattr(args, "paper_scale", False) \
-        else pl.HyperParams.desk(task)
-    overrides = _scoped(cfg, "hp")
-    bad = set(overrides) - set(hp.to_dict())
-    if bad:
-        raise CliError(f"unknown hp.* config keys: {sorted(bad)}")
-    if overrides:
-        hp = replace(hp, **overrides)
-    if getattr(args, "steps", None) is not None:
-        hp = replace(hp, steps=args.steps)
-    return hp
-
-
 # The encoder.* keys that shape the model; the vocabulary, dropout and
 # position count follow the data and hp.*.
 ENCODER_KEYS = ("hidden_size", "layers", "heads", "intermediate_size")
 
 
-def _resolve_encoder(cfg: dict, hp: pl.HyperParams) -> EncoderConfig | None:
+def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None]:
+    """A training command's hyperparameters (profile, then ``hp.*`` keys, then
+    ``--steps``) and its encoder: ``None`` for the desk encoder, else the desk
+    encoder with the ``encoder.*`` keys applied."""
+    cfg = _load_config(args.config)
+    hp = pl.HyperParams.paper(task) if args.paper_scale else pl.HyperParams.desk(task)
+    overrides = _scoped(cfg, "hp")
+    bad = set(overrides) - set(hp.to_dict())
+    if bad:
+        raise CliError(f"unknown hp.* config keys: {sorted(bad)}")
+    hp = replace(hp, **overrides)
+    if args.steps is not None:
+        hp = replace(hp, steps=args.steps)
     overrides = _scoped(cfg, "encoder")
     if not overrides:
-        return None
+        return hp, None
     bad = set(overrides) - set(ENCODER_KEYS)
     if bad:
         raise CliError(f"unknown encoder.* config keys: {sorted(bad)} "
                        f"(accepted: {', '.join(ENCODER_KEYS)})")
-    return replace(pl.desk_encoder_config(1, hp), **overrides)
+    return hp, replace(pl.desk_encoder_config(1, hp), **overrides)
+
+
+def _inputs(args, hp: pl.HyperParams):
+    """The train and dev splits as the trainer takes them: datasets for SI;
+    for TC, classification items and the technique inventory."""
+    techniques = args.techniques if hp.task == "tc" else None
+    train = load_dataset(args.articles, args.labels, hp.task, techniques)
+    dev = load_dataset(args.dev_articles, args.dev_labels, hp.task, techniques)
+    if hp.task == "si":
+        return train, dev
+    return (pl.build_tc_items(train, hp.max_seq_len), pl.build_tc_items(dev, hp.max_seq_len),
+            train.labels)
 
 
 def _parse_ratio(text: str) -> tuple[int, int] | None:
@@ -224,10 +214,32 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) in (None, ""):
-            raise CliError(f"--{name} is required for this invocation")
+def _save(args, name: str, res: pl.TrainResult, config: dict, command: str,
+          **meta) -> Path:
+    """Write ``res.model`` to ``<out>/<name>`` and append its ``runs.jsonl`` record."""
+    out = _out_dir(args)
+    ckpt = out / name
+    res.model.save(ckpt, meta={"best_score": res.best_score, "seed": args.seed, **meta})
+    pl.append_manifest(out, pl.run_record(command, config, args.seed, res, str(ckpt)))
+    return ckpt
+
+
+def _tc_aligned(args) -> tuple[list[str], list[Span], list[Span], list[int]]:
+    """The technique inventory, the predicted and gold spans of a TC
+    ``--pred``/``--gold`` pair, and each gold span's predicted technique in
+    gold order; every gold span needs a prediction with its offsets."""
+    if not args.techniques:
+        raise CliError(f"--techniques is required for tc {args.command}")
+    techniques = read_techniques(args.techniques)
+    pred = read_spans_tsv(args.pred, "tc", techniques)
+    gold = read_spans_tsv(args.gold, "tc", techniques)
+    key = lambda s: (s.article_id, s.start, s.end)
+    pred_by_key = {key(s): s.technique for s in pred}
+    missing = [key(g) for g in gold if key(g) not in pred_by_key]
+    if missing:
+        raise CliError(f"{len(missing)} gold spans have no prediction "
+                       f"(first: {missing[0]}); tc {args.command} needs span-aligned files")
+    return techniques, pred, gold, [pred_by_key[key(g)] for g in gold]
 
 
 # -- command handlers -----------------------------------------------------------------
@@ -262,43 +274,28 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train_si(args) -> int:
-    cfg = _load_config(args.config)
-    hp = _resolve_hp(args, "si", cfg)
-    enc = _resolve_encoder(cfg, hp)
-    train = load_dataset(args.articles, args.labels, "si")
-    dev = load_dataset(args.dev_articles, args.dev_labels, "si")
+    hp, enc = _resolve(args, "si")
+    train, dev = _inputs(args, hp)
     res = pl.train_si(train, dev, hp, args.seed, use_crf=not args.no_crf,
                       encoder_cfg=enc)
-    out = _out_dir(args)
-    ckpt = out / "model-si.spfg"
-    res.model.save(ckpt, meta={"best_score": res.best_score, "best_step": res.best_step,
-                               "seed": args.seed})
     config = _effective(args, hp, enc, use_crf=not args.no_crf)
-    pl.append_manifest(out, pl.run_record("train-si", config, args.seed, res, str(ckpt)))
+    ckpt = _save(args, "model-si.spfg", res, config, "train-si", best_step=res.best_step)
     print(f"best dev FLC-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
     return 0
 
 
-def _tc_inputs(args):
-    train = load_dataset(args.articles, args.labels, "tc", args.techniques)
-    dev = load_dataset(args.dev_articles, args.dev_labels, "tc", args.techniques)
-    labels = read_techniques(args.techniques)
-    return train, dev, labels
-
-
 def cmd_train_tc(args) -> int:
-    cfg = _load_config(args.config)
-    hp = _resolve_hp(args, "tc", cfg)
-    enc = _resolve_encoder(cfg, hp)
-    train, dev, labels = _tc_inputs(args)
-    train_items = pl.build_tc_items(train, hp.max_seq_len)
-    dev_items = pl.build_tc_items(dev, hp.max_seq_len)
+    # the run self-trains exactly when it has a pool and a tagger to find its spans
+    if (args.pool is None) != (args.si_model is None):
+        raise CliError("TC self-training needs both --pool and --si-model")
+    self_train = args.pool is not None
+    hp, enc = _resolve(args, "tc")
+    train_items, dev_items, labels = _inputs(args, hp)
     opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     ratio = _parse_ratio(args.gold_silver_ratio)
 
     silver_items = None
-    if args.self_train:
-        _require(args, "pool", "si-model")
+    if self_train:
         si_model = SiTagger.load(args.si_model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
         annotator = pl.train_tc(train_items, dev_items, labels, opts, hp,
@@ -307,41 +304,29 @@ def cmd_train_tc(args) -> int:
 
     res = pl.train_tc(train_items, dev_items, labels, opts, hp, args.seed,
                       silver_items=silver_items, ratio=ratio, encoder_cfg=enc)
-    out = _out_dir(args)
-    ckpt = out / "model-tc.spfg"
-    res.model.save(ckpt, meta={"best_score": res.best_score, "best_step": res.best_step,
-                               "seed": args.seed})
     config = _effective(args, hp, enc, options={"reweight": opts.reweight,
                                                 "span_cls": opts.span_cls,
-                                                "self_train": args.self_train},
+                                                "self_train": self_train},
                         ratio=args.gold_silver_ratio)
-    pl.append_manifest(out, pl.run_record("train-tc", config, args.seed, res, str(ckpt)))
+    ckpt = _save(args, "model-tc.spfg", res, config, "train-tc", best_step=res.best_step)
     print(f"best dev micro-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
     return 0
 
 
 def cmd_self_train(args) -> int:
-    cfg = _load_config(args.config)
-    hp = _resolve_hp(args, "si", cfg)
-    enc = _resolve_encoder(cfg, hp)
-    train = load_dataset(args.articles, args.labels, "si")
-    dev = load_dataset(args.dev_articles, args.dev_labels, "si")
+    hp, enc = _resolve(args, "si")
+    train, dev = _inputs(args, hp)
     pool = SpanDataset(articles=read_articles(args.pool), spans=[])
     ratio = _parse_ratio(args.gold_silver_ratio)
     results = pl.self_train_si(train, dev, pool, args.iterations, hp,
                                seed=args.seed, ratio=ratio, use_crf=not args.no_crf,
                                encoder_cfg=enc)
-    out = _out_dir(args)
     config = _effective(args, hp, enc, iterations=args.iterations,
                         ratio=args.gold_silver_ratio, use_crf=not args.no_crf)
     for i, res in enumerate(results):
         name = "model-si-base.spfg" if i == 0 else f"model-si-iter{i}.spfg"
-        ckpt = out / name
-        res.model.save(ckpt, meta={"best_score": res.best_score, "iteration": i,
-                                   "seed": args.seed})
+        ckpt = _save(args, name, res, config, f"self-train[{i}]", iteration=i)
         tag = "base" if i == 0 else f"iteration {i}"
-        pl.append_manifest(out, pl.run_record(f"self-train[{i}]", config, args.seed,
-                                              res, str(ckpt)))
         print(f"{tag}: best dev FLC-F1 {res.best_score:.4f} -> {ckpt}")
     return 0
 
@@ -357,14 +342,13 @@ def cmd_annotate(args) -> int:
         print(f"annotated {len(silver.spans)} spans over {len(pool.articles)} "
               f"articles -> {path}")
     else:
-        _require(args, "labels")
+        if not args.labels:
+            raise CliError("--labels is required for tc annotation")
         model = TcClassifier.load(args.model)
         data = load_dataset(args.pool, args.labels, "si")
         items = pl.build_tc_items(data, model.config.max_positions, spans=data.spans)
-        probs = pl.predict_tc_probs(model, items)
-        pred = probs.argmax(axis=1)
-        labeled = [Span(it.char_span.article_id, it.char_span.start, it.char_span.end,
-                        int(lab)) for it, lab in zip(items, pred)]
+        pred = pl.predict_tc_probs(model, items).argmax(axis=1)
+        labeled = [replace(it.char_span, technique=int(lab)) for it, lab in zip(items, pred)]
         path = out / "silver-tc.tsv"
         write_spans_tsv(path, labeled, model.labels)
         print(f"classified {len(labeled)} spans -> {path}")
@@ -377,9 +361,10 @@ def cmd_ensemble(args) -> int:
     paths = [p for p in args.models.split(",") if p]
     if not paths:
         raise CliError("--models needs at least one checkpoint")
+    if args.enumerate_all and len(paths) < 2:
+        raise CliError("--enumerate needs at least two models")
     models = [TcClassifier.load(p) for p in paths]
     data = load_dataset(args.articles, args.labels, "tc", args.techniques)
-    labels = read_techniques(args.techniques)
     items = pl.build_tc_items(data, models[0].config.max_positions)
     gold = np.array([it.label for it in items])
     out = _out_dir(args)
@@ -387,9 +372,8 @@ def cmd_ensemble(args) -> int:
     probs = pl.member_probs(models, items)
     pred = pl.mean_probs(probs).argmax(axis=1)
     score = micro_f1(pred, gold)
-    spans = [Span(it.char_span.article_id, it.char_span.start, it.char_span.end, int(p))
-             for it, p in zip(items, pred)]
-    write_spans_tsv(out / "ensemble-predictions.tsv", spans, labels)
+    spans = [replace(it.char_span, technique=int(p)) for it, p in zip(items, pred)]
+    write_spans_tsv(out / "ensemble-predictions.tsv", spans, data.labels)
     print(f"ensemble of {len(models)} models: micro-F1 {score:.4f}")
 
     if args.enumerate_all:
@@ -408,25 +392,17 @@ def cmd_ensemble(args) -> int:
 
 def cmd_score(args) -> int:
     out = _out_dir(args)
-    techniques = read_techniques(args.techniques) if args.techniques else None
-    if args.task == "tc" and techniques is None:
-        raise CliError("--techniques is required for tc scoring")
-    pred = read_spans_tsv(args.pred, args.task, techniques)
-    gold = read_spans_tsv(args.gold, args.task, techniques)
     if args.task == "si":
+        pred = read_spans_tsv(args.pred, "si")
+        gold = read_spans_tsv(args.gold, "si")
         score = flc_f1(pred, gold)
         report = {"task": "si", "precision": score.precision, "recall": score.recall,
                   "f1": score.f1, "n_pred": len(pred), "n_gold": len(gold)}
         print(f"FLC-F1 {score.f1:.4f} (P {score.precision:.4f} / R {score.recall:.4f})")
     else:
-        key = lambda s: (s.article_id, s.start, s.end)
-        pred_by_key = {key(s): s.technique for s in pred}
-        missing = [key(g) for g in gold if key(g) not in pred_by_key]
-        if missing:
-            raise CliError(f"{len(missing)} gold spans have no prediction "
-                           f"(first: {missing[0]}); tc scoring needs span-aligned files")
+        techniques, pred, gold, predicted = _tc_aligned(args)
         gold_ids = np.array([g.technique for g in gold])
-        pred_ids = np.array([pred_by_key[key(g)] for g in gold])
+        pred_ids = np.array(predicted)
         f1 = micro_f1(pred_ids, gold_ids)
         cm = confusion_matrix(pred_ids, gold_ids, len(techniques))
         outcomes = span_outcomes(pred, gold, techniques)
@@ -450,12 +426,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = _load_config(args.config)
-    hp = _resolve_hp(args, "tc", cfg)
-    enc = _resolve_encoder(cfg, hp)
-    train, dev, labels = _tc_inputs(args)
-    train_items = pl.build_tc_items(train, hp.max_seq_len)
-    dev_items = pl.build_tc_items(dev, hp.max_seq_len)
+    hp, enc = _resolve(args, "tc")
+    train_items, dev_items, labels = _inputs(args, hp)
     opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     scores = pl.cross_validate(train_items, dev_items, labels, opts, hp,
                                k=args.k, seed=args.seed, encoder_cfg=enc)
@@ -499,22 +471,13 @@ def cmd_analyze(args) -> int:
                                           output_spans=pred_by.get(aid, [])))
             scores.append(per_article[aid].f1)
     else:
-        techniques = read_techniques(args.techniques) if args.techniques else None
-        if techniques is None:
-            raise CliError("--techniques is required for tc analysis")
-        pred = read_spans_tsv(args.pred, "tc", techniques)
-        gold = read_spans_tsv(args.gold, "tc", techniques)
+        _, _, gold, predicted = _tc_aligned(args)
         check_spans_in_articles(gold, articles, args.gold)
-        pred_by_key = {(s.article_id, s.start, s.end): s.technique for s in pred}
-        items, scores = [], []
-        for g in sorted(gold, key=lambda s: (s.article_id, s.start, s.end)):
-            if (g.article_id, g.start, g.end) not in pred_by_key:
-                raise CliError(f"gold span {(g.article_id, g.start, g.end)} "
-                               "has no prediction")
-            items.append(ana.AnalysisItem(text=articles[g.article_id],
-                                          span=(g.start, g.end)))
-            scores.append(1.0 if pred_by_key[(g.article_id, g.start, g.end)]
-                          == g.technique else 0.0)
+        aligned = sorted(zip(gold, predicted), key=lambda gp: (gp[0].article_id,
+                                                               gp[0].start, gp[0].end))
+        items = [ana.AnalysisItem(text=articles[g.article_id], span=(g.start, g.end))
+                 for g, _ in aligned]
+        scores = [1.0 if p == g.technique else 0.0 for g, p in aligned]
 
     report = ana.worsening_features(items, scores, specs)
     path = out / f"worsening-{args.task}.tsv"

@@ -47,7 +47,7 @@ class HyperParams:
     lr: float = 5e-4
     steps: int = DESK_STEPS_SI
     momentum: float = 0.9
-    weight_decay: float = 0.01
+    weight_decay: float = 0.0
     optimizer: str = "sgd"
     eval_every: int = 200
     patience: int = 5
@@ -62,6 +62,11 @@ class HyperParams:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
+        # a setting the optimizer ignores would be hashed into the manifest but do nothing
+        unused = "weight_decay" if self.optimizer == "sgd" else "momentum"
+        if getattr(self, unused) != 0:
+            raise ValueError(f"{unused} has no effect with optimizer {self.optimizer!r}; "
+                             f"set it to 0, got {getattr(self, unused)}")
 
     @classmethod
     def desk(cls, task: str) -> "HyperParams":
@@ -257,16 +262,23 @@ def build_si_windows(data: SpanDataset, max_len: int) -> list[SiWindow]:
     return windows
 
 
-def _pad_si_batch(windows: list[SiWindow], vocab: Vocab):
-    lengths = np.array([len(w.tokens) for w in windows], dtype=np.int64)
+def _pad(seqs: list[list[str]], vocab: Vocab):
+    """Token ids right-padded to the longest sequence, the mask of real tokens
+    and the lengths."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     width = int(lengths.max())
-    ids = np.full((len(windows), width), vocab.pad_id, dtype=np.int64)
-    tags = np.zeros((len(windows), width), dtype=np.int64)
-    for i, w in enumerate(windows):
-        enc = vocab.encode([t.surface for t in w.tokens])
-        ids[i, :len(enc)] = enc
-        tags[i, :len(enc)] = w.tags
+    ids = np.full((len(seqs), width), vocab.pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, :len(s)] = vocab.encode(s)
     mask = np.arange(width)[None, :] < lengths[:, None]
+    return ids, mask, lengths
+
+
+def _pad_si_batch(windows: list[SiWindow], vocab: Vocab):
+    ids, mask, lengths = _pad([[t.surface for t in w.tokens] for w in windows], vocab)
+    tags = np.zeros(ids.shape, dtype=np.int64)
+    for i, w in enumerate(windows):
+        tags[i, :len(w.tags)] = w.tags
     return ids, mask, tags, lengths
 
 
@@ -495,8 +507,6 @@ class TcItem:
     span_end: int
     label: int | None
     char_span: Span
-    window_char_start: int = 0
-    window_char_end: int = 0
 
 
 def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
@@ -514,9 +524,7 @@ def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
             span_start=win.span_start - win.start,
             span_end=win.span_end - win.start,
             label=sp.technique,
-            char_span=sp,
-            window_char_start=toks[0].start,
-            window_char_end=toks[-1].end))
+            char_span=sp))
     return items
 
 
@@ -530,12 +538,7 @@ def _pad_tc_batch(items: list[TcItem], vocab: Vocab, head_kind: str):
         else:
             seqs.append([BOS] + it.window_tokens + [EOS])
             spans.append((it.span_start + 1, it.span_end + 1))
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    width = int(lengths.max())
-    ids = np.full((len(items), width), vocab.pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, :len(s)] = vocab.encode(s)
-    mask = np.arange(width)[None, :] < lengths[:, None]
+    ids, mask, _ = _pad(seqs, vocab)
     return ids, mask, spans
 
 
@@ -637,8 +640,7 @@ def build_tc_silver(si_model: SiTagger, tc_model: TcClassifier, pool: SpanDatase
     pred = probs.argmax(axis=1)
     for it, lab in zip(items, pred):
         it.label = int(lab)
-        it.char_span = Span(it.char_span.article_id, it.char_span.start,
-                            it.char_span.end, int(lab))
+        it.char_span = replace(it.char_span, technique=int(lab))
     return items
 
 

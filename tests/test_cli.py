@@ -181,7 +181,7 @@ class TestAnnotateAndScore:
 class TestSelfTrainCommand:
     def test_emits_checkpoint_per_iteration(self, synth_dir, train_cfg_path, tmp_path):
         out = tmp_path / "st"
-        code = run(["self-train", "--task", "si", "--seed", "2", "--iterations", "2",
+        code = run(["self-train", "--seed", "2", "--iterations", "2",
                     "--articles", str(synth_dir / "train" / "articles"),
                     "--labels", str(synth_dir / "train" / "labels-si.tsv"),
                     "--dev-articles", str(synth_dir / "dev" / "articles"),
@@ -195,6 +195,15 @@ class TestSelfTrainCommand:
                                                      "model-si-iter2.spfg"]
         records = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
         assert len(records) == 3
+
+
+def split_args(synth_dir, task: str) -> list[str]:
+    """The train and dev split flags of a training command for ``task``."""
+    args = ["--articles", str(synth_dir / "train" / "articles"),
+            "--labels", str(synth_dir / "train" / f"labels-{task}.tsv"),
+            "--dev-articles", str(synth_dir / "dev" / "articles"),
+            "--dev-labels", str(synth_dir / "dev" / f"labels-{task}.tsv")]
+    return args + ["--techniques", str(synth_dir / "techniques.txt")] if task == "tc" else args
 
 
 @pytest.fixture(scope="module")
@@ -254,15 +263,42 @@ class TestTrainTcAndEnsembleAndCv:
         report = json.loads((out / "cv.json").read_text())
         assert len(report["scores"]) == 3
 
-    def test_train_tc_self_train_without_pool_fails(self, synth_dir, tmp_path):
-        code = run(["train-tc", "--seed", "1", "--self-train",
-                    "--articles", str(synth_dir / "train" / "articles"),
-                    "--labels", str(synth_dir / "train" / "labels-tc.tsv"),
-                    "--dev-articles", str(synth_dir / "dev" / "articles"),
-                    "--dev-labels", str(synth_dir / "dev" / "labels-tc.tsv"),
+    def test_ensemble_enumerate_one_model_writes_nothing(self, synth_dir, tc_models,
+                                                         tmp_path, capsys):
+        out = tmp_path / "ens"
+        code = run(["ensemble", "--models", str(tc_models[0]),
+                    "--articles", str(synth_dir / "dev" / "articles"),
+                    "--labels", str(synth_dir / "dev" / "labels-tc.tsv"),
                     "--techniques", str(synth_dir / "techniques.txt"),
-                    "--out", str(tmp_path / "x")])
+                    "--enumerate", "--out", str(out)])
         assert code == 1
+        assert "--enumerate needs at least two models" in capsys.readouterr().err
+        assert not (out / "ensemble-predictions.tsv").exists()
+        assert not (out / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize("given", ["pool", "si-model"])
+    def test_train_tc_self_train_needs_pool_and_si_model(self, synth_dir, si_model,
+                                                         tmp_path, capsys, given):
+        source = {"pool": synth_dir / "pool" / "articles", "si-model": si_model}[given]
+        out = tmp_path / "x"
+        code = run(["train-tc", "--seed", "1", f"--{given}", str(source),
+                    *split_args(synth_dir, "tc"), "--out", str(out)])
+        assert code == 1
+        assert "--pool and --si-model" in capsys.readouterr().err
+        assert not (out / "model-tc.spfg").exists()
+
+    def test_train_tc_self_trains_given_pool_and_si_model(self, synth_dir, si_model,
+                                                          train_cfg_path, tc_models,
+                                                          tmp_path):
+        out = tmp_path / "st"
+        assert run(["train-tc", "--seed", "1", "--pool", str(synth_dir / "pool" / "articles"),
+                    "--si-model", str(si_model), *split_args(synth_dir, "tc"),
+                    "--config", str(train_cfg_path), "--out", str(out)]) == 0
+        record = json.loads((out / "runs.jsonl").read_text())
+        assert record["config"]["options"]["self_train"] is True
+        assert record["meta"]["options"]["self_train"] is True
+        gold_only = json.loads((tc_models[0].parent / "runs.jsonl").read_text())
+        assert gold_only["config"]["options"]["self_train"] is False
 
 
 class TestAnalyze:
@@ -355,6 +391,21 @@ def test_unknown_hp_key_exit_1(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "o" / "model-si.spfg").exists()
 
 
+@pytest.mark.parametrize("command,key", [("train-si", "weight_decay"),
+                                         ("train-tc", "momentum")])
+def test_optimizer_setting_without_effect_exit_1(synth_dir, tmp_path, capsys, command, key):
+    # SGD has no weight decay and AdamW no momentum here, so either would be
+    # recorded and hashed but change nothing
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, f"hp.{key}": 0.5}))
+    task = command[-2:]
+    out = tmp_path / "o"
+    assert run([command, "--seed", "1", "--config", str(cfg), *split_args(synth_dir, task),
+                "--out", str(out)]) == 1
+    assert f"{key} has no effect" in capsys.readouterr().err
+    assert not (out / f"model-{task}.spfg").exists()
+
+
 def test_train_si_rejects_bce_loss(synth_dir, tmp_path, capsys):
     # hp.loss was an option once; the CRF likelihood is the only SI objective
     # now, so any hp.loss value is an unknown key
@@ -400,12 +451,24 @@ def test_score_malformed_row_names_file_and_line(synth_dir, tmp_path, capsys,
     assert f"{pred}: line 2: {reason}" in capsys.readouterr().err
 
 
-def test_score_tc_without_techniques_exit_1(synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["score", "analyze"])
+def test_tc_alignment_errors_exit_1(synth_dir, tmp_path, capsys, command):
+    # score and analyze --task tc both pair each gold span with its prediction
     gold = synth_dir / "dev" / "labels-tc.tsv"
-    code = run(["score", "--task", "tc", "--pred", str(gold), "--gold", str(gold),
-                "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "--techniques" in capsys.readouterr().err
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("".join(row + "\n" for row in gold.read_text().splitlines()[1:]))
+    argv = [command, "--task", "tc", "--gold", str(gold), "--out", str(tmp_path / "o")]
+    if command == "analyze":
+        argv += ["--articles", str(synth_dir / "dev" / "articles")]
+    techniques = ["--techniques", str(synth_dir / "techniques.txt")]
+    assert run(argv + ["--pred", str(gold)]) == 1
+    assert "--techniques is required" in capsys.readouterr().err
+    assert run(argv + ["--pred", str(pred)] + techniques) == 1
+    missing = gold.read_text().splitlines()[0].split("\t")
+    want = repr((missing[0], int(missing[2]), int(missing[3])))
+    assert f"1 gold spans have no prediction (first: {want})" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "runs.jsonl").exists()
+    assert run(argv + ["--pred", str(gold)] + techniques) == 0
 
 
 def test_help_prints_both_profiles(capsys):
