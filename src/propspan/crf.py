@@ -144,9 +144,8 @@ def viterbi_batch(emissions: np.ndarray, lengths, params: CrfParams,
     back = np.zeros((bsz, steps, n_labels), dtype=np.int64)
     for t in range(1, steps):
         cand = score[:, :, None] + trans  # [B, from, to]
-        best_from = cand.argmax(axis=1)  # argmax returns the lowest index on ties
-        back[:, t] = best_from
-        best = np.take_along_axis(cand, best_from[:, None, :], axis=1)[:, 0, :]
+        back[:, t] = cand.argmax(axis=1)  # argmax returns the lowest index on ties
+        best = cand.max(axis=1)
         score = np.where((lengths > t)[:, None], best + emissions[:, t, :], score)
     final = score + end
     infeasible = np.flatnonzero(final.max(axis=1) <= NEG_INF / 2)

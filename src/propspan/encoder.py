@@ -99,24 +99,38 @@ class TransformerStack:
         p[f"{prefix}.ln_f_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.prefix = prefix
 
-    def _attention(self, x: Tensor, bias: np.ndarray, base: str,
+    def _attention(self, x_q: Tensor, x_kv: Tensor, bias: np.ndarray, base: str,
                    train: bool, rng) -> Tensor:
         p = self.params
         q, k, v = (T.linear(x, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
-                   for nm in ("wq", "wk", "wv"))
+                   for x, nm in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
         ctx = T.attention(q, k, v, bias, self.heads, self.attention_dropout, rng, train)
         return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
 
     def __call__(self, x: Tensor, attn_allowed: np.ndarray,
-                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """attn_allowed: bool, broadcastable to [B, 1, Tq, Tk]; True = may attend."""
+                 train: bool = False, rng: np.random.Generator | None = None,
+                 rows: np.ndarray | None = None) -> Tensor:
+        """attn_allowed: bool, broadcastable to [B, 1, Tq, Tk]; True = may attend.
+
+        ``rows`` ([B, S] positions) asks for the output at those positions
+        only, as ``[B, S, H]``. The last layer then runs its layer norm, keys
+        and values over every position and the rest only at ``rows``. That
+        needs a mask without a per-query axis.
+        """
+        attn_allowed = np.asarray(attn_allowed)
+        if rows is not None and attn_allowed.ndim >= 2 and attn_allowed.shape[-2] != 1:
+            raise ValueError("rows need a key-only mask, not a per-query one")
         bias = np.where(attn_allowed, 0.0, ATTN_MASK_BIAS).astype(x.dtype)
         p = self.params
         h = x
         for i in range(self.layers):
             base = f"{self.prefix}.layer{i}"
-            a = self._attention(T.layer_norm(h, p[f"{base}.ln1_g"], p[f"{base}.ln1_b"]),
-                                bias, base, train, rng)
+            hn = T.layer_norm(h, p[f"{base}.ln1_g"], p[f"{base}.ln1_b"])
+            hq = hn
+            if rows is not None and i == self.layers - 1:
+                at = (np.arange(h.shape[0])[:, None], rows)
+                h, hq = h[at], hn[at]
+            a = self._attention(hq, hn, bias, base, train, rng)
             h = h + T.dropout(a, self.dropout, rng, train)
             m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
             m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))
@@ -151,7 +165,9 @@ class Encoder:
         self.params.update(self.stack.params)
 
     def encode(self, ids: np.ndarray, mask: np.ndarray,
-               train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+               train: bool = False, rng: np.random.Generator | None = None,
+               rows: np.ndarray | None = None) -> Tensor:
+        """Hidden states [B, T, H], or [B, S, H] at ``rows`` (see TransformerStack)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2:
             raise ValueError("ids must be [batch, seq]")
@@ -164,7 +180,7 @@ class Encoder:
         x = T.embedding(self.params["emb.tok"], ids)
         x = x + self.params["emb.pos"][:seq]
         x = T.dropout(x, self.config.dropout, rng, train)
-        return self.stack(x, key_padding_allowed(mask), train=train, rng=rng)
+        return self.stack(x, key_padding_allowed(mask), train=train, rng=rng, rows=rows)
 
 
 class LinearHead:
@@ -178,6 +194,14 @@ class LinearHead:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
+
+
+def _check_spans(spans, bsz: int, seq: int) -> None:
+    if len(spans) != bsz:
+        raise ValueError("one span range per batch element required")
+    for s, e in spans:
+        if not (0 <= s < e <= seq):
+            raise ValueError(f"empty or out-of-range span ({s}, {e})")
 
 
 class SpanClsHead:
@@ -204,34 +228,47 @@ class SpanClsHead:
 
     def _classify(self, seqs: Tensor, train: bool, rng) -> Tensor:
         allowed = np.ones((1, 1, 1, seqs.shape[1]), dtype=bool)
-        out = self.stack(seqs, allowed, train=train, rng=rng)
+        bos_row = np.zeros((seqs.shape[0], 1), dtype=np.int64)
+        out = self.stack(seqs, allowed, train=train, rng=rng, rows=bos_row)
         return self.out(out[:, 0, :])
+
+    @staticmethod
+    def host_rows(spans: list[tuple[int, int]], bsz: int, seq: int):
+        """The host positions the head reads, and the spans re-indexed to them.
+
+        Row ``i`` holds span ``i``'s tokens, padded to the longest span by
+        repeating its last token; its span becomes ``(0, e - s)``.
+        """
+        _check_spans(spans, bsz, seq)
+        starts, ends = np.asarray(spans, dtype=np.int64).reshape(-1, 2).T
+        lengths = ends - starts
+        steps = np.arange(int(lengths.max(initial=1)))
+        rows = starts[:, None] + np.minimum(steps[None, :], lengths[:, None] - 1)
+        return rows, [(0, int(n)) for n in lengths]
 
     def logits(self, hidden: Tensor, spans: list[tuple[int, int]],
                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """Class logits per batch element; spans index into the host sequence.
 
-        Elements are grouped by span length so each group runs as one batch;
-        results are reassembled in input order.
+        Elements are grouped by span length so each group runs as one batch,
+        gathered in one lookup from the [BOS] vector stacked on the host
+        states; results are reassembled in input order.
         """
-        bsz = hidden.shape[0]
-        if len(spans) != bsz:
-            raise ValueError("one span range per batch element required")
+        bsz, seq = hidden.shape[:2]
+        _check_spans(spans, bsz, seq)
         groups: dict[int, list[int]] = {}
         for i, (s, e) in enumerate(spans):
-            if not (0 <= s < e <= hidden.shape[1]):
-                raise ValueError(f"empty or out-of-range span ({s}, {e})")
             groups.setdefault(e - s, []).append(i)
 
+        # row 0 is [BOS], row 1 + i * seq + t is host state (i, t)
+        table = T.concat([self.params["span.bos"], T.reshape(hidden, (bsz * seq, -1))], axis=0)
+        starts = np.asarray([s for s, _ in spans], dtype=np.int64)
         pieces: list[tuple[list[int], Tensor]] = []
         for length, idxs in sorted(groups.items()):
-            rows = []
-            for i in idxs:
-                s, e = spans[i]
-                body = hidden[i, s:e, :]  # [len, H]
-                rows.append(T.concat([self.params["span.bos"], body], axis=0))
-            seqs = T.concat([T.reshape(r, (1, length + 1, -1)) for r in rows], axis=0)
-            pieces.append((idxs, self._classify(seqs, train, rng)))
+            ix = np.asarray(idxs)
+            body = 1 + (ix * seq + starts[ix])[:, None] + np.arange(length)[None, :]
+            lookup = np.concatenate([np.zeros((len(ix), 1), dtype=np.int64), body], axis=1)
+            pieces.append((idxs, self._classify(T.embedding(table, lookup), train, rng)))
 
         order = np.argsort(np.concatenate([np.asarray(ix) for ix, _ in pieces]))
         stacked = T.concat([logit for _, logit in pieces], axis=0)
@@ -244,8 +281,7 @@ class SpanClsHead:
         query's attention to {BOS} union span, read the BOS output."""
         s, e = span
         seq_len = hidden_single.shape[0]
-        if not (0 <= s < e <= seq_len):
-            raise ValueError(f"empty or out-of-range span ({s}, {e})")
+        _check_spans([span], 1, seq_len)
         seqs = T.concat([self.params["span.bos"], hidden_single], axis=0)
         seqs = T.reshape(seqs, (1, seq_len + 1, -1))
         allowed_keys = np.zeros(seq_len + 1, dtype=bool)

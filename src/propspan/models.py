@@ -137,11 +137,16 @@ class TcClassifier:
     def logits(self, ids: np.ndarray, mask: np.ndarray,
                spans: list[tuple[int, int]] | None = None, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-        hidden = self.encoder.encode(ids, mask, train=train, rng=rng)
+        """Class logits [B, n_classes]; the encoder's last layer runs only at
+        the positions the head reads."""
         if self.head_kind == "marker":  # class logits from the [BOS] position
+            bos_row = np.zeros((len(ids), 1), dtype=np.int64)
+            hidden = self.encoder.encode(ids, mask, train=train, rng=rng, rows=bos_row)
             return self.head(hidden[:, 0, :])
         if spans is None:
             raise ValueError("span ranges are required for the span-cls head")
+        rows, spans = SpanClsHead.host_rows(spans, *np.shape(ids))
+        hidden = self.encoder.encode(ids, mask, train=train, rng=rng, rows=rows)
         return self.head.logits(hidden, spans, train=train, rng=rng)
 
     def probs(self, ids: np.ndarray, mask: np.ndarray,

@@ -483,21 +483,23 @@ def linear(x, weight, bias) -> Tensor:
 
 def attention(q, k, v, bias: np.ndarray, heads: int, p: float,
               rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Multi-head scaled dot-product attention from projected ``[B, T, H]`` inputs.
+    """Multi-head scaled dot-product attention from projected inputs.
 
-    One graph node for the whole block: split into heads, scores scaled by
-    1/sqrt(head dim), plus the additive ``bias`` (broadcastable to
-    ``[B, heads, Tq, Tk]``), softmax over keys, inverted dropout with rate
-    ``p`` in train mode, the weighted sum of values and the merge back to
-    ``[B, T, H]``. The scores live in one buffer updated in place. Forward
-    and backward repeat the arithmetic of the same chain written as separate
-    ops, so values and gradients are the same bit for bit.
+    ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. One graph
+    node for the whole block: split into heads, scores scaled by 1/sqrt(head
+    dim), plus the additive ``bias`` (broadcastable to ``[B, heads, Tq,
+    Tk]``), softmax over keys, inverted dropout with rate ``p`` in train
+    mode, the weighted sum of values and the merge back to ``[B, Tq, H]``.
+    The scores live in one buffer updated in place. Forward and backward
+    repeat the arithmetic of the same chain written as separate ops, so
+    values and gradients are the same bit for bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    bsz, seq, hid = q.data.shape
+    bsz, tq, hid = q.data.shape
+    tk = k.data.shape[1]
     dh = hid // heads
-    split = (bsz, seq, heads, dh)
-    q4, k4, v4 = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
+    q4 = np.swapaxes(q.data.reshape(bsz, tq, heads, dh), 1, 2)
+    k4, v4 = (np.swapaxes(t.data.reshape(bsz, tk, heads, dh), 1, 2) for t in (k, v))
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
 
     attn = np.matmul(q4, np.swapaxes(k4, 2, 3))  # [B, heads, Tq, Tk]
@@ -513,11 +515,11 @@ def attention(q, k, v, bias: np.ndarray, heads: int, p: float,
         keep = rng.random(attn.shape) >= p
         mask = keep.astype(attn.dtype) * np.asarray(1.0 / (1.0 - p), dtype=attn.dtype)
         dropped = attn * mask
-    ctx = np.matmul(dropped, v4)  # [B, heads, T, dh]
-    out_data = np.swapaxes(ctx, 1, 2).reshape(bsz, seq, hid)
+    ctx = np.matmul(dropped, v4)  # [B, heads, Tq, dh]
+    out_data = np.swapaxes(ctx, 1, 2).reshape(bsz, tq, hid)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_ctx = np.swapaxes(g.reshape(split), 1, 2)
+        g_ctx = np.swapaxes(g.reshape(bsz, tq, heads, dh), 1, 2)
         g_v = np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)
         g_attn = np.matmul(g_ctx, np.swapaxes(v4, -1, -2))
         if mask is not None:
@@ -526,7 +528,7 @@ def attention(q, k, v, bias: np.ndarray, heads: int, p: float,
         g_scores = attn * (g_attn - dot) * scale
         g_q = np.matmul(g_scores, k4)
         g_k = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), g_scores), 2, 3)
-        return tuple(np.swapaxes(gt, 1, 2).reshape(bsz, seq, hid) for gt in (g_q, g_k, g_v))
+        return tuple(np.swapaxes(gt, 1, 2).reshape(bsz, -1, hid) for gt in (g_q, g_k, g_v))
 
     return fused(out_data, (q, k, v), backward)
 

@@ -7,6 +7,7 @@ here keeps the two views convertible without loss.
 
 from __future__ import annotations
 
+import re
 import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ PAD, UNK, BOS, EOS, BOP, EOP = "[PAD]", "[UNK]", "[BOS]", "[EOS]", "[BOP]", "[EO
 SPECIAL_TOKENS = (PAD, UNK, BOS, EOS, BOP, EOP)
 
 _PUNCT = set(string.punctuation) | set("‘’“”–—…")
+# one punctuation character, or a run of characters that are neither
+# whitespace (``\s`` is exactly ``str.isspace``) nor punctuation
+_PUNCT_CLASS = "".join(re.escape(c) for c in sorted(_PUNCT))
+_TOKEN_RE = re.compile(rf"[{_PUNCT_CLASS}]|[^\s{_PUNCT_CLASS}]+")
 
 
 class Token(NamedTuple):
@@ -70,23 +75,8 @@ def _token_range(tt: TokenizedText, start: int, end: int) -> tuple[int, int]:
 
 def tokenize(text: str) -> TokenizedText:
     """Whitespace words with punctuation characters split into single tokens."""
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, i, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT:
-            j += 1
-        tokens.append(Token(text[i:j], i, j))
-        i = j
-    return TokenizedText(text=text, tokens=tuple(tokens))
+    return TokenizedText(text=text, tokens=tuple(
+        Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)))
 
 
 def merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@ import pytest
 
 from propspan import tensor as T
 from propspan.encoder import (ATTN_MASK_BIAS, Encoder, EncoderConfig, LinearHead,
-                              SpanClsConfig, SpanClsHead, key_padding_allowed)
+                              SpanClsConfig, SpanClsHead, TransformerStack,
+                              key_padding_allowed)
 from propspan.tensor import Tensor, grad_check
 
 
@@ -80,18 +81,18 @@ class TestEncode:
 
 def chain_attention(q, k, v, bias, heads, p, rng, train):
     """The attention block as a chain of autograd ops: the fused op's oracle."""
-    bsz, seq, hid = q.shape
+    bsz, tq, hid = q.shape
     dh = hid // heads
 
     def split(t):
-        return T.swapaxes(T.reshape(t, (bsz, seq, heads, dh)), 1, 2)  # [B, heads, T, dh]
+        return T.swapaxes(T.reshape(t, (bsz, t.shape[1], heads, dh)), 1, 2)  # [B, heads, T, dh]
 
     q4, k4, v4 = split(q), split(k), split(v)
     scores = T.matmul(q4, T.swapaxes(k4, 2, 3)) * (1.0 / np.sqrt(dh))
     attn = T.softmax(scores + bias, axis=-1)
     attn = T.dropout(attn, p, rng, train)
     ctx = T.matmul(attn, v4)
-    return T.reshape(T.swapaxes(ctx, 1, 2), (bsz, seq, hid))
+    return T.reshape(T.swapaxes(ctx, 1, 2), (bsz, tq, hid))
 
 
 def _padded_bias(lengths, seq, dtype):
@@ -101,16 +102,18 @@ def _padded_bias(lengths, seq, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("mask_kind", ["padded_keys", "all_allowed"])
-def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind):
+@pytest.mark.parametrize("mask_kind,tq", [  # tq < 6: fewer queries than keys, a row-restricted layer
+    pytest.param(kind, tq, id=kind if tq == 6 else f"{kind}-{tq}q")
+    for kind in ("padded_keys", "all_allowed") for tq in (6, 2, 1)])
+def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind, tq):
     rng = np.random.default_rng(21)
     bsz, seq, hid, heads = 3, 6, 12, 4  # head dim 3: the scale 1/sqrt(3) is inexact
     if mask_kind == "padded_keys":
         bias = _padded_bias([6, 4, 1], seq, dtype)
     else:  # the span head's mask: every key allowed
         bias = np.zeros((1, 1, 1, seq), dtype=dtype)
-    data = [rng.normal(size=(bsz, seq, hid)).astype(dtype) for _ in range(3)]
-    seed_grad = rng.normal(size=(bsz, seq, hid)).astype(dtype)
+    data = [rng.normal(size=(bsz, t, hid)).astype(dtype) for t in (tq, seq, seq)]
+    seed_grad = rng.normal(size=(bsz, tq, hid)).astype(dtype)
     results, next_draws = [], []
     for op in (T.attention, chain_attention):
         ins = [Tensor(d.copy(), requires_grad=True) for d in data]
@@ -154,6 +157,65 @@ def test_masked_attention_weights_are_zero():
     v3 = v.copy()
     v3[1, 0] += 1.0  # a key that may be attended does change the output
     assert not np.array_equal(attend(k, v3)[1], base[1])
+
+
+def _stack64(layers=2, hidden=16, heads=2, intermediate=32, seed=0):
+    return TransformerStack("s", hidden, layers, heads, intermediate, 0.1, 0.1,
+                            np.random.default_rng(seed), np.float64)
+
+
+class TestRowRestrictedStack:
+    """``rows`` runs the last layer at the read positions only; outputs there
+    equal the full stack's."""
+
+    lengths = np.array([7, 5, 3])
+
+    def full_and_input(self, stack, rng):
+        x = Tensor(rng.normal(size=(3, 7, stack.hidden)))
+        allowed = key_padding_allowed(np.arange(7)[None, :] < self.lengths[:, None])
+        return x, allowed, stack(x, allowed).numpy()
+
+    def test_bos_row_matches_full_stack(self):
+        stack = _stack64()
+        x, allowed, full = self.full_and_input(stack, np.random.default_rng(30))
+        out = stack(x, allowed, rows=np.zeros((3, 1), dtype=np.int64)).numpy()
+        assert out.shape == (3, 1, 16)
+        np.testing.assert_allclose(out, full[:, :1], rtol=0, atol=1e-12)
+
+    def test_span_rows_match_full_stack(self):
+        stack = _stack64()
+        x, allowed, full = self.full_and_input(stack, np.random.default_rng(31))
+        # mixed lengths; the last span ends at its element's last real token
+        spans = [(1, 5), (4, 5), (0, 3)]
+        rows, local = SpanClsHead.host_rows(spans, 3, 7)
+        assert local == [(0, 4), (0, 1), (0, 3)]
+        assert rows.tolist() == [[1, 2, 3, 4], [4, 4, 4, 4], [0, 1, 2, 2]]
+        out = stack(x, allowed, rows=rows).numpy()
+        np.testing.assert_allclose(out, full[np.arange(3)[:, None], rows], rtol=0, atol=1e-12)
+
+    def test_grad_check_through_restricted_layer(self):
+        stack = _stack64(layers=1, hidden=8, intermediate=8, seed=32)
+        rng = np.random.default_rng(33)
+        for t in stack.params.values():  # off the init, so no gradient is tiny
+            t.data = t.data + rng.normal(0.0, 0.5, t.shape)
+        x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        allowed = key_padding_allowed(np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool))
+        rows = np.array([[0, 2], [1, 1]])  # a repeated row, as span padding makes
+        weights = rng.normal(size=(2, 2, 8))
+        names = ["s.layer0.wq", "s.layer0.wk", "s.layer0.wv_b", "s.layer0.ln1_g", "s.ln_f_b"]
+
+        def fn(*_):
+            return (stack(x, allowed, rows=rows) * weights).sum()
+
+        assert grad_check(fn, [x] + [stack.params[n] for n in names], eps=1e-6) <= 1e-5
+
+    def test_rows_reject_per_query_mask(self):
+        stack = _stack64()
+        x = Tensor(np.zeros((1, 4, 16)))
+        per_query = np.tril(np.ones((4, 4), dtype=bool))[None, None]
+        stack(x, per_query)  # fine without rows
+        with pytest.raises(ValueError, match="key-only mask"):
+            stack(x, per_query, rows=np.zeros((1, 1), dtype=np.int64))
 
 
 class TestHeads:

@@ -225,3 +225,24 @@ def test_train_graph_keeps_model_dtype(vocab, kind, dtype):
     grads = {name: p.grad.dtype for name, p in model.params().items() if p.grad is not None}
     assert set(model.encoder.params) <= set(grads)  # the CRF is idle without use_crf
     assert set(grads.values()) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("head_kind", ["marker", "span_cls"])
+def test_tc_logits_equal_full_encoder_read(vocab, head_kind):
+    # the encoder's last layer runs only at the rows the head reads; the head
+    # over the full encoder output is the oracle
+    model = TcClassifier(tiny_cfg(len(vocab), layers=2), vocab, ["A", "B", "C"],
+                         head_kind=head_kind,
+                         span_cfg=SpanClsConfig(layers=2, heads=2, intermediate_size=16),
+                         seed=5, dtype=np.float64)
+    lengths = np.array([8, 5, 3, 6])
+    ids = np.random.default_rng(6).integers(6, len(vocab), (4, 8))
+    mask = np.arange(8)[None, :] < lengths[:, None]
+    spans = [(1, 7), (4, 5), (0, 3), (2, 6)]  # mixed lengths; (0, 3) ends at the last real token
+    with T.no_grad():
+        full = model.encoder.encode(ids, mask)
+        oracle = (model.head(full[:, 0, :]) if head_kind == "marker"
+                  else model.head.logits(full, spans))
+        got = model.logits(ids, mask, spans if head_kind == "span_cls" else None)
+    assert got.shape == (4, 3)
+    np.testing.assert_allclose(got.numpy(), oracle.numpy(), rtol=0, atol=1e-12)

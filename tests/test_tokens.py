@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propspan.tokens import (BOP, BOS, EOP, EOS, PAD, Span,
+from propspan.tokens import (_PUNCT, BOP, BOS, EOP, EOS, PAD, Span,
                              Vocab, extend_context, inject_markers, merge_spans,
                              span_token_range, spans_to_tags, tags_to_spans, tokenize)
 
@@ -37,6 +37,40 @@ class TestTokenize:
 
     def test_unicode_quotes_are_single_tokens(self):
         assert [t.surface for t in tokenize("‘tortured’").tokens] == ["‘", "tortured", "’"]
+
+
+def loop_tokenize(text):
+    """The character loop ``tokenize`` replaced: its oracle."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in _PUNCT:
+            tokens.append((ch, i, i + 1))
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in _PUNCT:
+                j += 1
+            tokens.append((text[i:j], i, j))
+            i = j
+    return tokens
+
+
+# every str.isspace character (the \x1c-\x1f separators, NEL, NBSP, U+3000 ...),
+# the punctuation set with its curly quotes and dashes, and plain letters
+_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_TOKEN_ALPHABET = _SPACES + "".join(sorted(_PUNCT)) + "ab\u00e9\u4e00"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(_TOKEN_ALPHABET), st.characters()),
+               max_size=40))
+@example("a\x1cb\x1dc\x1ed\x1fe\x85f\xa0g\u3000h")
+@example("‘quoted’ “twice”–dash—long…end")
+def test_tokenize_matches_character_loop(text):
+    assert [tuple(t) for t in tokenize(text).tokens] == loop_tokenize(text)
 
 
 class TestSpansToTags:
