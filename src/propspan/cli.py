@@ -176,14 +176,24 @@ def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None]:
 
 def _inputs(args, hp: pl.HyperParams):
     """The train and dev splits as the trainer takes them: datasets for SI;
-    for TC, classification items and the technique inventory."""
+    for TC, classification items, the technique inventory and the per-split
+    span counts of ``_tc_items``."""
     techniques = args.techniques if hp.task == "tc" else None
     train = load_dataset(args.articles, args.labels, hp.task, techniques)
     dev = load_dataset(args.dev_articles, args.dev_labels, hp.task, techniques)
     if hp.task == "si":
         return train, dev
-    return (pl.build_tc_items(train, hp.max_seq_len), pl.build_tc_items(dev, hp.max_seq_len),
-            train.labels)
+    train_items, train_counts = _tc_items(train, hp.max_seq_len)
+    dev_items, dev_counts = _tc_items(dev, hp.max_seq_len)
+    return train_items, dev_items, train.labels, {"train": train_counts, "dev": dev_counts}
+
+
+def _tc_items(data: SpanDataset, max_seq_len: int) -> tuple[list[pl.TcItem], dict]:
+    """``data``'s classification items, and how many of its spans were
+    truncated to the window budget or skipped for covering no token."""
+    items = pl.build_tc_items(data, max_seq_len)
+    return items, {"truncated_spans": sum(it.truncated for it in items),
+                   "skipped_spans": len(data.spans) - len(items)}
 
 
 def _parse_ratio(text: str) -> tuple[int, int] | None:
@@ -290,7 +300,7 @@ def cmd_train_tc(args) -> int:
         raise CliError("TC self-training needs both --pool and --si-model")
     self_train = args.pool is not None
     hp, enc = _resolve(args, "tc")
-    train_items, dev_items, labels = _inputs(args, hp)
+    train_items, dev_items, labels, counts = _inputs(args, hp)
     opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     ratio = _parse_ratio(args.gold_silver_ratio)
 
@@ -304,6 +314,7 @@ def cmd_train_tc(args) -> int:
 
     res = pl.train_tc(train_items, dev_items, labels, opts, hp, args.seed,
                       silver_items=silver_items, ratio=ratio, encoder_cfg=enc)
+    res.meta["tc_items"] = counts
     config = _effective(args, hp, enc, options={"reweight": opts.reweight,
                                                 "span_cls": opts.span_cls,
                                                 "self_train": self_train},
@@ -333,6 +344,7 @@ def cmd_self_train(args) -> int:
 
 def cmd_annotate(args) -> int:
     out = _out_dir(args)
+    meta = None
     if args.task == "si":
         model = SiTagger.load(args.model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
@@ -346,14 +358,17 @@ def cmd_annotate(args) -> int:
             raise CliError("--labels is required for tc annotation")
         model = TcClassifier.load(args.model)
         data = load_dataset(args.pool, args.labels, "si")
-        items = pl.build_tc_items(data, model.config.max_positions, spans=data.spans)
+        items, counts = _tc_items(data, model.config.max_positions)
         pred = pl.predict_tc_probs(model, items).argmax(axis=1)
         labeled = [replace(it.char_span, technique=int(lab)) for it, lab in zip(items, pred)]
         path = out / "silver-tc.tsv"
         write_spans_tsv(path, labeled, model.labels)
-        print(f"classified {len(labeled)} spans -> {path}")
+        print(f"classified {len(labeled)} spans -> {path} ({counts['truncated_spans']} "
+              f"truncated to {model.config.max_positions - pl.MARKER_OVERHEAD} tokens, "
+              f"{counts['skipped_spans']} skipped for covering no token)")
+        meta = {"tc_items": {"pool": counts}}
     config = _effective(args, model=args.model, task=args.task)
-    pl.append_manifest(out, pl.run_record("annotate", config, -1, None))
+    pl.append_manifest(out, pl.run_record("annotate", config, -1, None, meta=meta))
     return 0
 
 
@@ -365,7 +380,7 @@ def cmd_ensemble(args) -> int:
         raise CliError("--enumerate needs at least two models")
     models = [TcClassifier.load(p) for p in paths]
     data = load_dataset(args.articles, args.labels, "tc", args.techniques)
-    items = pl.build_tc_items(data, models[0].config.max_positions)
+    items, counts = _tc_items(data, models[0].config.max_positions)
     gold = np.array([it.label for it in items])
     out = _out_dir(args)
 
@@ -386,7 +401,8 @@ def cmd_ensemble(args) -> int:
         print(f"enumerated {len(results)} subsets -> {out / 'ensembles.tsv'}")
 
     config = _effective(args, models=paths, enumerate=args.enumerate_all)
-    pl.append_manifest(out, pl.run_record("ensemble", config, -1, None))
+    pl.append_manifest(out, pl.run_record("ensemble", config, -1, None,
+                                          meta={"tc_items": {"eval": counts}}))
     return 0
 
 
@@ -427,7 +443,7 @@ def cmd_score(args) -> int:
 
 def cmd_cv(args) -> int:
     hp, enc = _resolve(args, "tc")
-    train_items, dev_items, labels = _inputs(args, hp)
+    train_items, dev_items, labels, counts = _inputs(args, hp)
     opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     scores = pl.cross_validate(train_items, dev_items, labels, opts, hp,
                                k=args.k, seed=args.seed, encoder_cfg=enc)
@@ -439,7 +455,8 @@ def cmd_cv(args) -> int:
                                  encoding="utf-8")
     config = _effective(args, hp, enc, k=args.k, reweight=args.reweight,
                         span_cls=args.span_cls)
-    pl.append_manifest(out, pl.run_record("cv", config, args.seed, None))
+    pl.append_manifest(out, pl.run_record("cv", config, args.seed, None,
+                                          meta={"tc_items": counts}))
     print(f"{args.k}-fold micro-F1 {mean:.4f} +/- {std:.4f}")
     return 0
 

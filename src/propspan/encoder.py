@@ -22,7 +22,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-ATTN_MASK_BIAS = -1e9  # exp() underflows to exactly 0 after the softmax shift
 INIT_STD = 0.02
 
 
@@ -99,12 +98,12 @@ class TransformerStack:
         p[f"{prefix}.ln_f_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.prefix = prefix
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, bias: np.ndarray, base: str,
+    def _attention(self, x_q: Tensor, x_kv: Tensor, allowed: np.ndarray, base: str,
                    train: bool, rng) -> Tensor:
         p = self.params
         q, k, v = (T.linear(x, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
                    for x, nm in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
-        ctx = T.attention(q, k, v, bias, self.heads, self.attention_dropout, rng, train)
+        ctx = T.attention(q, k, v, allowed, self.heads, self.attention_dropout, rng, train)
         return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
 
     def __call__(self, x: Tensor, attn_allowed: np.ndarray,
@@ -120,7 +119,6 @@ class TransformerStack:
         attn_allowed = np.asarray(attn_allowed)
         if rows is not None and attn_allowed.ndim >= 2 and attn_allowed.shape[-2] != 1:
             raise ValueError("rows need a key-only mask, not a per-query one")
-        bias = np.where(attn_allowed, 0.0, ATTN_MASK_BIAS).astype(x.dtype)
         p = self.params
         h = x
         for i in range(self.layers):
@@ -130,7 +128,7 @@ class TransformerStack:
             if rows is not None and i == self.layers - 1:
                 at = (np.arange(h.shape[0])[:, None], rows)
                 h, hq = h[at], hn[at]
-            a = self._attention(hq, hn, bias, base, train, rng)
+            a = self._attention(hq, hn, attn_allowed, base, train, rng)
             h = h + T.dropout(a, self.dropout, rng, train)
             m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
             m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))

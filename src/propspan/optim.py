@@ -53,13 +53,28 @@ class Optimizer:
             slot = self.slots.get(name)
             if slot is None:
                 slot = self.slots[name] = {k: np.zeros_like(p.data) for k in keys}
+            # slots update in place, with the operations of the formulas in their order
             if self.kind == "sgd":
-                v = slot["v"] = self.momentum * slot["v"] + g
-                p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
+                v = slot["v"]
+                np.multiply(v, self.momentum, out=v)
+                np.add(v, g, out=v)
+                p.data -= self.lr * v
                 continue
-            m = slot["m"] = ADAM_BETA1 * slot["m"] + (1.0 - ADAM_BETA1) * g
-            v = slot["v"] = ADAM_BETA2 * slot["v"] + (1.0 - ADAM_BETA2) * (g * g)
-            step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            m, v = slot["m"], slot["v"]
+            np.multiply(m, ADAM_BETA1, out=m)
+            tmp = (1.0 - ADAM_BETA1) * g
+            np.add(m, tmp, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, g, out=tmp)
+            np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
+            np.add(v, tmp, out=v)
+            step = m / bc1
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, ADAM_EPS, out=tmp)
+            np.divide(step, tmp, out=step)
             if self.weight_decay:
-                p.data -= (self.lr * self.weight_decay * p.data).astype(p.data.dtype, copy=False)
-            p.data -= (self.lr * step).astype(p.data.dtype, copy=False)
+                np.multiply(p.data, self.lr * self.weight_decay, out=tmp)
+                p.data -= tmp
+            np.multiply(step, self.lr, out=step)
+            p.data -= step

@@ -12,6 +12,7 @@ process may use.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -30,8 +31,8 @@ from .losses import class_weights, reweighted_bce, uniform_weights
 from .metrics import flc_f1, micro_f1
 from .models import SiTagger, TcClassifier
 from .optim import Optimizer
-from .tokens import (BOS, EOS, Span, Token, TokenizedText, Vocab, extend_context,
-                     inject_markers, spans_to_tags, tags_to_spans)
+from .tokens import (BOS, EOS, Span, Token, TokenizedText, Vocab, _token_range,
+                     extend_context, inject_markers, spans_to_tags, tags_to_spans)
 
 DESK_STEPS_SI = 2000
 DESK_STEPS_TC = 1000
@@ -507,16 +508,24 @@ class TcItem:
     span_end: int
     label: int | None
     char_span: Span
+    truncated: bool = False  # the span kept only its first max_seq_len - 4 tokens
 
 
 def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
                    spans: list[Span] | None = None) -> list[TcItem]:
-    """One item per labeled span, with maximal equal context on both sides."""
+    """One item per labeled span, with maximal equal context on both sides.
+
+    A span longer than ``max_seq_len - 4`` tokens keeps its first ones and is
+    marked ``truncated``; a span that covers no token gets no item.
+    """
     budget = max_seq_len - MARKER_OVERHEAD
     items = []
     for sp in (data.spans if spans is None else spans):
         tt = data.tokenized[sp.article_id]
-        win = extend_context(tt, sp, budget)
+        first, stop = _token_range(tt, sp.start, sp.end)
+        if first >= stop:
+            continue
+        win = extend_context(tt, sp, budget, truncate=True)
         toks = tt.tokens[win.start:win.end]
         items.append(TcItem(
             article_id=sp.article_id,
@@ -524,7 +533,8 @@ def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
             span_start=win.span_start - win.start,
             span_end=win.span_end - win.start,
             label=sp.technique,
-            char_span=sp))
+            char_span=sp,
+            truncated=stop - first > budget))
     return items
 
 
@@ -741,13 +751,40 @@ def append_manifest(out_dir: str | Path, record: dict) -> Path:
     return path
 
 
+# thread-count getters of the OpenBLAS builds in numpy wheels: numpy 2's
+# scipy-openblas and numpy 1's openblas64_
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+
+
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy's Linux wheels bundle in
+    ``numpy.libs``, read through ``ctypes`` from the library numpy has loaded;
+    None where no known getter is found."""
+    for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
 def run_record(command: str, config: dict, seed: int, result: TrainResult | None,
-               checkpoint: str | None = None) -> dict:
+               checkpoint: str | None = None, meta: dict | None = None) -> dict:
+    """One ``runs.jsonl`` line; ``meta`` stands in for a training result's meta
+    in the records of commands that train nothing."""
     record = {"command": command, "config_hash": config_hash(config),
-              "config": config, "seed": seed, "checkpoint": checkpoint}
+              "config": config, "seed": seed, "checkpoint": checkpoint,
+              "blas_threads": blas_threads()}
     if result is not None:
         record["best_score"] = result.best_score
         record["best_step"] = result.best_step
         record["eval_trace"] = [p.to_dict() for p in result.trace]
         record["meta"] = result.meta
+    elif meta is not None:
+        record["meta"] = meta
     return record

@@ -23,6 +23,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+ATTN_MASK_BIAS = -1e9  # exp() underflows to exactly 0 after the softmax shift
+# No-grad attention runs in blocks of whole sequences whose scores fit this
+# many bytes, the L2 cache of a desk CPU core, instead of one batch-sized buffer.
+_SCORE_BLOCK_BYTES = 2 << 20
 
 _grad_enabled = True
 
@@ -481,18 +485,70 @@ def linear(x, weight, bias) -> Tensor:
         lambda g: _unbroadcast(g.reshape(-1, n_out), bias.data.shape)))
 
 
-def attention(q, k, v, bias: np.ndarray, heads: int, p: float,
+def _attention_weights(q4: np.ndarray, k4: np.ndarray, allowed: np.ndarray,
+                       scale: np.ndarray) -> np.ndarray:
+    """Softmax over keys of ``q4 @ k4^T * scale``, where a key that ``allowed``
+    forbids gets ``ATTN_MASK_BIAS``; the scores live in one buffer updated in place."""
+    attn = np.matmul(q4, np.swapaxes(k4, -1, -2))
+    np.multiply(attn, scale, out=attn)
+    np.add(attn, np.where(allowed, 0.0, ATTN_MASK_BIAS).astype(attn.dtype), out=attn)
+    np.subtract(attn, attn.max(axis=-1, keepdims=True), out=attn)
+    np.exp(attn, out=attn)
+    np.divide(attn, attn.sum(axis=-1, keepdims=True), out=attn)
+    return attn
+
+
+def _attend_in_blocks(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
+                      allowed: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """No-grad attention over blocks of whole sequences; returns ``[B, Tq, heads, dh]``.
+
+    Each block's scores fit ``_SCORE_BLOCK_BYTES`` (or hold one sequence) and
+    cover only the key columns that some query in the block may attend to.
+    With a key-only mask and ``Tq == Tk`` (self-attention), query rows at or
+    past the block's last live key are padding: they are skipped and come out
+    zero. A block with a query that may attend to no key keeps every column
+    and row, as the one-buffer path does.
+    """
+    bsz, heads, tq, dh = q4.shape
+    tk = k4.shape[2]
+    allowed = allowed.reshape((1,) * (4 - allowed.ndim) + allowed.shape)
+    pad_rows = allowed.shape[2] == 1 and tq == tk
+    step = max(1, _SCORE_BLOCK_BYTES // (heads * tq * tk * q4.itemsize))
+    out = np.zeros((bsz, tq, heads, dh), dtype=np.result_type(q4, k4, v4))
+    for b0 in range(0, bsz, step):
+        blk = slice(b0, b0 + step)
+        m = allowed[blk] if allowed.shape[0] > 1 else allowed
+        rows = keys = slice(None)
+        if m.any(axis=-1).all():
+            live = np.flatnonzero(m.any(axis=(0, 1, 2)))
+            hi = int(live[-1]) + 1
+            keys = slice(int(live[0]), hi) if hi - live[0] == live.size else live
+            if pad_rows:
+                rows = slice(0, hi)
+        attn = _attention_weights(q4[blk, :, rows], k4[blk, :, keys], m[..., keys], scale)
+        out[blk, rows] = np.swapaxes(np.matmul(attn, v4[blk, :, keys]), 1, 2)
+        del attn  # before the next block's scores are allocated
+    return out
+
+
+def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
               rng: np.random.Generator | None, train: bool) -> Tensor:
     """Multi-head scaled dot-product attention from projected inputs.
 
-    ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. One graph
-    node for the whole block: split into heads, scores scaled by 1/sqrt(head
-    dim), plus the additive ``bias`` (broadcastable to ``[B, heads, Tq,
-    Tk]``), softmax over keys, inverted dropout with rate ``p`` in train
-    mode, the weighted sum of values and the merge back to ``[B, Tq, H]``.
-    The scores live in one buffer updated in place. Forward and backward
-    repeat the arithmetic of the same chain written as separate ops, so
-    values and gradients are the same bit for bit.
+    ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. ``allowed``
+    is boolean and broadcastable to ``[B, 1, Tq, Tk]``: True where a query
+    may attend to a key. One graph node for the whole block: split into
+    heads, scores scaled by 1/sqrt(head dim), ``ATTN_MASK_BIAS`` added at
+    forbidden keys, softmax over keys, inverted dropout with rate ``p`` in
+    train mode, the weighted sum of values and the merge back to ``[B, Tq,
+    H]``. Forward and backward repeat the arithmetic of the same chain
+    written as separate ops, so values and gradients are the same bit for bit.
+
+    When no graph is recorded and no dropout is drawn, a batch whose scores
+    exceed ``_SCORE_BLOCK_BYTES`` runs in blocks of whole sequences (see
+    ``_attend_in_blocks``): live keys match the one-buffer result to rounding
+    (exactly where no block drops a key column), and in self-attention the
+    padded query rows past a block's last live key are zero.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     bsz, tq, hid = q.data.shape
@@ -501,15 +557,17 @@ def attention(q, k, v, bias: np.ndarray, heads: int, p: float,
     q4 = np.swapaxes(q.data.reshape(bsz, tq, heads, dh), 1, 2)
     k4, v4 = (np.swapaxes(t.data.reshape(bsz, tk, heads, dh), 1, 2) for t in (k, v))
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
+    allowed = np.asarray(allowed, dtype=bool)
 
-    attn = np.matmul(q4, np.swapaxes(k4, 2, 3))  # [B, heads, Tq, Tk]
-    np.multiply(attn, scale, out=attn)
-    np.add(attn, np.asarray(bias, dtype=attn.dtype), out=attn)
-    np.subtract(attn, attn.max(axis=-1, keepdims=True), out=attn)
-    np.exp(attn, out=attn)
-    np.divide(attn, attn.sum(axis=-1, keepdims=True), out=attn)
+    track = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    dropping = train and p > 0.0
+    if (not track and not dropping
+            and bsz * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
+        return Tensor(_attend_in_blocks(q4, k4, v4, allowed, scale).reshape(bsz, tq, hid))
+
+    attn = _attention_weights(q4, k4, allowed, scale)  # [B, heads, Tq, Tk]
     dropped, mask = attn, None
-    if train and p > 0.0:
+    if dropping:
         if rng is None:
             raise ValueError("dropout in train mode needs an RNG")
         keep = rng.random(attn.shape) >= p

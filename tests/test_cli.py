@@ -7,8 +7,9 @@ import pytest
 from propspan import pipeline as pl
 from propspan.checkpoint import MAGIC, save_checkpoint
 from propspan.cli import main
-from propspan.datasets import read_spans_tsv, read_techniques
+from propspan.datasets import read_articles, read_spans_tsv, read_techniques, write_spans_tsv
 from propspan.metrics import micro_f1
+from propspan.tokens import Span, span_token_range, tokenize
 
 
 def run(argv):
@@ -547,3 +548,46 @@ def test_score_tc_writes_outcomes_tsv(synth_dir, tmp_path):
     lines = (out / "outcomes.tsv").read_text().splitlines()
     assert lines[0].startswith("technique\t")
     assert lines[-1].startswith("Overall\t")
+
+
+def test_tc_commands_count_truncated_and_skipped_spans(synth_dir, tmp_path, capsys):
+    # a span over a whole article outgrows a 12-token window; one over a space covers no token
+    techniques = read_techniques(synth_dir / "techniques.txt")
+    articles = read_articles(synth_dir / "train" / "articles")
+    aid, text = sorted(articles.items())[0]
+    gap = text.index(" ")
+    spans = read_spans_tsv(synth_dir / "train" / "labels-tc.tsv", "tc", techniques)
+    spans += [Span(aid, 0, len(text), 0), Span(aid, gap, gap + 1, 1)]
+    labels = tmp_path / "labels-tc.tsv"
+    write_spans_tsv(labels, spans, techniques)
+    budget = 12 - pl.MARKER_OVERHEAD
+    tokenized = {a: tokenize(t) for a, t in articles.items()}
+    ranges = [span_token_range(tokenized[sp.article_id], sp) for sp in spans[:-1]]
+    truncated = sum(stop - first > budget for first, stop in ranges)
+    assert truncated >= 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "hp.max_seq_len": 12, "hp.steps": 2}))
+    common = ["--articles", str(synth_dir / "train" / "articles"), "--labels", str(labels),
+              "--dev-articles", str(synth_dir / "dev" / "articles"),
+              "--dev-labels", str(synth_dir / "dev" / "labels-tc.tsv"),
+              "--techniques", str(synth_dir / "techniques.txt"), "--config", str(cfg)]
+    assert run(["train-tc", "--seed", "1", *common, "--out", str(tmp_path / "tc")]) == 0
+    assert run(["cv", "--seed", "1", "--k", "2", *common, "--out", str(tmp_path / "cv")]) == 0
+    counts = {"truncated_spans": truncated, "skipped_spans": 1}
+    for name in ("tc", "cv"):
+        record = json.loads((tmp_path / name / "runs.jsonl").read_text())
+        assert record["meta"]["tc_items"]["train"] == counts
+        assert record["meta"]["tc_items"]["dev"]["skipped_spans"] == 0
+    capsys.readouterr()
+    si_labels = tmp_path / "labels-si.tsv"
+    write_spans_tsv(si_labels, spans)
+    out = tmp_path / "annotate"
+    assert run(["annotate", "--task", "tc", "--model", str(tmp_path / "tc" / "model-tc.spfg"),
+                "--pool", str(synth_dir / "train" / "articles"), "--labels", str(si_labels),
+                "--out", str(out)]) == 0
+    assert (f"classified {len(spans) - 1} spans -> {out / 'silver-tc.tsv'} "
+            f"({truncated} truncated to {budget} tokens, 1 skipped for covering no token)"
+            in capsys.readouterr().out)
+    record = json.loads((out / "runs.jsonl").read_text())
+    assert record["meta"]["tc_items"]["pool"] == counts
+    assert len(read_spans_tsv(out / "silver-tc.tsv", "tc", techniques)) == len(spans) - 1

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from propspan import tensor as T
-from propspan.encoder import (ATTN_MASK_BIAS, Encoder, EncoderConfig, LinearHead,
-                              SpanClsConfig, SpanClsHead, TransformerStack,
-                              key_padding_allowed)
-from propspan.tensor import Tensor, grad_check
+from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
+                              SpanClsHead, TransformerStack, key_padding_allowed)
+from propspan.tensor import ATTN_MASK_BIAS, Tensor, grad_check
 
 
 def small_config(vocab=50, **kw):
@@ -79,10 +80,11 @@ class TestEncode:
         assert a.tobytes() == b.tobytes()
 
 
-def chain_attention(q, k, v, bias, heads, p, rng, train):
+def chain_attention(q, k, v, allowed, heads, p, rng, train):
     """The attention block as a chain of autograd ops: the fused op's oracle."""
     bsz, tq, hid = q.shape
     dh = hid // heads
+    bias = np.where(allowed, 0.0, ATTN_MASK_BIAS).astype(q.dtype)
 
     def split(t):
         return T.swapaxes(T.reshape(t, (bsz, t.shape[1], heads, dh)), 1, 2)  # [B, heads, T, dh]
@@ -95,9 +97,8 @@ def chain_attention(q, k, v, bias, heads, p, rng, train):
     return T.reshape(T.swapaxes(ctx, 1, 2), (bsz, tq, hid))
 
 
-def _padded_bias(lengths, seq, dtype):
-    mask = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
-    return np.where(key_padding_allowed(mask), 0.0, ATTN_MASK_BIAS).astype(dtype)
+def _padded_allowed(lengths, seq):
+    return key_padding_allowed(np.arange(seq)[None, :] < np.asarray(lengths)[:, None])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -109,16 +110,16 @@ def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind, tq):
     rng = np.random.default_rng(21)
     bsz, seq, hid, heads = 3, 6, 12, 4  # head dim 3: the scale 1/sqrt(3) is inexact
     if mask_kind == "padded_keys":
-        bias = _padded_bias([6, 4, 1], seq, dtype)
+        allowed = _padded_allowed([6, 4, 1], seq)
     else:  # the span head's mask: every key allowed
-        bias = np.zeros((1, 1, 1, seq), dtype=dtype)
+        allowed = np.ones((1, 1, 1, seq), dtype=bool)
     data = [rng.normal(size=(bsz, t, hid)).astype(dtype) for t in (tq, seq, seq)]
     seed_grad = rng.normal(size=(bsz, tq, hid)).astype(dtype)
     results, next_draws = [], []
     for op in (T.attention, chain_attention):
         ins = [Tensor(d.copy(), requires_grad=True) for d in data]
         drop_rng = np.random.default_rng(9)
-        out = op(*ins, bias, heads, 0.25, drop_rng, train)
+        out = op(*ins, allowed, heads, 0.25, drop_rng, train)
         out.backward(seed_grad)
         results.append([out.data] + [t.grad for t in ins])
         next_draws.append(drop_rng.random())
@@ -131,7 +132,7 @@ def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind, tq):
 def test_fused_attention_is_one_graph_node():
     rng = np.random.default_rng(22)
     q, k, v = (Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True) for _ in range(3))
-    out = T.attention(q, k, v, _padded_bias([4, 2], 4, np.float64), 2, 0.1,
+    out = T.attention(q, k, v, _padded_allowed([4, 2], 4), 2, 0.1,
                       np.random.default_rng(0), True)
     assert out._parents == (q, k, v)
 
@@ -142,11 +143,11 @@ def test_masked_attention_weights_are_zero():
     bsz, seq, hid, heads = 2, 5, 8, 2
     lengths = np.array([5, 3])
     keys_masked = np.arange(seq)[None, :] >= lengths[:, None]
-    bias = _padded_bias(lengths, seq, np.float32)
+    allowed = _padded_allowed(lengths, seq)
     q, k, v = (rng.normal(size=(bsz, seq, hid)).astype(np.float32) for _ in range(3))
 
     def attend(k_rows, v_rows):
-        return T.attention(Tensor(q), Tensor(k_rows), Tensor(v_rows), bias, heads,
+        return T.attention(Tensor(q), Tensor(k_rows), Tensor(v_rows), allowed, heads,
                            0.0, None, False).numpy()
 
     base = attend(k, v)
@@ -157,6 +158,106 @@ def test_masked_attention_weights_are_zero():
     v3 = v.copy()
     v3[1, 0] += 1.0  # a key that may be attended does change the output
     assert not np.array_equal(attend(k, v3)[1], base[1])
+
+
+class TestBlockedAttention:
+    """No-grad attention over blocks of whole sequences against the one-buffer
+    grad path. Shapes are small, so the tests shrink ``_SCORE_BLOCK_BYTES`` to
+    hold ``per_block`` sequences."""
+
+    bsz, seq, hid, heads = 7, 9, 12, 4  # head dim 3: the scale is inexact
+
+    def blocked_and_full(self, monkeypatch, allowed, per_block, tq=None, dtype=np.float64):
+        rng = np.random.default_rng(40)
+        tq = self.seq if tq is None else tq
+        data = [rng.normal(size=(self.bsz, t, self.hid)).astype(dtype)
+                for t in (tq, self.seq, self.seq)]
+        full = T.attention(*(Tensor(d, requires_grad=True) for d in data), allowed,
+                           self.heads, 0.0, None, False).numpy()
+        per_seq = self.heads * tq * self.seq * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", per_block * per_seq)
+        with T.no_grad():
+            blocked = T.attention(*(Tensor(d, requires_grad=True) for d in data), allowed,
+                                  self.heads, 0.0, None, False).numpy()
+        assert blocked.dtype == full.dtype == dtype
+        return blocked, full
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_padded_batch_matches_grad_path(self, monkeypatch, per_block):
+        lengths = np.array([9, 4, 1, 6, 2, 5, 3])
+        blocked, full = self.blocked_and_full(
+            monkeypatch, _padded_allowed(lengths, self.seq), per_block)
+        real = np.arange(self.seq)[None, :] < lengths[:, None]
+        np.testing.assert_allclose(blocked[real], full[real], rtol=0, atol=1e-12)
+        if per_block == 1:  # every padded query row is past its block's last live key
+            assert not blocked[~real].any()
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_sequence_with_no_real_key(self, monkeypatch, per_block):
+        lengths = np.array([5, 0, 9, 2, 7, 3, 1])
+        blocked, full = self.blocked_and_full(
+            monkeypatch, _padded_allowed(lengths, self.seq), per_block)
+        np.testing.assert_allclose(blocked[1], full[1], rtol=0, atol=1e-12)  # every row
+        real = np.arange(self.seq)[None, :] < lengths[:, None]
+        np.testing.assert_allclose(blocked[real], full[real], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_per_query_masks_match_grad_path(self, monkeypatch, per_block):
+        rng = np.random.default_rng(41)
+        allowed = rng.random((self.bsz, 1, self.seq, self.seq)) < 0.4
+        allowed[..., 0] = True  # every query may attend somewhere
+        allowed[2, ..., 3:] = False  # one element whose keys end early
+        allowed[4] = False  # the span head's equivalent mask: [BOS] and a span
+        allowed[4, ..., 0] = allowed[4, ..., 3:6] = True
+        blocked, full = self.blocked_and_full(monkeypatch, allowed, per_block)
+        np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tq", [8, 3, 1])
+    def test_row_restricted_queries_match_grad_path(self, monkeypatch, tq):
+        lengths = np.array([9, 4, 1, 6, 2, 5, 3])
+        blocked, full = self.blocked_and_full(
+            monkeypatch, _padded_allowed(lengths, self.seq), 2, tq=tq)
+        np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_bit_identical_where_no_key_is_trimmed(self, monkeypatch, per_block, dtype):
+        # every block holds a full-length element, so no block drops a key or a row
+        lengths = {1: np.full(7, 9), 2: np.array([9, 4, 9, 9, 2, 9, 9]),
+                   3: np.array([2, 9, 4, 9, 1, 3, 9])}[per_block]
+        blocked, full = self.blocked_and_full(
+            monkeypatch, _padded_allowed(lengths, self.seq), per_block, dtype=dtype)
+        assert blocked.tobytes() == full.tobytes()
+
+    def test_batch_in_one_block_keeps_the_one_buffer_arithmetic(self):
+        lengths = np.array([9, 4, 1, 6, 2, 5, 3])
+        rng = np.random.default_rng(42)
+        data = [rng.normal(size=(self.bsz, self.seq, self.hid)) for _ in range(3)]
+        allowed = _padded_allowed(lengths, self.seq)
+        full = T.attention(*(Tensor(d, requires_grad=True) for d in data), allowed,
+                           self.heads, 0.0, None, False).numpy()
+        with T.no_grad():
+            out = T.attention(*(Tensor(d) for d in data), allowed,
+                              self.heads, 0.0, None, False).numpy()
+        assert out.tobytes() == full.tobytes()  # padded rows included
+
+    def test_peak_memory_of_a_no_grad_call(self):
+        bsz, seq, hid, heads = 32, 256, 64, 4
+        rng = np.random.default_rng(43)
+        q, k, v = (Tensor(rng.normal(size=(bsz, seq, hid)).astype(np.float32))
+                   for _ in range(3))
+        allowed = _padded_allowed(rng.integers(200, seq + 1, bsz), seq)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.no_grad():
+                out = T.attention(q, k, v, allowed, heads, 0.0, None, False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (bsz, seq, hid)
+        # one batch-sized float32 score buffer alone would take 32 MiB
+        assert peak < 8 * 2 ** 20
 
 
 def _stack64(layers=2, hidden=16, heads=2, intermediate=32, seed=0):

@@ -3,7 +3,7 @@ import pytest
 
 from propspan.encoder import EncoderConfig
 from propspan.models import SiTagger
-from propspan.optim import Optimizer
+from propspan.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Optimizer
 from propspan.tensor import Tensor
 from propspan.tokens import Vocab
 
@@ -116,3 +116,47 @@ def test_step_keeps_parameter_dtype(kind, dtype):
     arrays += [a for slot in opt.slots.values() for a in slot.values()]
     assert len(opt.slots) == len(model.params())
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+
+def allocating_steps(params: dict, grads: list[dict], kind, lr, momentum, weight_decay):
+    """The update written with fresh arrays, as ``Optimizer.step`` once was: its oracle."""
+    slots = {name: {"m": np.zeros_like(p), "v": np.zeros_like(p)} for name, p in params.items()}
+    for t, step_grads in enumerate(grads, start=1):
+        bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        for name, g in step_grads.items():
+            p, slot = params[name], slots[name]
+            if kind == "sgd":
+                v = slot["v"] = momentum * slot["v"] + g
+                p -= (lr * v).astype(p.dtype, copy=False)
+                continue
+            m = slot["m"] = ADAM_BETA1 * slot["m"] + (1.0 - ADAM_BETA1) * g
+            v = slot["v"] = ADAM_BETA2 * slot["v"] + (1.0 - ADAM_BETA2) * (g * g)
+            step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p -= (lr * weight_decay * p).astype(p.dtype, copy=False)
+            p -= (lr * step).astype(p.dtype, copy=False)
+    return slots
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind,momentum,weight_decay", [("sgd", 0.9, 0.0), ("adamw", 0.0, 0.01)])
+def test_in_place_step_bit_identical_to_allocating_update(kind, momentum, weight_decay, dtype):
+    rng = np.random.default_rng(5)
+    shapes = {"w": (7, 5), "b": (5,), "e": (11, 3)}
+    start = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+    grads = [{n: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), size=s).astype(dtype)
+              for n, s in shapes.items()} for _ in range(30)]
+    grads[3].pop("b")  # a step without a gradient for one parameter
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    opt = Optimizer(params, kind, lr=0.003, momentum=momentum, weight_decay=weight_decay)
+    for step_grads in grads:
+        opt.zero_grad()
+        for n, g in step_grads.items():
+            params[n].grad = g.copy()
+        opt.step()
+    expected = {n: a.copy() for n, a in start.items()}
+    slots = allocating_steps(expected, grads, kind, 0.003, momentum, weight_decay)
+    for n in shapes:
+        assert params[n].data.dtype == np.dtype(dtype)
+        assert params[n].data.tobytes() == expected[n].tobytes()
+        for key, arr in opt.slots[n].items():
+            assert arr.tobytes() == slots[n][key].tobytes()

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,13 @@ from propspan.encoder import EncoderConfig, SpanClsConfig
 from propspan.metrics import micro_f1
 from propspan.models import TcClassifier
 from propspan.pipeline import (EvalPoint, HyperParams, TcOptions, _fit, annotate_si,
-                               build_si_windows, build_tc_items, build_tc_silver,
-                               cross_validate, derive_seed, desk_encoder_config,
-                               ensemble_predict, enumerate_ensembles, kfold_split,
-                               mean_probs, member_probs, mix_with_silver,
-                               partition_pool, predict_tc_probs, self_train_overwrite,
-                               self_train_si, subset_scores, train_si, train_tc)
+                               blas_threads, build_si_windows, build_tc_items,
+                               build_tc_silver, cross_validate, derive_seed,
+                               desk_encoder_config, ensemble_predict, enumerate_ensembles,
+                               kfold_split, mean_probs, member_probs, mix_with_silver,
+                               partition_pool, predict_tc_probs, run_record,
+                               self_train_overwrite, self_train_si, subset_scores,
+                               train_si, train_tc)
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor
 from propspan.tokens import Span, Vocab
@@ -326,6 +328,21 @@ class TestTcItems:
             assert span_text == corpus.train.articles[it.article_id][
                 it.char_span.start:it.char_span.end].replace("\n", " ")
 
+    def test_long_spans_truncated_and_tokenless_spans_skipped(self):
+        text = "one two three four five six seven eight nine ten  eleven"
+        spans = [Span("a", 0, len(text), 0),  # 11 tokens
+                 Span("a", 4, 13, 1),  # "two three": 2 tokens
+                 Span("a", 48, 50, 0),  # two spaces: no token
+                 Span("a", 8, 23, 1)]  # "three four five": exactly the budget
+        data = SpanDataset(articles={"a": text}, spans=spans)
+        items = build_tc_items(data, max_seq_len=3 + 4)
+        assert [it.char_span for it in items] == [spans[0], spans[1], spans[3]]
+        assert [it.truncated for it in items] == [True, False, False]
+        assert items[0].window_tokens == ["one", "two", "three"]
+        assert (items[0].span_start, items[0].span_end) == (0, 3)
+        assert items[1].window_tokens[items[1].span_start:items[1].span_end] == ["two", "three"]
+        assert all(len(it.window_tokens) == 3 for it in items)
+
     def test_unknown_label_rejected_at_training(self):
         corpus = tiny_corpus()
         items = build_tc_items(corpus.train, 32)
@@ -572,3 +589,15 @@ def test_tc_self_train_applies_overwrite_profile_by_default():
     assert res.meta["dropout"] == 0.0
     assert res.meta["attention_dropout"] == 0.0
     assert res.meta["batch_size"] == 16
+
+
+def test_blas_threads_reports_the_effective_count():
+    # CI runs this with OPENBLAS_NUM_THREADS=1 and again with it unset
+    n = blas_threads()
+    if n is None:  # numpy 1 wheels may bundle an OpenBLAS without a known getter
+        assert np.lib.NumpyVersion(np.__version__) < "2.0.0"
+    elif os.environ.get("OPENBLAS_NUM_THREADS"):
+        assert n == int(os.environ["OPENBLAS_NUM_THREADS"])
+    else:
+        assert isinstance(n, int) and n >= 1
+    assert run_record("x", {}, 0, None)["blas_threads"] == n
