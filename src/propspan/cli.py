@@ -11,6 +11,7 @@ echoes its effective configuration into the out-dir's runs.jsonl.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -218,6 +219,12 @@ def _effective(args, hp: pl.HyperParams | None = None, enc: EncoderConfig | None
     return config
 
 
+def _content_hash(path: str) -> str:
+    """SHA-256 of a checkpoint's bytes: a manifest hashes the model a run read,
+    not the path it was read from."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +351,7 @@ def cmd_self_train(args) -> int:
 
 def cmd_annotate(args) -> int:
     out = _out_dir(args)
-    meta = None
+    meta = {"model": args.model}
     if args.task == "si":
         model = SiTagger.load(args.model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
@@ -366,8 +373,8 @@ def cmd_annotate(args) -> int:
         print(f"classified {len(labeled)} spans -> {path} ({counts['truncated_spans']} "
               f"truncated to {model.config.max_positions - pl.MARKER_OVERHEAD} tokens, "
               f"{counts['skipped_spans']} skipped for covering no token)")
-        meta = {"tc_items": {"pool": counts}}
-    config = _effective(args, model=args.model, task=args.task)
+        meta["tc_items"] = {"pool": counts}
+    config = _effective(args, model=_content_hash(args.model), task=args.task)
     pl.append_manifest(out, pl.run_record("annotate", config, -1, None, meta=meta))
     return 0
 
@@ -400,9 +407,11 @@ def cmd_ensemble(args) -> int:
                                            encoding="utf-8")
         print(f"enumerated {len(results)} subsets -> {out / 'ensembles.tsv'}")
 
-    config = _effective(args, models=paths, enumerate=args.enumerate_all)
+    config = _effective(args, models=[_content_hash(p) for p in paths],
+                        enumerate=args.enumerate_all)
     pl.append_manifest(out, pl.run_record("ensemble", config, -1, None,
-                                          meta={"tc_items": {"eval": counts}}))
+                                          meta={"models": paths,
+                                                "tc_items": {"eval": counts}}))
     return 0
 
 

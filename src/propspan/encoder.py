@@ -68,12 +68,19 @@ def _init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.normal(0.0, INIT_STD, shape).astype(dtype)
 
 
+def _weight(rng: np.random.Generator | None, shape, dtype) -> Tensor:
+    """A trainable weight drawn by ``_init``; without an rng, zeros that a
+    checkpoint load overwrites, with no random draw."""
+    data = np.zeros(shape, dtype=dtype) if rng is None else _init(rng, shape, dtype)
+    return Tensor(data, requires_grad=True)
+
+
 class TransformerStack:
     """Pre-norm residual blocks with GELU MLPs; no embeddings of its own."""
 
     def __init__(self, prefix: str, hidden: int, layers: int, heads: int,
                  intermediate: int, dropout: float, attention_dropout: float,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator | None, dtype=np.float32):
         self.hidden = hidden
         self.layers = layers
         self.heads = heads
@@ -84,13 +91,13 @@ class TransformerStack:
         for i in range(layers):
             base = f"{prefix}.layer{i}"
             for nm in ("wq", "wk", "wv", "wo"):
-                p[f"{base}.{nm}"] = Tensor(_init(rng, (hidden, hidden), dtype), requires_grad=True)
+                p[f"{base}.{nm}"] = _weight(rng, (hidden, hidden), dtype)
                 p[f"{base}.{nm}_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
             p[f"{base}.ln1_g"] = Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
             p[f"{base}.ln1_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            p[f"{base}.w1"] = Tensor(_init(rng, (hidden, intermediate), dtype), requires_grad=True)
+            p[f"{base}.w1"] = _weight(rng, (hidden, intermediate), dtype)
             p[f"{base}.w1_b"] = Tensor(np.zeros(intermediate, dtype=dtype), requires_grad=True)
-            p[f"{base}.w2"] = Tensor(_init(rng, (intermediate, hidden), dtype), requires_grad=True)
+            p[f"{base}.w2"] = _weight(rng, (intermediate, hidden), dtype)
             p[f"{base}.w2_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
             p[f"{base}.ln2_g"] = Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
             p[f"{base}.ln2_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
@@ -146,15 +153,15 @@ def key_padding_allowed(mask: np.ndarray) -> np.ndarray:
 class Encoder:
     """Token + position embeddings through a TransformerStack."""
 
-    def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: EncoderConfig, seed: int | None = 0, dtype=np.float32):
+        """``seed=None`` draws nothing: the weights ``_init`` would draw start
+        as zeros, for a checkpoint load to overwrite."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.dtype = dtype
         self.params: dict[str, Tensor] = {
-            "emb.tok": Tensor(_init(rng, (config.vocab_size, config.hidden_size), dtype),
-                              requires_grad=True),
-            "emb.pos": Tensor(_init(rng, (config.max_positions, config.hidden_size), dtype),
-                              requires_grad=True),
+            "emb.tok": _weight(rng, (config.vocab_size, config.hidden_size), dtype),
+            "emb.pos": _weight(rng, (config.max_positions, config.hidden_size), dtype),
         }
         self.stack = TransformerStack(
             "enc", config.hidden_size, config.layers, config.heads,
@@ -184,9 +191,9 @@ class Encoder:
 class LinearHead:
     """One projection of the last axis, owning ``<prefix>.w`` and ``<prefix>.b``."""
 
-    def __init__(self, prefix: str, hidden: int, n_out: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.w = Tensor(_init(rng, (hidden, n_out), dtype), requires_grad=True)
+    def __init__(self, prefix: str, hidden: int, n_out: int,
+                 rng: np.random.Generator | None, dtype=np.float32):
+        self.w = _weight(rng, (hidden, n_out), dtype)
         self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
         self.params = {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
@@ -211,7 +218,7 @@ class SpanClsHead:
     """
 
     def __init__(self, hidden: int, n_classes: int, cfg: SpanClsConfig,
-                 rng: np.random.Generator, dropout: float = 0.1,
+                 rng: np.random.Generator | None, dropout: float = 0.1,
                  attention_dropout: float = 0.1, dtype=np.float32):
         if hidden % cfg.heads != 0:
             raise ValueError("host hidden size must be divisible by span-cls heads")
@@ -220,7 +227,7 @@ class SpanClsHead:
                                       cfg.intermediate_size, dropout,
                                       attention_dropout, rng, dtype)
         self.params = dict(self.stack.params)
-        self.params["span.bos"] = Tensor(_init(rng, (1, hidden), dtype), requires_grad=True)
+        self.params["span.bos"] = _weight(rng, (1, hidden), dtype)
         self.out = LinearHead("span", hidden, n_classes, rng, dtype)
         self.params.update(self.out.params)
 

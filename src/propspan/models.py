@@ -24,7 +24,7 @@ class SiTagger:
     """Encoder + per-token emissions, decoded through a CRF or plain argmax."""
 
     def __init__(self, config: EncoderConfig, vocab: Vocab, use_crf: bool = True,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int | None = 0, dtype=np.float32):
         if config.vocab_size != len(vocab):
             raise ValueError("encoder vocab_size must match the vocabulary")
         self.config = config
@@ -32,7 +32,7 @@ class SiTagger:
         self.use_crf = use_crf
         self.dtype = dtype
         self.encoder = Encoder(config, seed=seed, dtype=dtype)
-        rng = np.random.default_rng([seed, 1])
+        rng = None if seed is None else np.random.default_rng([seed, 1])
         self.emission_head = LinearHead("emit", config.hidden_size, N_TAGS, rng, dtype)
         self.crf = crf_mod.CrfParams.create(N_TAGS, rng=rng, dtype=dtype)
         self.constraint = crf_mod.ConstraintMask.bio()
@@ -100,7 +100,7 @@ class SiTagger:
             raise ValueError(f"{path} is not a sequence-tagger checkpoint")
         vocab = Vocab(config["vocab"])
         model = cls(EncoderConfig(**config["encoder"]), vocab,
-                    use_crf=config["use_crf"], dtype=dtype)
+                    use_crf=config["use_crf"], seed=None, dtype=dtype)
         _assign(model.params(), tensors, dtype)
         return model
 
@@ -110,7 +110,7 @@ class TcClassifier:
 
     def __init__(self, config: EncoderConfig, vocab: Vocab, labels: list[str],
                  head_kind: str = "marker", span_cfg: SpanClsConfig | None = None,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int | None = 0, dtype=np.float32):
         if config.vocab_size != len(vocab):
             raise ValueError("encoder vocab_size must match the vocabulary")
         if head_kind not in ("marker", "span_cls"):
@@ -122,7 +122,7 @@ class TcClassifier:
         self.span_cfg = span_cfg or SpanClsConfig()
         self.dtype = dtype
         self.encoder = Encoder(config, seed=seed, dtype=dtype)
-        rng = np.random.default_rng([seed, 2])
+        rng = None if seed is None else np.random.default_rng([seed, 2])
         if head_kind == "marker":
             self.head = LinearHead("cls", config.hidden_size, len(labels), rng, dtype)
         else:
@@ -169,7 +169,7 @@ class TcClassifier:
         vocab = Vocab(config["vocab"])
         model = cls(EncoderConfig(**config["encoder"]), vocab, config["labels"],
                     head_kind=config["head"], span_cfg=SpanClsConfig(**config["span_cls"]),
-                    dtype=dtype)
+                    seed=None, dtype=dtype)
         _assign(model.params(), tensors, dtype)
         return model
 

@@ -5,9 +5,10 @@ span classification with AdamW on BCE), naive self-training for both,
 probability-averaging ensembles with full subset enumeration, and k-fold
 splits over train+dev unions. A JSON line per run is appended to
 ``runs.jsonl`` for downstream ablation tooling. Independent work (the folds
-of a cross-validation, the batches of a classification pass) goes through
-``parallel_map``, which spreads it over forked processes on the CPUs this
-process may use.
+of a cross-validation, the batches of a tagging or classification pass) goes
+through ``parallel_map``, which spreads it over forked processes on the CPUs
+this process may use. A training loop never forks: its dev evaluations run
+serially.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import pickle
 import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -120,7 +122,7 @@ def derive_seed(seed: int, k: int) -> int:
 
 # -- parallel map ---------------------------------------------------------------------
 
-_in_map = False  # true while a parallel_map runs here, and in its workers
+_in_map = False  # true while a parallel_map runs here, in its workers and in _serial
 
 
 def _usable_cpus() -> int:
@@ -128,6 +130,17 @@ def _usable_cpus() -> int:
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _serial():
+    """Every ``parallel_map`` called inside the block runs serially."""
+    global _in_map
+    outer, _in_map = _in_map, True
+    try:
+        yield
+    finally:
+        _in_map = outer
 
 
 def _worker(fn, tasks: list, write_fd: int) -> None:
@@ -156,10 +169,11 @@ def parallel_map(fn, tasks) -> list:
 
     With n = min(len(tasks), usable CPUs), this process runs ``tasks[0::n]``
     and forked worker w runs ``tasks[w::n]``. The map runs serially when n < 2,
-    inside another ``parallel_map`` (in either process) and where there is no
-    fork or CPU affinity. A worker's exception is re-raised here with its
-    type; a worker that dies without a result raises ``RuntimeError``. No
-    worker outlives the call.
+    where there is no fork or CPU affinity, inside another ``parallel_map``
+    (in either process) and inside ``_serial``, which keeps the training loop
+    (``_fit``) from forking at its dev evaluations. A worker's exception is
+    re-raised here with its type; a worker that dies without a result raises
+    ``RuntimeError``. No worker outlives the call.
     """
     global _in_map
     tasks = list(tasks)
@@ -324,17 +338,21 @@ class TrainResult:
 
 def predict_spans(model: SiTagger, tokenized: dict[str, TokenizedText],
                   max_len: int, batch_size: int = 16) -> list[Span]:
-    """Viterbi/argmax spans for every article, in absolute character offsets."""
+    """Viterbi/argmax spans for every article, in absolute character offsets;
+    batches are decoded through ``parallel_map``."""
     data = SpanDataset(articles={aid: tt.text for aid, tt in tokenized.items()},
                        spans=[], tokenized=dict(tokenized))
     windows = build_si_windows(data, max_len)
+
+    def batch_paths(start: int) -> list[list[int]]:
+        ids, mask, _, lengths = _pad_si_batch(windows[start:start + batch_size], model.vocab)
+        return model.decode(ids, mask, lengths)
+
     spans: list[Span] = []
-    for i in range(0, len(windows), batch_size):
-        chunk = windows[i:i + batch_size]
-        ids, mask, _, lengths = _pad_si_batch(chunk, model.vocab)
-        for win, path in zip(chunk, model.decode(ids, mask, lengths)):
-            tt = TokenizedText(text=data.articles[win.article_id], tokens=win.tokens)
-            spans.extend(tags_to_spans(tt, path, win.article_id))
+    paths = parallel_map(batch_paths, range(0, len(windows), batch_size))
+    for win, path in zip(windows, (p for batch in paths for p in batch)):
+        tt = TokenizedText(text=data.articles[win.article_id], tokens=win.tokens)
+        spans.extend(tags_to_spans(tt, path, win.article_id))
     return spans
 
 
@@ -354,6 +372,7 @@ def _model_config(encoder_cfg: EncoderConfig | None, vocab: Vocab,
                    attention_dropout=hp.attention_dropout)
 
 
+@_serial()
 def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
          data_rng: np.random.Generator) -> tuple[list[EvalPoint], float, int]:
     """The training loop both tasks share; returns (trace, best score, best step).
@@ -362,7 +381,9 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
     model at a step. Each epoch walks a fresh permutation; evaluation runs
     every ``hp.eval_every`` steps and after the last, and the best evaluated
     parameters are restored at the end. A non-finite loss stops the run with a
-    ``RuntimeError`` before its backward pass.
+    ``RuntimeError`` before its backward pass. The loop never forks: forking
+    at each evaluation slowed training (likely through copy-on-write faults
+    after each fork), so the ``parallel_map`` calls inside run serially.
     """
     if n_items == 0:
         raise ValueError("no training items: the training data has no tokens or spans")

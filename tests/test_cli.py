@@ -539,6 +539,36 @@ def test_encoder_config_changes_config_hash(synth_dir, tmp_path):
     assert records[0]["config_hash"] != records[1]["config_hash"]
 
 
+def test_manifest_hashes_checkpoint_contents(synth_dir, si_model, tc_models, tmp_path):
+    """The same checkpoints in two directories give one config hash; other
+    checkpoints give another."""
+    tc_eval = ["--articles", str(synth_dir / "dev" / "articles"),
+               "--labels", str(synth_dir / "dev" / "labels-tc.tsv"),
+               "--techniques", str(synth_dir / "techniques.txt")]
+    hashes = {}
+    for where in ("a", "b"):
+        copies = []
+        for src in (si_model, *tc_models):
+            copies.append(tmp_path / where / src.parent.name / src.name)
+            copies[-1].parent.mkdir(parents=True)
+            copies[-1].write_bytes(src.read_bytes())
+        si, *tcs = copies
+        runs = {"annotate": ["annotate", "--task", "si", "--model", str(si),
+                             "--pool", str(synth_dir / "pool" / "articles")],
+                "ensemble": ["ensemble", "--models", ",".join(map(str, tcs)), *tc_eval],
+                "ensemble-0": ["ensemble", "--models", str(tcs[0]), *tc_eval],
+                "ensemble-1": ["ensemble", "--models", str(tcs[1]), *tc_eval]}
+        for name, argv in runs.items():
+            out = tmp_path / f"out-{where}-{name}"
+            assert run([*argv, "--out", str(out)]) == 0
+            record = json.loads((out / "runs.jsonl").read_text())
+            hashes[where, name] = record["config_hash"]
+        assert record["meta"]["models"] == [str(tcs[1])]  # the paths stay in the record
+    for name in runs:
+        assert hashes["a", name] == hashes["b", name]
+    assert hashes["a", "ensemble-0"] != hashes["a", "ensemble-1"]
+
+
 def test_score_tc_writes_outcomes_tsv(synth_dir, tmp_path):
     gold = synth_dir / "dev" / "labels-tc.tsv"
     out = tmp_path / "sc"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from propspan import encoder as encoder_mod
 from propspan import tensor as T
 from propspan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from propspan.encoder import EncoderConfig, SpanClsConfig
@@ -137,6 +138,28 @@ class TestSiTagger:
         model.save(tmp_path / "tc.spfg")
         with pytest.raises(ValueError):
             SiTagger.load(tmp_path / "tc.spfg")
+
+
+@pytest.mark.parametrize("kind", ["si", "marker", "span_cls"])
+def test_load_draws_no_initial_weights(tmp_path, vocab, monkeypatch, kind):
+    if kind == "si":
+        model, load = SiTagger(tiny_cfg(len(vocab)), vocab, seed=2), SiTagger.load
+    else:
+        model = TcClassifier(tiny_cfg(len(vocab)), vocab, ["A", "B"], head_kind=kind,
+                             span_cfg=SpanClsConfig(layers=1, heads=2, intermediate_size=16),
+                             seed=2)
+        load = TcClassifier.load
+    path = tmp_path / "m.spfg"
+    model.save(path)
+
+    def no_draw(*args):
+        raise AssertionError("a load drew initial weights")
+    monkeypatch.setattr(encoder_mod, "_init", no_draw)
+    loaded = load(path).params()
+    assert loaded.keys() == model.params().keys()
+    for name, p in model.params().items():
+        assert loaded[name].data.dtype == p.data.dtype
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
 
 
 class TestTcClassifier:

@@ -1,7 +1,8 @@
-"""The fork-based ``parallel_map`` and its two callers, ``cross_validate`` and
-``predict_tc_probs``: outputs are identical for every usable CPU count,
-results come back in task order even when workers finish first, errors keep
-their exit codes, and no worker outlives a call.
+"""The fork-based ``parallel_map`` and its callers, ``cross_validate``,
+``predict_tc_probs`` and ``predict_spans``: outputs are identical for every
+usable CPU count, results come back in task order even when workers finish
+first, errors keep their exit codes, no worker outlives a call, and training
+never forks.
 
 The CPU count is set by patching ``pipeline._usable_cpus``, or with
 ``os.sched_setaffinity`` in a subprocess. Several tests slow down the calling
@@ -25,8 +26,8 @@ import pytest
 
 from propspan import pipeline as pl
 from propspan.cli import main
-from propspan.datasets import load_dataset
-from propspan.models import TcClassifier
+from propspan.datasets import SpanDataset, load_dataset, read_articles
+from propspan.models import SiTagger, TcClassifier
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CALLER = os.getpid()  # the test process; forked workers have other pids
@@ -34,6 +35,7 @@ CALLER = os.getpid()  # the test process; forked workers have other pids
 TRAIN_CFG = {"hp.steps": 12, "hp.eval_every": 6, "hp.max_seq_len": 32,
              "encoder.hidden_size": 16, "encoder.layers": 1, "encoder.heads": 2,
              "encoder.intermediate_size": 24}
+SI_CFG = {**TRAIN_CFG, "hp.steps": 40}  # enough for the tagger to find spans
 
 
 @pytest.fixture(autouse=True)
@@ -56,13 +58,14 @@ def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     config = out / "synth.json"
     config.write_text(json.dumps({
-        "synth.n_train": 16, "synth.n_dev": 16, "synth.n_pool": 0,
+        "synth.n_train": 16, "synth.n_dev": 16, "synth.n_pool": 40,
         "synth.technique_count": 3, "synth.sentences_per_article": [2, 3],
         "synth.sentence_length": [5, 8], "synth.span_rate": 1.0}))
     assert main(["gen-synth", "--seed", "7", "--out", str(out / "data"),
                  "--config", str(config)]) == 0
     cfg = out / "train.json"
     cfg.write_text(json.dumps(TRAIN_CFG))
+    (out / "si.json").write_text(json.dumps(SI_CFG))
     return out / "data", cfg
 
 
@@ -75,6 +78,29 @@ def cv_argv(corpus, out: Path, k: int) -> list[str]:
             "--dev-labels", str(data / "dev" / "labels-tc.tsv"),
             "--techniques", str(data / "techniques.txt"),
             "--config", str(cfg), "--out", str(out)]
+
+
+def si_argv(corpus, command: str, out: Path) -> list[str]:
+    data, cfg = corpus
+    return [command, "--seed", "3",
+            "--articles", str(data / "train" / "articles"),
+            "--labels", str(data / "train" / "labels-si.tsv"),
+            "--dev-articles", str(data / "dev" / "articles"),
+            "--dev-labels", str(data / "dev" / "labels-si.tsv"),
+            "--config", str(cfg.parent / "si.json"), "--out", str(out)]
+
+
+def annotate_si_argv(corpus, model: Path, out: Path) -> list[str]:
+    data, _ = corpus
+    return ["annotate", "--task", "si", "--model", str(model),
+            "--pool", str(data / "pool" / "articles"), "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def si_model(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("si")
+    assert main(si_argv(corpus, "train-si", out)) == 0
+    return out / "model-si.spfg"
 
 
 def slow_in_caller(monkeypatch, name: str, seconds: float = 0.3) -> None:
@@ -199,19 +225,22 @@ def test_cv_outputs_identical_for_one_and_two_cpus(corpus, cpus, monkeypatch, tm
     assert outputs[1] == outputs[2]
 
 
-def test_cv_output_identical_under_cpu_affinity(corpus, tmp_path):
-    """The real CPU lookup: a subprocess restricted to one CPU against an
-    unrestricted one (serial too on a one-CPU machine)."""
+def test_cv_output_identical_under_cpu_affinity(corpus, si_model, tmp_path):
+    """The real CPU lookup: subprocesses restricted to one CPU against
+    unrestricted ones (serial too on a one-CPU machine), for ``cv`` and
+    ``annotate --task si``."""
     cpu = min(os.sched_getaffinity(0))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for name, preexec in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
-        proc = subprocess.run([sys.executable, "-m", "propspan.cli",
-                               *cv_argv(corpus, tmp_path / name, 3)],
-                              env=env, preexec_fn=preexec, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "one" / "cv.json").read_bytes() == (tmp_path / "all" / "cv.json").read_bytes()
+        for argv in (cv_argv(corpus, tmp_path / name, 3),
+                     annotate_si_argv(corpus, si_model, tmp_path / name / "annotate")):
+            proc = subprocess.run([sys.executable, "-m", "propspan.cli", *argv],
+                                  env=env, preexec_fn=preexec, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+    for output in ("cv.json", "annotate/silver-si.tsv"):
+        assert (tmp_path / "one" / output).read_bytes() == (tmp_path / "all" / output).read_bytes()
     # runs.jsonl names each process's OpenBLAS thread count, which an unpinned
     # OpenBLAS takes from the CPU affinity; every other byte is the same
     field = re.compile(r'"blas_threads":(\d+|null)')
@@ -296,7 +325,8 @@ def test_predict_tc_probs_bit_identical_to_serial_batches(tc_model_and_items, cp
 
 def test_train_tc_and_annotate_identical_for_one_and_two_cpus(corpus, cpus, monkeypatch,
                                                               tmp_path):
-    """Dev evaluation and ``annotate --task tc`` classify through ``parallel_map``."""
+    """``annotate --task tc`` classifies through ``parallel_map``; dev
+    evaluation inside ``train-tc`` stays serial."""
     data, cfg = corpus
     probs = TcClassifier.probs
 
@@ -328,3 +358,85 @@ def test_train_tc_and_annotate_identical_for_one_and_two_cpus(corpus, cpus, monk
                        data / "techniques.txt")
     assert len(dev.spans) > 32  # dev evaluation runs more than one batch
     assert outputs[1] == outputs[2]
+
+
+# -- predict_spans and training ---------------------------------------------------
+
+@pytest.mark.parametrize("batch", [4, 16])
+def test_predict_spans_bit_identical_for_one_two_and_three_cpus(corpus, si_model, cpus,
+                                                                monkeypatch, batch):
+    data, _ = corpus
+    model = SiTagger.load(si_model)
+    pool = SpanDataset(articles=read_articles(data / "pool" / "articles"), spans=[])
+    assert len(pl.build_si_windows(pool, 32)) > 2 * batch  # three batches or more
+    decode = model.decode
+
+    def slowed(*args):
+        if os.getpid() == CALLER:
+            time.sleep(0.05)
+        return decode(*args)
+    monkeypatch.setattr(model, "decode", slowed)
+    spans = {}
+    for n in (1, 2, 3):
+        cpus(n)
+        spans[n] = pl.predict_spans(model, pool.tokenized, 32, batch_size=batch)
+    assert len(spans[1]) > 0
+    assert spans[1] == spans[2] == spans[3]
+
+
+def test_annotate_si_and_self_train_identical_for_one_and_two_cpus(corpus, si_model, cpus,
+                                                                   monkeypatch, tmp_path):
+    """``annotate --task si`` and the silver round of ``self-train`` decode
+    through ``parallel_map``."""
+    data, _ = corpus
+    decode = SiTagger.decode
+
+    def slowed(*args):
+        if os.getpid() == CALLER:
+            time.sleep(0.02)
+        return decode(*args)
+    monkeypatch.setattr(SiTagger, "decode", slowed)
+    outputs = {}
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / f"cpus{n}"
+        argv = si_argv(corpus, "self-train", out)
+        assert main([*argv, "--iterations", "1", "--pool", str(data / "pool" / "articles")]) == 0
+        assert main(annotate_si_argv(corpus, si_model, out / "annotate")) == 0
+        records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+        outputs[n] = [(out / name).read_bytes() for name in
+                      ("model-si-base.spfg", "model-si-iter1.spfg", "annotate/silver-si.tsv",
+                       "annotate/runs.jsonl")]
+        outputs[n] += [(r["eval_trace"], r["meta"]) for r in records]
+    assert outputs[1][-1][1]["silver_spans"] > 0
+    assert outputs[1][2].count(b"\n") > 0  # the annotation found spans
+    assert outputs[1] == outputs[2]
+
+
+def test_training_never_forks(corpus, cpus, monkeypatch, tmp_path):
+    """Dev evaluation runs serially inside ``train-si`` and ``train-tc``, even
+    where its tagging or classification pass spans several batches."""
+    data, cfg = corpus
+    cpus(2)
+
+    def no_fork():
+        raise OSError("fork called during training")
+    monkeypatch.setattr(os, "fork", no_fork)
+    si_cfg = tmp_path / "si.json"  # one 5-8 token line per window: over 16 windows
+    si_cfg.write_text(json.dumps({**SI_CFG, "hp.max_seq_len": 8}))
+    argv = si_argv(corpus, "train-si", tmp_path / "si")
+    argv[argv.index("--config") + 1] = str(si_cfg)
+    dev = load_dataset(data / "dev" / "articles", data / "dev" / "labels-si.tsv", "si")
+    assert len(pl.build_si_windows(dev, 8)) > 16
+    assert main(argv) == 0
+    assert len(dev.spans) > 32  # TC dev evaluation runs more than one batch
+    for head in ([], ["--span-cls"]):
+        assert main(["train-tc", "--seed", "5", *head,
+                     "--articles", str(data / "train" / "articles"),
+                     "--labels", str(data / "train" / "labels-tc.tsv"),
+                     "--dev-articles", str(data / "dev" / "articles"),
+                     "--dev-labels", str(data / "dev" / "labels-tc.tsv"),
+                     "--techniques", str(data / "techniques.txt"),
+                     "--config", str(cfg), "--out", str(tmp_path / f"tc{len(head)}")]) == 0
+    with pytest.raises(OSError, match="fork called"):  # the patch is live
+        pl.parallel_map(abs, [1, 2])
