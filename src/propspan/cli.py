@@ -53,16 +53,17 @@ def build_parser() -> _Parser:
     p = _Parser(prog="propspan", description=__doc__, epilog=PROFILES_HELP)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_required=False):
+    def common(sp, seeded=False):
         sp.add_argument("--config", help="JSON config file with flat dotted keys")
-        sp.add_argument("--seed", type=int, required=seed_required)
+        if seeded:
+            sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--out", required=True, help="output directory")
 
     def training(name, help_text, task):
         """A training command: the splits, the step budget, the scale profile and
         the task's model options."""
         sp = sub.add_parser(name, help=help_text)
-        common(sp, seed_required=True)
+        common(sp, seeded=True)
         for flag in ("--articles", "--labels", "--dev-articles", "--dev-labels"):
             sp.add_argument(flag, required=True)
         sp.add_argument("--steps", type=int)
@@ -77,7 +78,7 @@ def build_parser() -> _Parser:
         return sp
 
     sp = sub.add_parser("gen-synth", help="generate a synthetic gold corpus and pool")
-    common(sp, seed_required=True)
+    common(sp, seeded=True)
 
     training("train-si", "train a span identification tagger", "si")
 
@@ -375,7 +376,7 @@ def cmd_annotate(args) -> int:
               f"{counts['skipped_spans']} skipped for covering no token)")
         meta["tc_items"] = {"pool": counts}
     config = _effective(args, model=_content_hash(args.model), task=args.task)
-    pl.append_manifest(out, pl.run_record("annotate", config, -1, None, meta=meta))
+    pl.append_manifest(out, pl.run_record("annotate", config, None, None, meta=meta))
     return 0
 
 
@@ -409,7 +410,7 @@ def cmd_ensemble(args) -> int:
 
     config = _effective(args, models=[_content_hash(p) for p in paths],
                         enumerate=args.enumerate_all)
-    pl.append_manifest(out, pl.run_record("ensemble", config, -1, None,
+    pl.append_manifest(out, pl.run_record("ensemble", config, None, None,
                                           meta={"models": paths,
                                                 "tc_items": {"eval": counts}}))
     return 0
@@ -446,7 +447,7 @@ def cmd_score(args) -> int:
     (out / "score.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
     config = _effective(args, task=args.task, pred=args.pred, gold=args.gold)
-    pl.append_manifest(out, pl.run_record("score", config, -1, None))
+    pl.append_manifest(out, pl.run_record("score", config, None, None))
     return 0
 
 
@@ -514,7 +515,7 @@ def cmd_analyze(args) -> int:
         print(f"note: {name} skipped (present in none or all items)", file=sys.stderr)
     print(f"report -> {path}")
     config = _effective(args, task=args.task, features=args.features)
-    pl.append_manifest(out, pl.run_record("analyze", config, -1, None))
+    pl.append_manifest(out, pl.run_record("analyze", config, None, None))
     return 0
 
 

@@ -106,18 +106,12 @@ def load_dataset(articles_dir: str | Path, labels_file: str | Path, task: str,
                  techniques_file: str | Path | None = None) -> SpanDataset:
     """Read articles and a span TSV; spans are validated against article lengths.
 
-    Without a technique file, a TC inventory is the sorted set of technique
-    names in the label file.
+    TC labels need the technique file, whose line order fixes the label ids.
     """
     articles = read_articles(articles_dir)
-
     labels: list[str] | None = None
     if task == "tc" and techniques_file is not None:
         labels = read_techniques(techniques_file)
-    elif task == "tc":
-        rows = Path(labels_file).read_text(encoding="utf-8").splitlines()
-        labels = sorted({row.split("\t")[1] for row in rows if row.count("\t") == 3})
-
     spans = read_spans_tsv(labels_file, task, labels)
     check_spans_in_articles(spans, articles, labels_file)
     return SpanDataset(articles=articles, spans=spans, labels=labels)

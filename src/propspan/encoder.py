@@ -8,9 +8,10 @@ embeddings. Three heads sit on top of its hidden states:
     injected span markers,
   - a span-stacked classifier: a second small transformer run over a
     learned [BOS] vector plus the host states of the span tokens only.
-    It adds no positional signal of its own, which makes it exactly
-    equivalent to running the same layers over the full sequence with
-    attention restricted to {BOS} union span and reading the BOS output.
+    It adds no positional signal of its own, so it runs as the same
+    layers over [BOS] followed by the whole host sequence, with every
+    query's attention restricted to {BOS} union span, reading the BOS
+    output: one pass for a batch of spans of any lengths.
 """
 
 from __future__ import annotations
@@ -231,12 +232,6 @@ class SpanClsHead:
         self.out = LinearHead("span", hidden, n_classes, rng, dtype)
         self.params.update(self.out.params)
 
-    def _classify(self, seqs: Tensor, train: bool, rng) -> Tensor:
-        allowed = np.ones((1, 1, 1, seqs.shape[1]), dtype=bool)
-        bos_row = np.zeros((seqs.shape[0], 1), dtype=np.int64)
-        out = self.stack(seqs, allowed, train=train, rng=rng, rows=bos_row)
-        return self.out(out[:, 0, :])
-
     @staticmethod
     def host_rows(spans: list[tuple[int, int]], bsz: int, seq: int):
         """The host positions the head reads, and the spans re-indexed to them.
@@ -255,43 +250,16 @@ class SpanClsHead:
                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """Class logits per batch element; spans index into the host sequence.
 
-        Elements are grouped by span length so each group runs as one batch,
-        gathered in one lookup from the [BOS] vector stacked on the host
-        states; results are reassembled in input order.
+        One pass of the stack over [BOS] followed by the host states, ``[B,
+        1 + S, H]``, whose keys are [BOS] and the element's own span; the
+        output is read at [BOS] only.
         """
         bsz, seq = hidden.shape[:2]
         _check_spans(spans, bsz, seq)
-        groups: dict[int, list[int]] = {}
-        for i, (s, e) in enumerate(spans):
-            groups.setdefault(e - s, []).append(i)
-
-        # row 0 is [BOS], row 1 + i * seq + t is host state (i, t)
-        table = T.concat([self.params["span.bos"], T.reshape(hidden, (bsz * seq, -1))], axis=0)
-        starts = np.asarray([s for s, _ in spans], dtype=np.int64)
-        pieces: list[tuple[list[int], Tensor]] = []
-        for length, idxs in sorted(groups.items()):
-            ix = np.asarray(idxs)
-            body = 1 + (ix * seq + starts[ix])[:, None] + np.arange(length)[None, :]
-            lookup = np.concatenate([np.zeros((len(ix), 1), dtype=np.int64), body], axis=1)
-            pieces.append((idxs, self._classify(T.embedding(table, lookup), train, rng)))
-
-        order = np.argsort(np.concatenate([np.asarray(ix) for ix, _ in pieces]))
-        stacked = T.concat([logit for _, logit in pieces], axis=0)
-        return stacked[order]
-
-    def logits_masked_full(self, hidden_single: Tensor, span: tuple[int, int],
-                           train: bool = False,
-                           rng: np.random.Generator | None = None) -> Tensor:
-        """Equivalent formulation: run over the full sequence, restrict every
-        query's attention to {BOS} union span, read the BOS output."""
-        s, e = span
-        seq_len = hidden_single.shape[0]
-        _check_spans([span], 1, seq_len)
-        seqs = T.concat([self.params["span.bos"], hidden_single], axis=0)
-        seqs = T.reshape(seqs, (1, seq_len + 1, -1))
-        allowed_keys = np.zeros(seq_len + 1, dtype=bool)
-        allowed_keys[0] = True
-        allowed_keys[1 + s:1 + e] = True
-        allowed = np.broadcast_to(allowed_keys, (1, 1, seq_len + 1, seq_len + 1))
-        out = self.stack(seqs, allowed, train=train, rng=rng)
+        bos_row = np.zeros((bsz, 1), dtype=np.int64)
+        seqs = T.concat([T.embedding(self.params["span.bos"], bos_row), hidden], axis=1)
+        starts, ends = np.asarray(spans, dtype=np.int64).T
+        keys = np.arange(1 + seq)  # key k > 0 is host position k - 1
+        allowed = (keys == 0) | ((keys > starts[:, None]) & (keys <= ends[:, None]))
+        out = self.stack(seqs, allowed[:, None, None, :], train=train, rng=rng, rows=bos_row)
         return self.out(out[:, 0, :])

@@ -794,10 +794,12 @@ def blas_threads() -> int | None:
     return None
 
 
-def run_record(command: str, config: dict, seed: int, result: TrainResult | None,
-               checkpoint: str | None = None, meta: dict | None = None) -> dict:
+def run_record(command: str, config: dict, seed: int | None,
+               result: TrainResult | None, checkpoint: str | None = None,
+               meta: dict | None = None) -> dict:
     """One ``runs.jsonl`` line; ``meta`` stands in for a training result's meta
-    in the records of commands that train nothing."""
+    in the records of commands that train nothing, and ``seed`` is None for
+    commands that draw no random number."""
     record = {"command": command, "config_hash": config_hash(config),
               "config": config, "seed": seed, "checkpoint": checkpoint,
               "blas_threads": blas_threads()}

@@ -1,16 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The three trend criteria train real models on synthetic corpora and take a
-few minutes together; their runtime bounds are asserted alongside the
+few minutes together, with their independent runs spread over the usable
+CPUs by ``parallel_map``; their runtime bounds are asserted alongside the
 directional comparisons. Run with ``pytest tests/test_acceptance.py -v -s``
 to watch the per-criterion lines.
 """
 
+import contextlib
+import ctypes
 import itertools
 import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +27,15 @@ from propspan.losses import class_weights, reweighted_bce, uniform_weights
 from propspan.metrics import FlcScore, flc_f1, micro_f1
 from propspan.models import TcClassifier
 from propspan.pipeline import (HyperParams, TcItem, TcOptions, annotate_si,
-                               build_tc_items, derive_seed, enumerate_ensembles,
-                               kfold_split, predict_tc_probs, train_si, train_tc)
+                               blas_threads, build_tc_items, derive_seed,
+                               enumerate_ensembles, kfold_split, parallel_map,
+                               predict_tc_probs, train_si, train_tc)
 from propspan.stats import bartlett, kruskal_wallis, mann_whitney_u, spearman_rho
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor, grad_check
 from propspan.tokens import Span, Vocab, spans_to_tags, tags_to_spans, tokenize
+
+from test_encoder import masked_full_logits
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -36,6 +43,31 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {num:2d}: {description}{suffix}")
     assert ok, f"criterion {num}: {description}{suffix}"
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """OpenBLAS at one thread in this process and the workers ``parallel_map``
+    forks from it: two processes that each run a second BLAS thread on two
+    cores train several times slower. A no-op where numpy's OpenBLAS exports
+    no known setter."""
+    before = blas_threads()
+    setter = None
+    for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        setter = (getattr(lib, "scipy_openblas_set_num_threads64_", None)
+                  or getattr(lib, "openblas_set_num_threads64_", None))
+        if setter is not None:
+            break
+    if setter is None or before is None:
+        yield
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def rand_crf(rng, n_labels):
@@ -180,7 +212,7 @@ def test_criterion_04_span_cls_equivalence():
                            dropout=0.0, attention_dropout=0.0)
         h = Tensor(rng.normal(size=(seq, hid)).astype(np.float32))
         subset_out = head.logits(T.reshape(h, (1, seq, hid)), [(s, e)]).numpy()
-        masked_out = head.logits_masked_full(h, (s, e)).numpy()
+        masked_out = masked_full_logits(head, h, (s, e)).numpy()
         worst = max(worst, float(np.abs(subset_out - masked_out).max()))
     report(4, "span-stacked classifier equals the attention-masked full-sequence "
               "formulation on 100 configurations", worst <= 1e-6, f"max|diff|={worst:.1e}")
@@ -279,12 +311,16 @@ def test_criterion_09_crf_trend():
                   for s in corpus.train.spans)
     assert min_len >= 3
     hp = replace(HyperParams.desk("si"), steps=400, eval_every=100, max_seq_len=48)
-    crf_scores, plain_scores = [], []
-    for seed in range(5):
-        crf_scores.append(train_si(corpus.train, corpus.dev, hp, seed=seed,
-                                   use_crf=True).best_score)
-        plain_scores.append(train_si(corpus.train, corpus.dev, hp, seed=seed,
-                                     use_crf=False).best_score)
+
+    def best(task):
+        seed, use_crf = task
+        return train_si(corpus.train, corpus.dev, hp, seed=seed, use_crf=use_crf).best_score
+
+    # CRF runs first: each core then gets a mix of the slower CRF and plain runs
+    with one_blas_thread():
+        scores = parallel_map(best, [(seed, use_crf) for use_crf in (True, False)
+                                     for seed in range(5)])
+    crf_scores, plain_scores = scores[:5], scores[5:]
     elapsed = time.time() - start
     ok = np.mean(crf_scores) >= np.mean(plain_scores) and elapsed < 600
     report(9, "mean best dev span F1 over 5 seeds: CRF >= no-CRF on min-span-3 corpus",
@@ -305,14 +341,16 @@ def test_criterion_10_self_training_trend():
         labels=corpus.train.labels,
         tokenized={a: corpus.train.tokenized[a] for a in gold_ids})
     hp = replace(HyperParams.desk("si"), steps=600, eval_every=150, max_seq_len=48)
-    base_scores, st_scores = [], []
-    for seed in range(5):
+
+    def chain(seed):
         base = train_si(gold, corpus.dev, hp, seed=seed)
         silver = annotate_si(base.model, corpus.pool, hp.max_seq_len)
         st = train_si(gold, corpus.dev, hp, seed=1000 + seed, silver=silver,
                       ratio=(1, 4))
-        base_scores.append(base.best_score)
-        st_scores.append(st.best_score)
+        return base.best_score, st.best_score
+
+    with one_blas_thread():
+        base_scores, st_scores = zip(*parallel_map(chain, range(5)))
     elapsed = time.time() - start
     ok = np.mean(st_scores) >= np.mean(base_scores) and elapsed < 900
     report(10, "mean best dev F1 over 5 seeds: 10% gold + 1:4 silver >= gold-only",
@@ -330,25 +368,29 @@ def test_criterion_11_ensemble_trend():
     span_cfg = SpanClsConfig(layers=2, heads=4, intermediate_size=64)
     configs = [TcOptions(), TcOptions(reweight=True),
                TcOptions(reweight=True, span_cls=True)]
-    ens_means, comp_means = [], []
-    for seed in range(3):
+
+    def fold(task):
+        """The ensemble's and the mean component's micro-F1 on one held-out fold."""
+        seed, i = task
         folds = kfold_split(train_items, dev_items, k=6, seed=seed)
-        fold_ens, fold_comp = [], []
-        for i in range(6):
-            held = folds[i]
-            rest = [it for j, f in enumerate(folds) if j != i for it in f]
-            gold = np.array([it.label for it in held])
-            probs, scores = [], []
-            for ci, opts in enumerate(configs):
-                res = train_tc(rest, held, corpus.labels, opts, hp,
-                               derive_seed(seed, 10 * i + ci), span_cfg=span_cfg)
-                p = predict_tc_probs(res.model, held)
-                probs.append(p)
-                scores.append(micro_f1(p.argmax(axis=1), gold))
-            fold_ens.append(micro_f1((sum(probs) / 3).argmax(axis=1), gold))
-            fold_comp.append(np.mean(scores))
-        ens_means.append(np.mean(fold_ens))
-        comp_means.append(np.mean(fold_comp))
+        held = folds[i]
+        rest = [it for j, f in enumerate(folds) if j != i for it in f]
+        gold = np.array([it.label for it in held])
+        probs, scores = [], []
+        for ci, opts in enumerate(configs):
+            res = train_tc(rest, held, corpus.labels, opts, hp,
+                           derive_seed(seed, 10 * i + ci), span_cfg=span_cfg)
+            p = predict_tc_probs(res.model, held)
+            probs.append(p)
+            scores.append(micro_f1(p.argmax(axis=1), gold))
+        return micro_f1((sum(probs) / 3).argmax(axis=1), gold), np.mean(scores)
+
+    with one_blas_thread():
+        results = parallel_map(fold, [(seed, i) for seed in range(3) for i in range(6)])
+    ens_means = [np.mean([ens for ens, _ in results[6 * seed:6 * seed + 6]])
+                 for seed in range(3)]
+    comp_means = [np.mean([comp for _, comp in results[6 * seed:6 * seed + 6]])
+                  for seed in range(3)]
     elapsed = time.time() - start
     ok = np.mean(ens_means) >= np.mean(comp_means) and elapsed < 900
     report(11, "3-model probability-average ensemble >= mean of its components "

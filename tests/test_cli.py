@@ -144,6 +144,15 @@ class TestAnnotateAndScore:
                     "--pool", str(synth_dir / "pool" / "articles"),
                     "--out", str(out)]) == 0
         assert (out / "silver-si.tsv").exists()
+        record = json.loads((out / "runs.jsonl").read_text())
+        assert record["seed"] is None and record["config"]["seed"] is None
+
+    def test_annotate_takes_no_seed(self, synth_dir, si_model, tmp_path, capsys):
+        # annotate, ensemble, score and analyze draw no random number
+        assert run(["annotate", "--seed", "1", "--task", "si", "--model", str(si_model),
+                    "--pool", str(synth_dir / "pool" / "articles"),
+                    "--out", str(tmp_path / "silver")]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_annotate_nan_weights_exit_2(self, synth_dir, si_model, tmp_path, capsys):
         from propspan.models import SiTagger

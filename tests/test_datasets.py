@@ -49,11 +49,10 @@ class TestLoadDataset:
         assert data.spans == [Span("1", 0, 5, 1)]
         assert data.labels == ["Doubt", "Loaded_Language"]
 
-    def test_tc_rows_without_inventory_derives_sorted(self, corpus_dir):
+    def test_tc_rows_without_inventory_rejected(self, corpus_dir):
         (corpus_dir / "labels.tsv").write_text("1\tZeta\t0\t5\n1\tAlpha\t6\t10\n")
-        data = load_dataset(corpus_dir / "articles", corpus_dir / "labels.tsv", "tc")
-        assert data.labels == ["Alpha", "Zeta"]
-        assert data.spans[0].technique == 1  # Zeta
+        with pytest.raises(ValueError, match="needs a technique inventory"):
+            load_dataset(corpus_dir / "articles", corpus_dir / "labels.tsv", "tc")
 
     def test_reversed_offsets_rejected_with_line_number(self, corpus_dir):
         (corpus_dir / "labels.tsv").write_text("1\t0\t5\n1\t9\t3\n")

@@ -372,16 +372,71 @@ class TestHeads:
         with pytest.raises(ValueError):
             head.logits(h, [(3, 3)])
 
-    def test_span_cls_batch_grouping_preserves_order(self):
+    @pytest.mark.parametrize("train", [False, True])
+    def test_span_cls_mixed_lengths_match_single_spans(self, train):
         rng = np.random.default_rng(10)
         head = SpanClsHead(16, 3, SpanClsConfig(layers=1, heads=2, intermediate_size=32),
                            rng, dropout=0.0, attention_dropout=0.0)
         h = self.make_hidden(rng, bsz=4)
-        spans = [(0, 3), (1, 2), (2, 6), (4, 5)]  # two distinct lengths interleaved
-        batched = head.logits(h, spans).numpy()
+        spans = [(0, 3), (1, 2), (2, 6), (4, 5)]  # three distinct lengths interleaved
+        drop = np.random.default_rng(0)
+        batched = head.logits(h, spans, train=train, rng=drop).numpy()
         for i, sp in enumerate(spans):
-            single = head.logits(Tensor(h.numpy()[i:i + 1]), [sp]).numpy()
+            single = head.logits(Tensor(h.numpy()[i:i + 1]), [sp], train=train,
+                                 rng=drop).numpy()
             np.testing.assert_allclose(batched[i], single[0], atol=1e-6)
+
+    def test_grad_check_mixed_span_lengths(self):
+        rng = np.random.default_rng(13)
+        head = SpanClsHead(8, 3, SpanClsConfig(layers=2, heads=2, intermediate_size=8),
+                           rng, dropout=0.0, attention_dropout=0.0, dtype=np.float64)
+        for t in head.params.values():  # off the init, so no gradient is tiny
+            t.data = t.data + rng.normal(0.0, 0.5, t.shape)
+        h = Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
+        spans = [(0, 2), (3, 4), (1, 5)]
+        weights = rng.normal(size=(3, 3))
+        names = ["span.bos", "span.layer0.wk", "span.layer1.wv_b", "span.layer1.ln2_g",
+                 "span.ln_f_b", "span.w"]
+
+        def fn(*_):
+            return (head.logits(h, spans) * weights).sum()
+
+        assert grad_check(fn, [h] + [head.params[n] for n in names], eps=1e-6) <= 1e-5
+
+    def test_span_cls_host_gradient_zero_outside_spans(self):
+        rng = np.random.default_rng(14)
+        head = SpanClsHead(16, 3, SpanClsConfig(layers=2, heads=2, intermediate_size=32),
+                           rng, dtype=np.float64)
+        spans = [(1, 5), (4, 5), (0, 3)]
+        full = rng.normal(size=(3, 7, 16))
+        rows, local = SpanClsHead.host_rows(spans, 3, 7)
+        # the host states as the model hands them over (span padding repeats
+        # the last token), and the whole host sequence
+        for hidden, sp in ((full[np.arange(3)[:, None], rows], local), (full, spans)):
+            h = Tensor(hidden, requires_grad=True)
+            logits = head.logits(h, sp, train=True, rng=np.random.default_rng(0))
+            (logits * rng.normal(size=logits.shape)).sum().backward()
+            inside = np.zeros(h.shape[:2], dtype=bool)
+            for i, (s, e) in enumerate(sp):
+                inside[i, s:e] = True
+            assert (h.grad[~inside] == 0.0).all()
+            assert (np.abs(h.grad[inside]).max(axis=-1) > 0).all()
+
+
+def masked_full_logits(head: SpanClsHead, hidden_single: Tensor,
+                       span: tuple[int, int]) -> Tensor:
+    """Oracle for ``SpanClsHead.logits``: the head's stack over [BOS] plus the
+    whole sequence ``[T, H]``, every layer at every position, each query's
+    attention restricted to {BOS} union span by a per-query mask; the BOS output."""
+    s, e = span
+    seq_len = hidden_single.shape[0]
+    seqs = T.concat([head.params["span.bos"], hidden_single], axis=0)
+    seqs = T.reshape(seqs, (1, seq_len + 1, -1))
+    allowed_keys = np.zeros(seq_len + 1, dtype=bool)
+    allowed_keys[0] = True
+    allowed_keys[1 + s:1 + e] = True
+    allowed = np.broadcast_to(allowed_keys, (1, 1, seq_len + 1, seq_len + 1))
+    return head.out(head.stack(seqs, allowed)[:, 0, :])
 
 
 def test_span_cls_equals_masked_full_sequence_100_configs():
@@ -397,9 +452,12 @@ def test_span_cls_equals_masked_full_sequence_100_configs():
                            np.random.default_rng(int(rng.integers(1 << 30))),
                            dropout=0.0, attention_dropout=0.0)
         h = Tensor(rng.normal(size=(seq, hid)).astype(np.float32))
-        subset_out = head.logits(T.reshape(h, (1, seq, hid)), [(s, e)]).numpy()
-        masked_out = head.logits_masked_full(h, (s, e)).numpy()
-        worst = max(worst, float(np.abs(subset_out - masked_out).max()))
+        out = head.logits(T.reshape(h, (1, seq, hid)), [(s, e)]).numpy()
+        masked_out = masked_full_logits(head, h, (s, e)).numpy()
+        # the definition: the stack over [BOS] and the span's states alone
+        subset_out = head.logits(T.reshape(h[s:e], (1, e - s, hid)), [(0, e - s)]).numpy()
+        worst = max(worst, float(np.abs(out - masked_out).max()),
+                    float(np.abs(out - subset_out).max()))
     assert worst <= 1e-6
 
 
@@ -488,4 +546,4 @@ def test_span_cls_loss_graph_node_count():
                           rng=np.random.default_rng(0))
     targets = np.array([[0, 1, 0], [0, 0, 1]])
     loss = reweighted_bce(T.sigmoid(logits), targets, uniform_weights(3))
-    assert _graph_nodes(loss) == 83
+    assert _graph_nodes(loss) == 80
