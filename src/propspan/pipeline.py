@@ -772,26 +772,35 @@ def append_manifest(out_dir: str | Path, record: dict) -> Path:
     return path
 
 
-# thread-count getters of the OpenBLAS builds in numpy wheels: numpy 2's
+# symbol prefixes of the OpenBLAS builds in numpy wheels: numpy 2's
 # scipy-openblas and numpy 1's openblas64_
-_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 
 
-def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS that numpy's Linux wheels bundle in
-    ``numpy.libs``, read through ``ctypes`` from the library numpy has loaded;
-    None where no known getter is found."""
+def _openblas_function(name: str):
+    """OpenBLAS's ``name`` (``get_num_threads``, ``set_num_threads``) from the
+    library that numpy's Linux wheels bundle in ``numpy.libs``, through
+    ``ctypes`` on the copy numpy has loaded; None where no known build exports it."""
     for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(lib_path))
         except OSError:
             continue
-        for name in _BLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return int(getter())
+        for prefix in _OPENBLAS_PREFIXES:
+            fn = getattr(lib, f"{prefix}_{name}64_", None)
+            if fn is not None:
+                return fn
     return None
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS; None where no known getter
+    is found."""
+    getter = _openblas_function("get_num_threads")
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_int
+    return int(getter())
 
 
 def run_record(command: str, config: dict, seed: int | None,

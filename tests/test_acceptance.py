@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,16 +25,14 @@ from propspan.encoder import EncoderConfig, SpanClsConfig, SpanClsHead
 from propspan.losses import class_weights, reweighted_bce, uniform_weights
 from propspan.metrics import FlcScore, flc_f1, micro_f1
 from propspan.models import TcClassifier
-from propspan.pipeline import (HyperParams, TcItem, TcOptions, annotate_si,
-                               blas_threads, build_tc_items, derive_seed,
+from propspan.pipeline import (HyperParams, TcItem, TcOptions, _openblas_function,
+                               annotate_si, blas_threads, build_tc_items, derive_seed,
                                enumerate_ensembles, kfold_split, parallel_map,
                                predict_tc_probs, train_si, train_tc)
 from propspan.stats import bartlett, kruskal_wallis, mann_whitney_u, spearman_rho
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor, grad_check
 from propspan.tokens import Span, Vocab, spans_to_tags, tags_to_spans, tokenize
-
-from test_encoder import masked_full_logits
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -50,15 +47,9 @@ def one_blas_thread():
     """OpenBLAS at one thread in this process and the workers ``parallel_map``
     forks from it: two processes that each run a second BLAS thread on two
     cores train several times slower. A no-op where numpy's OpenBLAS exports
-    no known setter."""
+    no known getter or setter."""
     before = blas_threads()
-    setter = None
-    for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(lib_path))
-        setter = (getattr(lib, "scipy_openblas_set_num_threads64_", None)
-                  or getattr(lib, "openblas_set_num_threads64_", None))
-        if setter is not None:
-            break
+    setter = _openblas_function("set_num_threads")
     if setter is None or before is None:
         yield
         return
@@ -199,7 +190,7 @@ def test_criterion_03_reweighted_bce_values():
               "plain BCE at unit weights (1e-9)", hand and reduces)
 
 
-def test_criterion_04_span_cls_equivalence():
+def test_criterion_04_span_cls_equivalence(masked_full_logits):
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(100):
@@ -211,9 +202,12 @@ def test_criterion_04_span_cls_equivalence():
                            np.random.default_rng(int(rng.integers(1 << 30))),
                            dropout=0.0, attention_dropout=0.0)
         h = Tensor(rng.normal(size=(seq, hid)).astype(np.float32))
-        subset_out = head.logits(T.reshape(h, (1, seq, hid)), [(s, e)]).numpy()
+        out = head.logits(T.reshape(h, (1, seq, hid)), [(s, e)]).numpy()
         masked_out = masked_full_logits(head, h, (s, e)).numpy()
-        worst = max(worst, float(np.abs(subset_out - masked_out).max()))
+        # the stack over [BOS] and the span's states alone
+        subset_out = head.logits(T.reshape(h[s:e], (1, e - s, hid)), [(0, e - s)]).numpy()
+        worst = max(worst, float(np.abs(out - masked_out).max()),
+                    float(np.abs(subset_out - masked_out).max()))
     report(4, "span-stacked classifier equals the attention-masked full-sequence "
               "formulation on 100 configurations", worst <= 1e-6, f"max|diff|={worst:.1e}")
 

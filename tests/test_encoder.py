@@ -423,23 +423,7 @@ class TestHeads:
             assert (np.abs(h.grad[inside]).max(axis=-1) > 0).all()
 
 
-def masked_full_logits(head: SpanClsHead, hidden_single: Tensor,
-                       span: tuple[int, int]) -> Tensor:
-    """Oracle for ``SpanClsHead.logits``: the head's stack over [BOS] plus the
-    whole sequence ``[T, H]``, every layer at every position, each query's
-    attention restricted to {BOS} union span by a per-query mask; the BOS output."""
-    s, e = span
-    seq_len = hidden_single.shape[0]
-    seqs = T.concat([head.params["span.bos"], hidden_single], axis=0)
-    seqs = T.reshape(seqs, (1, seq_len + 1, -1))
-    allowed_keys = np.zeros(seq_len + 1, dtype=bool)
-    allowed_keys[0] = True
-    allowed_keys[1 + s:1 + e] = True
-    allowed = np.broadcast_to(allowed_keys, (1, 1, seq_len + 1, seq_len + 1))
-    return head.out(head.stack(seqs, allowed)[:, 0, :])
-
-
-def test_span_cls_equals_masked_full_sequence_100_configs():
+def test_span_cls_equals_masked_full_sequence_100_configs(masked_full_logits):
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
