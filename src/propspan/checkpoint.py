@@ -25,7 +25,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
     entries = []
     payload = bytearray()
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.asarray(tensors[name])  # ascontiguousarray would make a 0-d array 1-d
         if arr.dtype == np.float64:
             code = "<f8"
         else:

@@ -3,11 +3,12 @@
 Training-path functions take autograd Tensors so gradients flow back into
 emissions and the transition parameters; the padded-batch functions are the
 one implementation, and the single-sequence ``log_partition``/``nll`` run
-them at batch size 1. ``log_partition_batch`` is a single graph node
-whose backward pass is the adjoint of the forward recursion (the
-forward-backward marginals; Lafferty et al. 2001, Sutton & McCallum 2012).
-Decoding is plain numpy: ``viterbi_batch`` decodes a padded batch, and
-``viterbi`` runs it at batch size 1.
+them at batch size 1. ``log_partition_batch`` is a single graph node, built
+like every tensor op: its one backward function is the adjoint of the
+forward recursion (the forward-backward marginals; Lafferty et al. 2001,
+Sutton & McCallum 2012) and returns the emission, transition, start and end
+gradients together. Decoding is plain numpy: ``viterbi_batch`` decodes a
+padded batch, and ``viterbi`` runs it at batch size 1.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def log_partition_batch(emissions: Tensor, lengths: np.ndarray,
         g_em[:, 0, :] += g_alpha
         return g_em, g_trans, g_alpha.sum(axis=0), g_end
 
-    return T.fused(logz[:, 0], (emissions, params.transitions, params.start_scores,
+    return T._node(logz[:, 0], (emissions, params.transitions, params.start_scores,
                                 params.end_scores), backward)
 
 

@@ -171,9 +171,12 @@ def parallel_map(fn, tasks) -> list:
     and forked worker w runs ``tasks[w::n]``. The map runs serially when n < 2,
     where there is no fork or CPU affinity, inside another ``parallel_map``
     (in either process) and inside ``_serial``, which keeps the training loop
-    (``_fit``) from forking at its dev evaluations. A worker's exception is
-    re-raised here with its type; a worker that dies without a result raises
-    ``RuntimeError``. No worker outlives the call.
+    (``_fit``) from forking at its dev evaluations. A map that forks holds
+    OpenBLAS at one thread in this process and its workers until every worker
+    is reaped: two processes that each ran a second BLAS thread on two cores
+    trained several times slower. A worker's exception is re-raised here with
+    its type; a worker that dies without a result raises ``RuntimeError``. No
+    worker outlives the call.
     """
     global _in_map
     tasks = list(tasks)
@@ -181,6 +184,7 @@ def parallel_map(fn, tasks) -> list:
     if n < 2 or _in_map:
         return [fn(t) for t in tasks]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    threads = _set_blas_threads(1)
     _in_map = True
     try:
         for w in range(1, n):
@@ -213,6 +217,8 @@ def parallel_map(fn, tasks) -> list:
         for pid, read_fd in workers:
             os.close(read_fd)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        if threads is not None:
+            _set_blas_threads(threads)
     for w, (reply, code) in enumerate(zip(replies, codes), 1):
         if not reply:
             raise RuntimeError(f"parallel_map worker {w} exited with code {code} "
@@ -801,6 +807,18 @@ def blas_threads() -> int | None:
         return None
     getter.restype = ctypes.c_int
     return int(getter())
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set numpy's bundled OpenBLAS to ``count`` threads and return the count
+    before; None, with nothing changed, where no known getter or setter is found."""
+    before = blas_threads()
+    setter = _openblas_function("set_num_threads")
+    if before is None or setter is None:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(count)
+    return before
 
 
 def run_record(command: str, config: dict, seed: int | None,

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode differentiation.
 
 Storage is plain numpy arrays (float32 by default, float64 for verification
-runs). A Tensor produced by an op remembers its parents and per-parent
-backward closures; calling ``backward()`` on a scalar walks the graph in
-reverse topological order. Graph recording can be switched off with
-``no_grad()`` for inference paths.
+runs). A Tensor produced by an op remembers its parents and one backward
+function that maps the output's gradient to every parent's, in parent order;
+calling ``backward()`` on a scalar walks the graph in reverse topological
+order and calls each node's function once. Graph recording can be switched
+off with ``no_grad()`` for inference paths.
 
 Dtype rule: a model keeps the dtype it is built in. In ``add``, ``sub``,
 ``mul`` and ``div`` a non-Tensor operand (a Python or NumPy scalar, or an
@@ -50,7 +51,7 @@ def is_grad_enabled() -> bool:
 class Tensor:
     """A numpy array plus an optional position in a computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fns")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -62,7 +63,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+        self._backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,10 +131,9 @@ class Tensor:
                 g = g.astype(node.data.dtype, copy=False)
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for p, fn in zip(node._parents, node._backward_fns):
-                if fn is None or not p.requires_grad:
+            for p, pg in zip(node._parents, node._backward(g), strict=True):
+                if not p.requires_grad:
                     continue
-                pg = fn(g)
                 key = id(p)
                 if key in flowing:
                     flowing[key] = flowing[key] + pg
@@ -141,39 +141,19 @@ class Tensor:
                     flowing[key] = pg
 
 
-def _make_result(data: np.ndarray, parents: Sequence[Tensor],
-                 backward_fns: Sequence[Callable[[np.ndarray], np.ndarray] | None]) -> Tensor:
+def _node(data: np.ndarray, parents: Sequence[Tensor],
+          backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """An op's output: one graph node whose ``backward(g)`` returns one gradient
+    per parent, in parent order, and runs once per backward pass. The node is
+    recorded only while grad is enabled and some parent takes a gradient."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     track = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = track
-    if track:
-        out._parents = tuple(parents)
-        out._backward_fns = tuple(backward_fns)
-    else:
-        out._parents = ()
-        out._backward_fns = ()
+    out._parents = tuple(parents) if track else ()
+    out._backward = backward if track else None
     return out
-
-
-def fused(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
-    """One graph node for a multi-parent op whose gradients share their work.
-
-    ``backward(g)`` returns one gradient per parent. It runs once per backward
-    pass, however many of the parents take a gradient.
-    """
-    latest: list = [None, None]  # the seed gradient and its results
-
-    def make_back(i: int):
-        def back(g: np.ndarray) -> np.ndarray:
-            if latest[0] is not g:
-                latest[0], latest[1] = g, backward(g)
-            return latest[1][i]
-        return back
-
-    return _make_result(data, parents, tuple(make_back(i) for i in range(len(parents))))
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -208,70 +188,62 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    return _make_result(
-        a.data + b.data, (a, b),
-        (lambda g: _unbroadcast(g, a.data.shape),
-         lambda g: _unbroadcast(g, b.data.shape)))
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    return _make_result(
-        a.data - b.data, (a, b),
-        (lambda g: _unbroadcast(g, a.data.shape),
-         lambda g: _unbroadcast(-g, b.data.shape)))
+    return _node(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    return _make_result(
-        a.data * b.data, (a, b),
-        (lambda g: _unbroadcast(g * b.data, a.data.shape),
-         lambda g: _unbroadcast(g * a.data, b.data.shape)))
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                            _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    return _make_result(
-        a.data / b.data, (a, b),
-        (lambda g: _unbroadcast(g / b.data, a.data.shape),
-         lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+    return _node(a.data / b.data, (a, b),
+                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _make_result(-a.data, (a,), (lambda g: -g,))
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def pow_(a, exponent: float) -> Tensor:
     a = as_tensor(a)
     e = float(exponent)
-    return _make_result(
-        a.data ** e, (a,),
-        (lambda g: g * e * a.data ** (e - 1.0),))
+    return _node(a.data ** e, (a,), lambda g: (g * e * a.data ** (e - 1.0),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
-    return _make_result(out_data, (a,), (lambda g: g * out_data,))
+    return _node(out_data, (a,), lambda g: (g * out_data,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make_result(np.log(a.data), (a,), (lambda g: g / a.data,))
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-    return _make_result(out_data, (a,), (lambda g: g / (2.0 * out_data),))
+    return _node(out_data, (a,), lambda g: (g / (2.0 * out_data),))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-    return _make_result(out_data, (a,), (lambda g: g * (1.0 - out_data * out_data),))
+    return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -285,11 +257,11 @@ def gelu(a) -> Tensor:
     t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
     out_data = 0.5 * x * (1.0 + t)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -297,7 +269,7 @@ def sigmoid(a) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))  # stable for both signs
     out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
-    return _make_result(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),))
+    return _node(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -305,17 +277,16 @@ def clip(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     out_data = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-    return _make_result(out_data, (a,), (lambda g: g * inside,))
+    return _node(out_data, (a,), lambda g: (g * inside,))
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:
     """Select by a constant boolean mask (the mask itself carries no gradient)."""
     a, b = as_tensor(a), as_tensor(b)
     cond = np.asarray(cond, dtype=bool)
-    return _make_result(
-        np.where(cond, a.data, b.data), (a, b),
-        (lambda g: _unbroadcast(np.where(cond, g, 0.0), a.data.shape),
-         lambda g: _unbroadcast(np.where(cond, 0.0, g), b.data.shape)))
+    return _node(np.where(cond, a.data, b.data), (a, b),
+                 lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.data.shape),
+                            _unbroadcast(np.where(cond, 0.0, g), b.data.shape)))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -324,13 +295,11 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def back(g: np.ndarray) -> np.ndarray:
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g2, a.data.shape).astype(a.data.dtype, copy=False)
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        g2 = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g2, a.data.shape).astype(a.data.dtype, copy=False),)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -346,11 +315,11 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return out_data * (g - dot)
+        return (out_data * (g - dot),)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 def _logsumexp_weights(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +336,11 @@ def logsumexp_t(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     out_full, soft = _logsumexp_weights(a.data, axis)
     out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         g2 = g if keepdims else np.expand_dims(g, axis)
-        return g2 * soft
+        return (g2 * soft,)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 # -- shape / indexing ----------------------------------------------------------
@@ -379,29 +348,19 @@ def logsumexp_t(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.data.shape
-    return _make_result(a.data.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
-    return _make_result(np.swapaxes(a.data, ax1, ax2), (a,),
-                        (lambda g: np.swapaxes(g, ax1, ax2),))
+    return _node(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_back(i: int):
-        def back(g: np.ndarray) -> np.ndarray:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            return g[tuple(sl)]
-        return back
-
-    return _make_result(out_data, ts, tuple(make_back(i) for i in range(len(ts))))
+    ends = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
+    return _node(out_data, ts, lambda g: tuple(np.split(g, ends, axis=axis)))
 
 
 def _is_basic_key(key) -> bool:
@@ -414,15 +373,15 @@ def getitem(a, key) -> Tensor:
     out_data = a.data[key]
     basic = _is_basic_key(key)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         full = np.zeros_like(a.data)
         if basic:  # basic indexing never aliases, and np.add.at rejects slices
             full[key] += g
         else:
             np.add.at(full, key, g)
-        return full
+        return (full,)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -431,7 +390,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     out_data = weight.data[ids]
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         # segment sum: group equal ids with a stable sort, add each run once
         flat = ids.reshape(-1)
         order = np.argsort(flat, kind="stable")
@@ -440,9 +399,9 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
         full = np.zeros_like(weight.data)
         full[sorted_ids[starts]] = np.add.reduceat(
             g.reshape(-1, weight.data.shape[-1])[order], starts, axis=0)
-        return full
+        return (full,)
 
-    return _make_result(out_data, (weight,), (back,))
+    return _node(out_data, (weight,), backward)
 
 
 def take_along_last(a, idx: np.ndarray) -> Tensor:
@@ -452,25 +411,21 @@ def take_along_last(a, idx: np.ndarray) -> Tensor:
     expanded = np.expand_dims(idx, -1)
     out_data = np.take_along_axis(a.data, expanded, axis=-1).squeeze(-1)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         full = np.zeros_like(a.data)
         np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-        return full
+        return (full,)
 
-    return _make_result(out_data, (a,), (back,))
+    return _node(out_data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = np.matmul(a.data, b.data)
 
-    def back_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-
-    def back_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-
-    return _make_result(out_data, (a, b), (back_a, back_b))
+    return _node(out_data, (a, b), lambda g: (
+        _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape),
+        _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)))
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -479,10 +434,13 @@ def linear(x, weight, bias) -> Tensor:
     n_in, n_out = weight.data.shape
     x2d = x.data.reshape(-1, n_in)
     out_data = (np.matmul(x2d, weight.data) + bias.data).reshape(x.data.shape[:-1] + (n_out,))
-    return _make_result(out_data, (x, weight, bias), (
-        lambda g: np.matmul(g.reshape(-1, n_out), weight.data.T).reshape(x.data.shape),
-        lambda g: np.matmul(x2d.T, g.reshape(-1, n_out)),
-        lambda g: _unbroadcast(g.reshape(-1, n_out), bias.data.shape)))
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g2d = g.reshape(-1, n_out)
+        return (np.matmul(g2d, weight.data.T).reshape(x.data.shape),
+                np.matmul(x2d.T, g2d), _unbroadcast(g2d, bias.data.shape))
+
+    return _node(out_data, (x, weight, bias), backward)
 
 
 def _attention_weights(q4: np.ndarray, k4: np.ndarray, allowed: np.ndarray,
@@ -588,7 +546,7 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
         g_k = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), g_scores), 2, 3)
         return tuple(np.swapaxes(gt, 1, 2).reshape(bsz, -1, hid) for gt in (g_q, g_k, g_v))
 
-    return fused(out_data, (q, k, v), backward)
+    return _node(out_data, (q, k, v), backward)
 
 
 # -- normalization / regularization ---------------------------------------------
@@ -605,18 +563,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
 
-    def back_x(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
         gh = g * gamma.data
-        return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return (inv * (gh - gh.mean(axis=-1, keepdims=True)
+                       - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
+                _unbroadcast(g * xhat, gamma.data.shape), _unbroadcast(g, beta.data.shape))
 
-    def back_gamma(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g * xhat, gamma.data.shape)
-
-    def back_beta(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g, beta.data.shape)
-
-    return _make_result(out_data, (x, gamma, beta), (back_x, back_gamma, back_beta))
+    return _node(out_data, (x, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
@@ -628,7 +581,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
     x = as_tensor(x)
     keep = rng.random(x.data.shape) >= p
     mask = keep.astype(x.data.dtype) * np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
-    return _make_result(x.data * mask, (x,), (lambda g: g * mask,))
+    return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # -- operator sugar ---------------------------------------------------------------

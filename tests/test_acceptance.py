@@ -7,8 +7,6 @@ directional comparisons. Run with ``pytest tests/test_acceptance.py -v -s``
 to watch the per-criterion lines.
 """
 
-import contextlib
-import ctypes
 import itertools
 import json
 import math
@@ -25,9 +23,8 @@ from propspan.encoder import EncoderConfig, SpanClsConfig, SpanClsHead
 from propspan.losses import class_weights, reweighted_bce, uniform_weights
 from propspan.metrics import FlcScore, flc_f1, micro_f1
 from propspan.models import TcClassifier
-from propspan.pipeline import (HyperParams, TcItem, TcOptions, _openblas_function,
-                               annotate_si, blas_threads, build_tc_items, derive_seed,
-                               enumerate_ensembles, kfold_split, parallel_map,
+from propspan.pipeline import (HyperParams, TcItem, TcOptions, annotate_si, build_tc_items,
+                               derive_seed, enumerate_ensembles, kfold_split, parallel_map,
                                predict_tc_probs, train_si, train_tc)
 from propspan.stats import bartlett, kruskal_wallis, mann_whitney_u, spearman_rho
 from propspan.synth import SynthConfig, gen_synth
@@ -40,25 +37,6 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {num:2d}: {description}{suffix}")
     assert ok, f"criterion {num}: {description}{suffix}"
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """OpenBLAS at one thread in this process and the workers ``parallel_map``
-    forks from it: two processes that each run a second BLAS thread on two
-    cores train several times slower. A no-op where numpy's OpenBLAS exports
-    no known getter or setter."""
-    before = blas_threads()
-    setter = _openblas_function("set_num_threads")
-    if setter is None or before is None:
-        yield
-        return
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
 
 
 def rand_crf(rng, n_labels):
@@ -311,9 +289,8 @@ def test_criterion_09_crf_trend():
         return train_si(corpus.train, corpus.dev, hp, seed=seed, use_crf=use_crf).best_score
 
     # CRF runs first: each core then gets a mix of the slower CRF and plain runs
-    with one_blas_thread():
-        scores = parallel_map(best, [(seed, use_crf) for use_crf in (True, False)
-                                     for seed in range(5)])
+    scores = parallel_map(best, [(seed, use_crf) for use_crf in (True, False)
+                                 for seed in range(5)])
     crf_scores, plain_scores = scores[:5], scores[5:]
     elapsed = time.time() - start
     ok = np.mean(crf_scores) >= np.mean(plain_scores) and elapsed < 600
@@ -343,8 +320,7 @@ def test_criterion_10_self_training_trend():
                       ratio=(1, 4))
         return base.best_score, st.best_score
 
-    with one_blas_thread():
-        base_scores, st_scores = zip(*parallel_map(chain, range(5)))
+    base_scores, st_scores = zip(*parallel_map(chain, range(5)))
     elapsed = time.time() - start
     ok = np.mean(st_scores) >= np.mean(base_scores) and elapsed < 900
     report(10, "mean best dev F1 over 5 seeds: 10% gold + 1:4 silver >= gold-only",
@@ -379,8 +355,7 @@ def test_criterion_11_ensemble_trend():
             scores.append(micro_f1(p.argmax(axis=1), gold))
         return micro_f1((sum(probs) / 3).argmax(axis=1), gold), np.mean(scores)
 
-    with one_blas_thread():
-        results = parallel_map(fold, [(seed, i) for seed in range(3) for i in range(6)])
+    results = parallel_map(fold, [(seed, i) for seed in range(3) for i in range(6)])
     ens_means = [np.mean([ens for ens, _ in results[6 * seed:6 * seed + 6]])
                  for seed in range(3)]
     comp_means = [np.mean([comp for _, comp in results[6 * seed:6 * seed + 6]])

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from propspan import encoder as encoder_mod
 from propspan import tensor as T
@@ -21,6 +27,14 @@ def tiny_cfg(vocab_size, **kw):
 @pytest.fixture
 def vocab():
     return Vocab([f"w{i}" for i in range(20)])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
 
 
 class TestCheckpointFormat:
@@ -62,6 +76,27 @@ class TestCheckpointFormat:
         save_checkpoint(tmp_path / "a", tensors, {"c": 1}, {"m": 2})
         save_checkpoint(tmp_path / "b", tensors, {"c": 1}, {"m": 2})
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(
+               st.text(max_size=8),
+               hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                          hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+               max_size=5),
+           st.dictionaries(st.text(max_size=6), _JSON, max_size=4),
+           st.dictionaries(st.text(max_size=6), _JSON, max_size=4))
+    def test_round_trip_property(self, tensors, config, meta):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a", Path(tmp) / "b"
+            save_checkpoint(first, tensors, config, meta)
+            loaded, got_config, got_meta = load_checkpoint(first)
+            assert got_config == config and got_meta == meta
+            assert sorted(loaded) == sorted(tensors)
+            for name, arr in tensors.items():
+                assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+                assert loaded[name].tobytes() == arr.tobytes()  # NaN payloads too
+            save_checkpoint(second, loaded, got_config, got_meta)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestSiTagger:

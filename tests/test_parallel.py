@@ -157,6 +157,28 @@ def test_serial_with_one_cpu_and_when_nested(cpus):
     assert inner[0][0] == CALLER != inner[1][0]
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_forking_map_holds_one_blas_thread(cpus, n_cpus):
+    """Every task of a map that forks, the caller's share included, runs at one
+    OpenBLAS thread, and the caller's count comes back afterwards. A serial map,
+    like those inside the training loop, leaves the count alone."""
+    before = pl._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy's OpenBLAS exports no known thread-count getter or setter")
+    try:
+        if pl.blas_threads() != 2:
+            pytest.skip("this OpenBLAS does not run 2 threads here")
+        cpus(n_cpus)
+        seen = pl.parallel_map(lambda _: (pl.blas_threads(), os.getpid()), range(4))
+        assert [n for n, _ in seen] == [1 if n_cpus == 2 else 2] * 4
+        assert len({pid for _, pid in seen}) == n_cpus
+        assert pl.blas_threads() == 2
+        with pl._serial():
+            assert pl.parallel_map(lambda _: pl.blas_threads(), range(2)) == [2, 2]
+    finally:
+        pl._set_blas_threads(before)
+
+
 def test_worker_exception_keeps_its_type(cpus):
     cpus(2)
 

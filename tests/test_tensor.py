@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from propspan import crf as C
 from propspan import tensor as T
 from propspan.tensor import Tensor, grad_check, no_grad
 
@@ -104,7 +105,7 @@ def test_embedding_backward_matches_add_at():
     assert not w.grad.any()
 
 
-def test_fused_backward_runs_once_per_pass():
+def test_node_backward_runs_once_per_pass():
     calls = []
     a, b = randt(np.random.default_rng(18), (3,)), randt(np.random.default_rng(19), (3,))
 
@@ -112,10 +113,83 @@ def test_fused_backward_runs_once_per_pass():
         calls.append(g)
         return g * b.data, g * a.data
 
-    out = T.fused(a.data * b.data, (a, b), backward)
+    out = T._node(a.data * b.data, (a, b), backward)
     (out * 2.0).sum().backward()
     assert len(calls) == 1
     assert np.array_equal(a.grad, 2.0 * b.data) and np.array_equal(b.grad, 2.0 * a.data)
+
+
+def _const(rng, shape):
+    return Tensor(rng.normal(size=shape), dtype=np.float64)
+
+
+def _pos(rng, shape):
+    return Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True, dtype=np.float64)
+
+
+def _crf_log_partition(rng):
+    params = C.CrfParams(randt(rng, (3, 3)), _const(rng, (3,)), randt(rng, (3,)))
+    return C.log_partition_batch(randt(rng, (2, 4, 3)), np.array([4, 2]), params)
+
+
+# One node per op on float64 inputs. The operands made with _const, mul's
+# scalar and mean's scalar factor take no gradient.
+NODE_OPS = {
+    "add": lambda r: T.add(randt(r, (3, 4)), _const(r, (4,))),
+    "sub": lambda r: T.sub(_const(r, (3, 4)), randt(r, (3, 1))),
+    "mul": lambda r: T.mul(randt(r, (3, 4)), 2.0),
+    "div": lambda r: T.div(_const(r, (3, 4)), _pos(r, (1, 4))),
+    "neg": lambda r: T.neg(randt(r, (3, 4))),
+    "pow_": lambda r: T.pow_(_pos(r, (3, 4)), 1.5),
+    "exp": lambda r: T.exp(randt(r, (3, 4))),
+    "log": lambda r: T.log(_pos(r, (3, 4))),
+    "sqrt": lambda r: T.sqrt(_pos(r, (3, 4))),
+    "tanh": lambda r: T.tanh(randt(r, (3, 4))),
+    "gelu": lambda r: T.gelu(randt(r, (3, 4))),
+    "sigmoid": lambda r: T.sigmoid(randt(r, (3, 4))),
+    "clip": lambda r: T.clip(randt(r, (3, 4)), -0.5, 0.5),
+    "where": lambda r: T.where(r.random((3, 4)) < 0.5, randt(r, (3, 4)), _const(r, (3, 4))),
+    "sum_": lambda r: T.sum_(randt(r, (3, 4)), axis=1),
+    "mean": lambda r: T.mean(randt(r, (3, 4)), axis=0),
+    "softmax": lambda r: T.softmax(randt(r, (3, 4))),
+    "logsumexp_t": lambda r: T.logsumexp_t(randt(r, (3, 4)), axis=0, keepdims=True),
+    "reshape": lambda r: T.reshape(randt(r, (3, 4)), (2, 6)),
+    "swapaxes": lambda r: T.swapaxes(randt(r, (2, 3, 4)), 0, 2),
+    "concat": lambda r: T.concat([randt(r, (2, 3)), _const(r, (2, 2)), randt(r, (2, 1))],
+                                 axis=-1),
+    "getitem": lambda r: T.getitem(randt(r, (4, 5)), (np.array([0, 2, 2]), slice(1, 4))),
+    "embedding": lambda r: T.embedding(randt(r, (5, 3)), np.array([[0, 4, 4], [1, 0, 2]])),
+    "take_along_last": lambda r: T.take_along_last(randt(r, (2, 3, 4)),
+                                                   np.array([[0, 3, 1], [2, 2, 0]])),
+    "matmul": lambda r: T.matmul(randt(r, (2, 3, 4)), _const(r, (4, 5))),
+    "linear": lambda r: T.linear(randt(r, (2, 3, 4)), randt(r, (4, 5)), _const(r, (5,))),
+    "attention": lambda r: T.attention(randt(r, (2, 3, 4)), _const(r, (2, 5, 4)),
+                                       randt(r, (2, 5, 4)), np.ones((2, 1, 1, 5), bool),
+                                       2, 0.2, np.random.default_rng(0), True),
+    "layer_norm": lambda r: T.layer_norm(randt(r, (2, 3, 4)), randt(r, (4,)), _const(r, (4,))),
+    "dropout": lambda r: T.dropout(randt(r, (3, 4)), 0.3, np.random.default_rng(0), True),
+    "crf.log_partition_batch": _crf_log_partition,
+}
+WITH_CONSTANT = {"add", "sub", "mul", "div", "where", "mean", "concat", "matmul", "linear",
+                 "attention", "layer_norm", "crf.log_partition_batch"}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_OPS))
+def test_node_backward_returns_one_gradient_per_parent(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    out = NODE_OPS[name](rng)
+    assert out._parents and out.dtype == np.float64
+    g = rng.normal(size=out.shape)
+    grads = out._backward(g)
+    assert not isinstance(grads, np.ndarray)  # a bare array would zip row by row
+    assert len(grads) == len(out._parents)
+    for p, pg in zip(out._parents, grads):
+        assert np.shape(pg) == p.shape
+    out.backward(g)
+    constants = [p for p in out._parents if not p.requires_grad]
+    assert bool(constants) == (name in WITH_CONSTANT)
+    assert all(p.grad is None for p in constants)
+    assert all(p.grad is not None for p in out._parents if p.requires_grad and not p._parents)
 
 
 def composite_linear(x, w, b):

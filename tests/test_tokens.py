@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from propspan.tokens import (_PUNCT, BOP, BOS, EOP, EOS, PAD, Span,
+from propspan.tokens import (_PUNCT, BOP, BOS, EOP, EOS, PAD, ContextWindow, Span,
                              Vocab, extend_context, inject_markers, merge_spans,
                              span_token_range, spans_to_tags, tags_to_spans, tokenize)
 
@@ -306,6 +306,35 @@ def test_span_token_range_matches_scan(case):
                 span_token_range(tt, span)
         else:
             assert span_token_range(tt, span) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_text_and_spans(max_spans=1).filter(lambda case: case[1]), st.integers(1, 30),
+       st.booleans())
+def test_extend_context_window_invariants(case, max_tokens, truncate):
+    """A span that fits sits in a window of min(max_tokens, n) tokens whose left
+    and right context differ by at most one token unless one side reaches the
+    document boundary; an over-budget span truncates to its first max_tokens."""
+    tt, (span,) = case
+    try:
+        s0, s1 = span_token_range(tt, span)
+    except ValueError:
+        assume(False)
+    n = len(tt)
+    if s1 - s0 > max_tokens:
+        if truncate:
+            assert extend_context(tt, span, max_tokens, truncate=True) == \
+                ContextWindow(s0, s0 + max_tokens, s0, s0 + max_tokens)
+        else:
+            with pytest.raises(ValueError, match="exceeds budget"):
+                extend_context(tt, span, max_tokens)
+        return
+    win = extend_context(tt, span, max_tokens, truncate)
+    assert (win.span_start, win.span_end) == (s0, s1)
+    assert 0 <= win.start <= s0 and s1 <= win.end <= n
+    assert win.end - win.start == min(max_tokens, n)
+    left, right = s0 - win.start, win.end - s1
+    assert abs(left - right) <= 1 or win.start == 0 or win.end == n
 
 
 @settings(max_examples=400, deadline=None)
