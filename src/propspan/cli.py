@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -194,8 +195,7 @@ def _tc_items(data: SpanDataset, max_seq_len: int) -> tuple[list[pl.TcItem], dic
     """``data``'s classification items, and how many of its spans were
     truncated to the window budget or skipped for covering no token."""
     items = pl.build_tc_items(data, max_seq_len)
-    return items, {"truncated_spans": sum(it.truncated for it in items),
-                   "skipped_spans": len(data.spans) - len(items)}
+    return items, pl.tc_item_counts(items, len(data.spans))
 
 
 def _parse_ratio(text: str) -> tuple[int, int] | None:
@@ -318,7 +318,8 @@ def cmd_train_tc(args) -> int:
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
         annotator = pl.train_tc(train_items, dev_items, labels, opts, hp,
                                 pl.derive_seed(args.seed, 77), encoder_cfg=enc)
-        silver_items = pl.build_tc_silver(si_model, annotator.model, pool, hp.max_seq_len)
+        silver_items, counts["silver"] = pl.build_tc_silver(si_model, annotator.model, pool,
+                                                            hp.max_seq_len)
 
     res = pl.train_tc(train_items, dev_items, labels, opts, hp, args.seed,
                       silver_items=silver_items, ratio=ratio, encoder_cfg=enc)
@@ -533,7 +534,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS``
+    names a count (output bytes depend on the count, and at desk shapes a
+    second thread was slower), and the caller's count comes back on return."""
     parser = build_parser()
+    threads = None if os.environ.get("OPENBLAS_NUM_THREADS") else pl._set_blas_threads(1)
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
@@ -546,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if threads is not None:
+            pl._set_blas_threads(threads)
 
 
 if __name__ == "__main__":

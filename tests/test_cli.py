@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,10 @@ from propspan.checkpoint import MAGIC, save_checkpoint
 from propspan.cli import main
 from propspan.datasets import read_articles, read_spans_tsv, read_techniques, write_spans_tsv
 from propspan.metrics import micro_f1
+from propspan.models import SiTagger
 from propspan.tokens import Span, span_token_range, tokenize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -630,3 +637,66 @@ def test_tc_commands_count_truncated_and_skipped_spans(synth_dir, tmp_path, caps
     record = json.loads((out / "runs.jsonl").read_text())
     assert record["meta"]["tc_items"]["pool"] == counts
     assert len(read_spans_tsv(out / "silver-tc.tsv", "tc", techniques)) == len(spans) - 1
+
+
+def test_self_trained_train_tc_counts_silver_spans(synth_dir, tmp_path):
+    # a tagger that tags every token B or I finds each 12-token window as one span,
+    # which outgrows the 8-token budget of a 12-token TC window whenever it is longer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "hp.max_seq_len": 12, "hp.steps": 0}))
+    assert run(["train-si", "--seed", "1", *split_args(synth_dir, "si"), "--config", str(cfg),
+                "--out", str(tmp_path / "si")]) == 0
+    tagger = SiTagger.load(tmp_path / "si" / "model-si.spfg")
+    tagger.emission_head.params["emit.w"].data[:] = 0
+    tagger.emission_head.params["emit.b"].data[:] = np.array([0.0, 5.0, 10.0])  # O, B, I
+    si_model = tmp_path / "tagger.spfg"
+    tagger.save(si_model)
+    pool = read_articles(synth_dir / "pool" / "articles")
+    tokenized = {aid: tokenize(text) for aid, text in pool.items()}
+    spans = pl.predict_spans(tagger, tokenized, 12)
+    truncated = sum(stop - first > 12 - pl.MARKER_OVERHEAD for first, stop in
+                    (span_token_range(tokenized[sp.article_id], sp) for sp in spans))
+    assert truncated >= 1
+
+    cfg.write_text(json.dumps({**TRAIN_CFG, "hp.max_seq_len": 12, "hp.steps": 2}))
+    out = tmp_path / "tc"
+    assert run(["train-tc", "--seed", "1", *split_args(synth_dir, "tc"), "--config", str(cfg),
+                "--pool", str(synth_dir / "pool" / "articles"), "--si-model", str(si_model),
+                "--out", str(out)]) == 0
+    record = json.loads((out / "runs.jsonl").read_text())
+    assert record["meta"]["tc_items"]["silver"] == {"truncated_spans": truncated,
+                                                    "skipped_spans": 0}
+    assert record["meta"]["silver_items"] == len(spans)
+
+
+def test_outputs_identical_with_openblas_threads_unset_and_one(tmp_path):
+    """``main`` runs OpenBLAS at one thread unless ``OPENBLAS_NUM_THREADS``
+    names a count, so an unset variable writes the bytes of a pinned run.
+    Desk encoder and article shapes, where a second BLAS thread changes sums."""
+    if pl.blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS exports no known thread-count getter")
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"synth.n_train": 30, "synth.n_dev": 10, "synth.n_pool": 1}))
+    data = tmp_path / "data"
+    assert run(["gen-synth", "--seed", "7", "--out", str(data), "--config", str(config)]) == 0
+    commands = {"si": ["train-si", "--seed", "3", "--steps", "500", *split_args(data, "si")]}
+    for head in ("marker", "span_cls"):
+        commands[head] = ["train-tc", "--seed", "3", "--steps", "40", *split_args(data, "tc"),
+                          *(["--reweight", "--span-cls"] if head == "span_cls" else [])]
+    outputs = {}
+    for setting in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        if setting:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        for name, argv in commands.items():
+            out = tmp_path / f"{setting}" / name
+            proc = subprocess.run([sys.executable, "-m", "propspan.cli", *argv, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            record = json.loads((out / "runs.jsonl").read_text())
+            model = "model-si.spfg" if name == "si" else "model-tc.spfg"
+            outputs[setting, name] = [(out / model).read_bytes(), record["eval_trace"],
+                                      record["blas_threads"]]
+    for name in commands:
+        assert outputs[None, name] == outputs["1", name], name

@@ -1,8 +1,9 @@
 """The fork-based ``parallel_map`` and its callers, ``cross_validate``,
-``predict_tc_probs`` and ``predict_spans``: outputs are identical for every
-usable CPU count, results come back in task order even when workers finish
-first, errors keep their exit codes, no worker outlives a call, and training
-never forks.
+``predict_tc_probs`` and ``predict_spans``, and the two-shard SI training
+step with its one worker: outputs are identical for every usable CPU count,
+results come back in task order even when workers finish first, the shards'
+gradient is the whole batch's, errors keep their exit codes, no worker
+outlives a call, and a training run forks at most its one shard worker.
 
 The CPU count is set by patching ``pipeline._usable_cpus``, or with
 ``os.sched_setaffinity`` in a subprocess. Several tests slow down the calling
@@ -27,7 +28,9 @@ import pytest
 from propspan import pipeline as pl
 from propspan.cli import main
 from propspan.datasets import SpanDataset, load_dataset, read_articles
+from propspan.encoder import EncoderConfig
 from propspan.models import SiTagger, TcClassifier
+from propspan.tokens import Vocab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CALLER = os.getpid()  # the test process; forked workers have other pids
@@ -435,15 +438,20 @@ def test_annotate_si_and_self_train_identical_for_one_and_two_cpus(corpus, si_mo
     assert outputs[1] == outputs[2]
 
 
-def test_training_never_forks(corpus, cpus, monkeypatch, tmp_path):
-    """Dev evaluation runs serially inside ``train-si`` and ``train-tc``, even
-    where its tagging or classification pass spans several batches."""
+def test_si_training_forks_one_worker_and_tc_training_none(corpus, cpus, monkeypatch,
+                                                             tmp_path):
+    """``train-si`` forks its shard worker once per run and its dev evaluation
+    forks nothing, even where its tagging pass spans several batches;
+    ``train-tc`` forks nothing, with either head."""
     data, cfg = corpus
     cpus(2)
+    forks = []
+    fork = os.fork
 
-    def no_fork():
-        raise OSError("fork called during training")
-    monkeypatch.setattr(os, "fork", no_fork)
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
     si_cfg = tmp_path / "si.json"  # one 5-8 token line per window: over 16 windows
     si_cfg.write_text(json.dumps({**SI_CFG, "hp.max_seq_len": 8}))
     argv = si_argv(corpus, "train-si", tmp_path / "si")
@@ -451,6 +459,7 @@ def test_training_never_forks(corpus, cpus, monkeypatch, tmp_path):
     dev = load_dataset(data / "dev" / "articles", data / "dev" / "labels-si.tsv", "si")
     assert len(pl.build_si_windows(dev, 8)) > 16
     assert main(argv) == 0
+    assert len(forks) == 1
     assert len(dev.spans) > 32  # TC dev evaluation runs more than one batch
     for head in ([], ["--span-cls"]):
         assert main(["train-tc", "--seed", "5", *head,
@@ -460,5 +469,215 @@ def test_training_never_forks(corpus, cpus, monkeypatch, tmp_path):
                      "--dev-labels", str(data / "dev" / "labels-tc.tsv"),
                      "--techniques", str(data / "techniques.txt"),
                      "--config", str(cfg), "--out", str(tmp_path / f"tc{len(head)}")]) == 0
-    with pytest.raises(OSError, match="fork called"):  # the patch is live
-        pl.parallel_map(abs, [1, 2])
+    assert len(forks) == 1
+    pl.parallel_map(abs, [1, 2])  # the patch is live
+    assert len(forks) == 2
+
+
+# -- two-shard SI training ----------------------------------------------------------
+
+def float64_tagger(corpus):
+    """A float64 tagger without dropout and its training windows."""
+    data, _ = corpus
+    train = load_dataset(data / "train" / "articles", data / "train" / "labels-si.tsv", "si")
+    windows = pl.build_si_windows(train, 32)
+    vocab = Vocab.build([[t.surface for t in w.tokens] for w in windows])
+    config = EncoderConfig(vocab_size=len(vocab), hidden_size=16, layers=1, heads=2,
+                           intermediate_size=24, max_positions=32, dropout=0.0,
+                           attention_dropout=0.0)
+    return SiTagger(config, vocab, seed=0, dtype=np.float64), windows
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_two_shard_gradient_equals_whole_batch_gradient(corpus, cpus, monkeypatch, n_cpus,
+                                                        batch):
+    """The gradient the optimizer steps with, from shards of ceil(B/2) and the
+    rest, is the whole batch's per-token gradient; a batch of one leaves shard
+    1 empty. With two CPUs the worker runs shard 1."""
+    model, windows = float64_tagger(corpus)
+    start = pl._snapshot(model)
+    calls = []
+
+    def batch_loss(idx, shard):
+        calls.append((len(idx), shard))  # the calling process's calls only
+        ids, mask, tags, lengths = pl._pad_si_batch([windows[j] for j in idx], model.vocab)
+        return model.loss(ids, mask, tags, lengths, train=True,
+                          rng=np.random.default_rng(shard))
+    stepped = []
+    step = pl.Optimizer.step
+
+    def spy(opt):
+        stepped.append({k: p.grad.copy() for k, p in opt.params.items()})
+        step(opt)
+    monkeypatch.setattr(pl.Optimizer, "step", spy)
+    cpus(n_cpus)
+    hp = replace(pl.HyperParams.desk("si"), steps=1, batch_size=batch, max_seq_len=32)
+    tokens = np.array([len(w.tokens) for w in windows])
+    pl._fit(model, len(windows), batch_loss, lambda step: pl.EvalPoint(step, 0.0), hp,
+            np.random.default_rng(0), tokens)
+    cut = -(-batch // 2)
+    assert calls == [(cut, 0)] + ([(batch - cut, 1)] if n_cpus == 1 and batch > 1 else [])
+
+    pl._restore(model, start)
+    for p in model.params().values():
+        p.grad = None
+    idx = np.random.default_rng(0).permutation(len(windows))[:batch]
+    ids, mask, tags, lengths = pl._pad_si_batch([windows[j] for j in idx], model.vocab)
+    model.loss(ids, mask, tags, lengths, train=True).backward()
+    [got] = stepped
+    whole = {name: p.grad for name, p in model.params().items()}
+    # the key biases' exact gradient is 0 (softmax ignores a shift): only rounding is left there
+    atol = 1e-12 * max(np.abs(g).max() for g in whole.values())
+    for name, g in whole.items():
+        np.testing.assert_allclose(got[name], g, rtol=1e-10, atol=atol, err_msg=name)
+
+
+def test_train_si_identical_for_one_and_two_cpus(corpus, cpus, tmp_path):
+    outputs = {}
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / f"cpus{n}"
+        assert main(si_argv(corpus, "train-si", out)) == 0
+        record = json.loads((out / "runs.jsonl").read_text())
+        outputs[n] = [(out / "model-si.spfg").read_bytes(), record["eval_trace"],
+                      record["meta"]]
+    assert max(p["score"] for p in outputs[1][1]) > 0  # the tagger found spans
+    assert outputs[1] == outputs[2]
+
+
+def test_si_training_identical_under_cpu_affinity(corpus, tmp_path):
+    """``train-si`` and ``self-train`` in subprocesses restricted to one CPU
+    against unrestricted ones (serial too on a one-CPU machine)."""
+    data, _ = corpus
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outputs = {}
+    for name, preexec in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        out = tmp_path / name
+        for argv in (si_argv(corpus, "train-si", out / "si"),
+                     [*si_argv(corpus, "self-train", out / "self"), "--iterations", "1",
+                      "--pool", str(data / "pool" / "articles")]):
+            proc = subprocess.run([sys.executable, "-m", "propspan.cli", *argv],
+                                  env=env, preexec_fn=preexec, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        records = [json.loads(line) for run in ("si", "self")
+                   for line in (out / run / "runs.jsonl").read_text().splitlines()]
+        outputs[name] = [(out / path).read_bytes() for path in
+                         ("si/model-si.spfg", "self/model-si-base.spfg",
+                          "self/model-si-iter1.spfg")]
+        outputs[name] += [(r["eval_trace"], r["meta"], r["blas_threads"]) for r in records]
+    assert outputs["one"] == outputs["all"]
+
+
+def test_training_worker_holds_one_blas_thread(corpus, cpus, monkeypatch, tmp_path):
+    """The worker and the caller run OpenBLAS at one thread while the worker
+    lives; the caller's count comes back afterwards."""
+    before = pl._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy's OpenBLAS exports no known thread-count getter or setter")
+    try:
+        if pl.blas_threads() != 2:
+            pytest.skip("this OpenBLAS does not run 2 threads here")
+        cpus(2)
+        seen = tmp_path / "seen"
+        loss = SiTagger.loss
+
+        def noted(self, *args, **kwargs):
+            with open(seen, "a") as fh:  # one short appended line per call, from both processes
+                fh.write(f"{os.getpid()} {pl.blas_threads()}\n")
+            return loss(self, *args, **kwargs)
+        monkeypatch.setattr(SiTagger, "loss", noted)
+        data, _ = corpus
+        train = load_dataset(data / "train" / "articles", data / "train" / "labels-si.tsv", "si")
+        hp = replace(pl.HyperParams.desk("si"), steps=3, eval_every=3, max_seq_len=32)
+        pl.train_si(train, train, hp, seed=0, encoder_cfg=replace(
+            pl.desk_encoder_config(1, hp), hidden_size=16, layers=1, heads=2,
+            intermediate_size=24))
+        lines = [line.split() for line in seen.read_text().splitlines()]
+        assert len(lines) == 6 and {n for _, n in lines} == {"1"}
+        assert len({pid for pid, _ in lines}) == 2
+        assert pl.blas_threads() == 2
+    finally:
+        pl._set_blas_threads(before)
+
+
+def worker_loss(monkeypatch, action) -> None:
+    """Run ``action`` in place of ``SiTagger.loss`` in forked processes only."""
+    loss = SiTagger.loss
+
+    def patched(self, *args, **kwargs):
+        if os.getpid() != CALLER:
+            return action()
+        return loss(self, *args, **kwargs)
+    monkeypatch.setattr(SiTagger, "loss", patched)
+
+
+def test_killed_training_worker_exits_2(corpus, cpus, monkeypatch, tmp_path, capsys):
+    cpus(2)
+    worker_loss(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert main(si_argv(corpus, "train-si", tmp_path)) == 2
+    assert "RuntimeError: training worker exited with code -9 and no result" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "model-si.spfg").exists()
+
+
+def test_training_worker_exception_keeps_its_type(corpus, cpus, monkeypatch, tmp_path,
+                                                  capsys):
+    cpus(2)
+
+    def reject():
+        raise ValueError("shard input rejected")
+    worker_loss(monkeypatch, reject)
+    assert main(si_argv(corpus, "train-si", tmp_path / "value")) == 1  # 2 for other types
+    assert "error: shard input rejected" in capsys.readouterr().err
+
+    def unsendable():
+        raise TwoArgError("a", "b")
+    worker_loss(monkeypatch, unsendable)
+    assert main(si_argv(corpus, "train-si", tmp_path / "two")) == 2
+    assert "RuntimeError: TwoArgError: a/b" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN itself
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_non_finite_shard_1_loss_stops_before_the_optimizer_step(corpus, cpus, monkeypatch,
+                                                                 tmp_path, capsys, n_cpus):
+    cpus(n_cpus)
+    backward = pl._backward
+    calls = []  # in the process that makes them
+
+    def poisoned(opt, loss, weight):
+        calls.append(1)
+        # step 3's shard 1: the worker's third call, or the sixth of the caller alone
+        if len(calls) == (3 if os.getpid() != CALLER else 6):
+            loss = loss * np.nan
+        return backward(opt, loss, weight)
+    monkeypatch.setattr(pl, "_backward", poisoned)
+    steps = []
+    step = pl.Optimizer.step
+    monkeypatch.setattr(pl.Optimizer, "step", lambda opt: (steps.append(1), step(opt)))
+    assert main(si_argv(corpus, "train-si", tmp_path)) == 2
+    assert "non-finite training loss nan at step 3 (shard 1)" in capsys.readouterr().err
+    assert len(steps) == 2
+
+
+def test_callers_exception_stops_the_training_worker(corpus, cpus, monkeypatch, tmp_path,
+                                                     capsys):
+    cpus(2)
+    loss = SiTagger.loss
+    calls = []
+
+    def fail_in_caller(self, *args, **kwargs):
+        if os.getpid() == CALLER:
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyError("caller's shard")
+        return loss(self, *args, **kwargs)
+    monkeypatch.setattr(SiTagger, "loss", fail_in_caller)
+    start = time.perf_counter()
+    assert main(si_argv(corpus, "train-si", tmp_path)) == 2
+    assert "KeyError" in capsys.readouterr().err
+    assert time.perf_counter() - start < 30

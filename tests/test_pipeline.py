@@ -163,7 +163,7 @@ def test_fit_stops_after_patience_and_restores_best():
     scores = iter([0.5, 0.9, 0.7, 0.8, 0.95])
     batches = []
 
-    def batch_loss(idx):
+    def batch_loss(idx, shard):
         batches.append(set(idx.tolist()))
         return (model.w * -1.0).sum()  # each SGD step (lr 1) adds 1 to w
 
@@ -184,7 +184,7 @@ def test_fit_stops_on_non_finite_loss():
     model = _OneWeight()
     steps = []
 
-    def batch_loss(idx):
+    def batch_loss(idx, shard):
         steps.append(len(steps) + 1)
         value = np.nan if len(steps) == 3 else 1.0
         return (model.w * 0.0).sum() + value
@@ -408,8 +408,8 @@ class TestTcSilver:
         dev_items = build_tc_items(corpus.dev, hp_tc.max_seq_len)
         tc_res = train_tc(train_items, dev_items, corpus.labels, TcOptions(), hp_tc,
                           seed=0, encoder_cfg=small_encoder(hp_tc))
-        silver = build_tc_silver(si_res.model, tc_res.model, corpus.pool,
-                                 hp_tc.max_seq_len)
+        silver, counts = build_tc_silver(si_res.model, tc_res.model, corpus.pool,
+                                         hp_tc.max_seq_len)
         from propspan.pipeline import predict_spans
         tagger_spans = predict_spans(si_res.model, corpus.pool.tokenized,
                                      hp_tc.max_seq_len)
@@ -418,6 +418,8 @@ class TestTcSilver:
             [(s.article_id, s.start, s.end) for s in tagger_spans]
         for it in silver:
             assert it.label is not None and 0 <= it.label < len(corpus.labels)
+        assert counts == {"truncated_spans": sum(it.truncated for it in silver),
+                          "skipped_spans": 0}
 
     def test_empty_pool_detections_give_empty_silver(self):
         corpus = tiny_corpus()
@@ -429,7 +431,8 @@ class TestTcSilver:
         model.emission_head.params["emit.b"].data[:] = np.array([10.0, 0.0, 0.0])
         for t in (model.crf.transitions, model.crf.start_scores, model.crf.end_scores):
             t.data[:] = 0
-        assert build_tc_silver(model, None, corpus.pool, 32) == []
+        assert build_tc_silver(model, None, corpus.pool, 32) == \
+            ([], {"truncated_spans": 0, "skipped_spans": 0})
 
 
 class TestEnsembles:
