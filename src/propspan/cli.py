@@ -221,9 +221,18 @@ def _effective(args, hp: pl.HyperParams | None = None, enc: EncoderConfig | None
 
 
 def _content_hash(path: str) -> str:
-    """SHA-256 of a checkpoint's bytes: a manifest hashes the model a run read,
-    not the path it was read from."""
+    """SHA-256 of a file's bytes: a manifest hashes the checkpoint or span file
+    a run read, not the path it was read from."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _append_file_record(args, out: Path, *names: str) -> None:
+    """Append the ``runs.jsonl`` record of a command that trains nothing: the
+    config hashes the contents of each given file argument in ``names``, and
+    ``meta`` keeps their paths."""
+    paths = {k: getattr(args, k) for k in names if getattr(args, k)}
+    config = _effective(args, task=args.task, **{k: _content_hash(v) for k, v in paths.items()})
+    pl.append_manifest(out, pl.run_record(args.command, config, None, None, meta=paths))
 
 
 def _out_dir(args) -> Path:
@@ -447,8 +456,7 @@ def cmd_score(args) -> int:
         print(f"micro-F1 {f1:.4f} over {len(gold)} spans")
     (out / "score.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
-    config = _effective(args, task=args.task, pred=args.pred, gold=args.gold)
-    pl.append_manifest(out, pl.run_record("score", config, None, None))
+    _append_file_record(args, out, "pred", "gold", "techniques")
     return 0
 
 
@@ -515,8 +523,7 @@ def cmd_analyze(args) -> int:
     for name in report.skipped:
         print(f"note: {name} skipped (present in none or all items)", file=sys.stderr)
     print(f"report -> {path}")
-    config = _effective(args, task=args.task, features=args.features)
-    pl.append_manifest(out, pl.run_record("analyze", config, None, None))
+    _append_file_record(args, out, "pred", "gold", "techniques", "features")
     return 0
 
 

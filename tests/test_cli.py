@@ -585,6 +585,29 @@ def test_manifest_hashes_checkpoint_contents(synth_dir, si_model, tc_models, tmp
     assert hashes["a", "ensemble-0"] != hashes["a", "ensemble-1"]
 
 
+@pytest.mark.parametrize("command", ["score", "analyze"])
+def test_manifest_hashes_span_file_contents(synth_dir, tmp_path, command):
+    """The same ``--pred``/``--gold`` files in two directories give one config
+    hash; a changed ``--pred`` gives another."""
+    gold = synth_dir / "dev" / "labels-si.tsv"
+    rows = gold.read_text().splitlines(keepends=True)
+    hashes = {}
+    for where, pred_rows in (("a", rows), ("b", rows), ("changed", rows[1:])):
+        (tmp_path / where).mkdir()
+        pred, copy = tmp_path / where / "pred.tsv", tmp_path / where / "gold.tsv"
+        pred.write_text("".join(pred_rows))
+        copy.write_bytes(gold.read_bytes())
+        argv = [command, "--task", "si", "--pred", str(pred), "--gold", str(copy),
+                "--out", str(tmp_path / where / "out")]
+        if command == "analyze":
+            argv += ["--articles", str(synth_dir / "dev" / "articles")]
+        assert run(argv) == 0
+        record = json.loads((tmp_path / where / "out" / "runs.jsonl").read_text())
+        hashes[where] = record["config_hash"]
+        assert record["meta"] == {"pred": str(pred), "gold": str(copy)}
+    assert hashes["a"] == hashes["b"] != hashes["changed"]
+
+
 def test_score_tc_writes_outcomes_tsv(synth_dir, tmp_path):
     gold = synth_dir / "dev" / "labels-tc.tsv"
     out = tmp_path / "sc"

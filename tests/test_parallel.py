@@ -41,12 +41,18 @@ TRAIN_CFG = {"hp.steps": 12, "hp.eval_every": 6, "hp.max_seq_len": 32,
 SI_CFG = {**TRAIN_CFG, "hp.steps": 40}  # enough for the tagger to find spans
 
 
+def open_fds() -> list[str] | None:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @pytest.fixture(autouse=True)
 def no_worker_survives():
+    fds = open_fds()
     yield
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds  # no worker's pipe left open
 
 
 @pytest.fixture
@@ -218,6 +224,21 @@ def test_killed_worker_raises_runtime_error(cpus):
         return x
     with pytest.raises(RuntimeError, match="exited with code -9 and no result"):
         pl.parallel_map(die, range(2))
+
+
+def test_result_that_cannot_be_pickled_raises_runtime_error(cpus):
+    cpus(2)
+    with pytest.raises(RuntimeError,
+                       match="^parallel_map worker 1 exited with code 1 and no result$"):
+        pl.parallel_map(lambda x: (lambda: x), range(2))
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_whole(cpus):
+    """A 32 MB float64 array per task, far above a 64 KiB pipe buffer."""
+    cpus(2)
+    big = lambda x: np.random.default_rng(x).standard_normal(4 << 20)
+    for x, result in enumerate(pl.parallel_map(big, range(4))):
+        assert result.dtype == np.float64 and result.tobytes() == big(x).tobytes()
 
 
 def test_callers_exception_stops_the_workers(cpus):

@@ -1,4 +1,5 @@
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from propspan.pipeline import (EvalPoint, HyperParams, TcOptions, _fit, annotate
                                kfold_split, mean_probs, member_probs, mix_with_silver,
                                partition_pool, predict_tc_probs, run_record,
                                self_train_overwrite, self_train_si, subset_scores,
-                               train_si, train_tc)
+                               train_si, train_tc, _forked)
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor
 from propspan.tokens import Span, Vocab
@@ -604,3 +605,16 @@ def test_blas_threads_reports_the_effective_count():
     else:
         assert isinstance(n, int) and n >= 1
     assert run_record("x", {}, 0, None)["blas_threads"] == n
+
+
+def test_worker_exits_once_it_has_answered_its_last_message():
+    """Told that a message is its ``last``, a ``_Worker`` exits as soon as it
+    has answered, while the caller still works, not at ``close``'s kill (-9)."""
+    with _forked(lambda x: x + 1, ["worker"]) as (worker,):
+        worker.send(1, last=True)
+        assert worker.receive() == 2
+        deadline = time.monotonic() + 10
+        while os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+            assert time.monotonic() < deadline, "the worker still runs"
+            time.sleep(0.01)
+        assert worker.close() == 1
