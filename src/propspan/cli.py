@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .encoder import EncoderConfig
 from .metrics import confusion_matrix, flc_f1, flc_f1_per_article, micro_f1, span_outcomes
 from .models import SiTagger, TcClassifier
 from .synth import SynthConfig, gen_synth
-from .tokens import Span
+from .tokens import Span, spans_by_article
 
 
 class CliError(Exception):
@@ -141,11 +141,15 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _scoped(cfg: dict, prefix: str) -> dict:
-    out = {}
-    for key, value in cfg.items():
-        if key.startswith(prefix + "."):
-            out[key[len(prefix) + 1:]] = value
+def _overrides(cfg: dict, prefix: str, accepted: list[str] | tuple[str, ...]) -> dict:
+    """The ``<prefix>.*`` keys of ``cfg`` without their prefix; a key not in
+    ``accepted`` exits 1, naming the accepted ones."""
+    out = {key[len(prefix) + 1:]: value for key, value in cfg.items()
+           if key.startswith(prefix + ".")}
+    bad = set(out) - set(accepted)
+    if bad:
+        raise CliError(f"unknown {prefix}.* config keys: {sorted(bad)} "
+                       f"(accepted: {', '.join(accepted)})")
     return out
 
 
@@ -160,20 +164,13 @@ def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None]:
     encoder with the ``encoder.*`` keys applied."""
     cfg = _load_config(args.config)
     hp = pl.HyperParams.paper(task) if args.paper_scale else pl.HyperParams.desk(task)
-    overrides = _scoped(cfg, "hp")
-    bad = set(overrides) - set(hp.to_dict())
-    if bad:
-        raise CliError(f"unknown hp.* config keys: {sorted(bad)}")
-    hp = replace(hp, **overrides)
+    # the command sets the task, so an hp.task key would be a second one
+    hp = replace(hp, **_overrides(cfg, "hp", [k for k in hp.to_dict() if k != "task"]))
     if args.steps is not None:
         hp = replace(hp, steps=args.steps)
-    overrides = _scoped(cfg, "encoder")
+    overrides = _overrides(cfg, "encoder", ENCODER_KEYS)
     if not overrides:
         return hp, None
-    bad = set(overrides) - set(ENCODER_KEYS)
-    if bad:
-        raise CliError(f"unknown encoder.* config keys: {sorted(bad)} "
-                       f"(accepted: {', '.join(ENCODER_KEYS)})")
     return hp, replace(pl.desk_encoder_config(1, hp), **overrides)
 
 
@@ -226,13 +223,14 @@ def _content_hash(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _append_file_record(args, out: Path, *names: str) -> None:
+def _append_file_record(args, out: Path, *names: str, **meta) -> None:
     """Append the ``runs.jsonl`` record of a command that trains nothing: the
     config hashes the contents of each given file argument in ``names``, and
-    ``meta`` keeps their paths."""
+    the record's ``meta`` keeps their paths and the counts given as ``meta``."""
     paths = {k: getattr(args, k) for k in names if getattr(args, k)}
     config = _effective(args, task=args.task, **{k: _content_hash(v) for k, v in paths.items()})
-    pl.append_manifest(out, pl.run_record(args.command, config, None, None, meta=paths))
+    pl.append_manifest(out, pl.run_record(args.command, config, None, None,
+                                          meta={**paths, **meta}))
 
 
 def _out_dir(args) -> Path:
@@ -251,38 +249,40 @@ def _save(args, name: str, res: pl.TrainResult, config: dict, command: str,
     return ckpt
 
 
+UNPREDICTED = -1  # the predicted technique of a gold span with no prediction
+
+
 def _tc_aligned(args) -> tuple[list[str], list[Span], list[Span], list[int]]:
     """The technique inventory, the predicted and gold spans of a TC
     ``--pred``/``--gold`` pair, and each gold span's predicted technique in
-    gold order; every gold span needs a prediction with its offsets."""
+    gold order: ``UNPREDICTED`` where no prediction has its offsets, as for a
+    span that covers no token, which ``annotate`` skips. A prediction whose
+    offsets no gold span has exits 1."""
     if not args.techniques:
         raise CliError(f"--techniques is required for tc {args.command}")
     techniques = read_techniques(args.techniques)
     pred = read_spans_tsv(args.pred, "tc", techniques)
     gold = read_spans_tsv(args.gold, "tc", techniques)
     key = lambda s: (s.article_id, s.start, s.end)
+    gold_keys = {key(g) for g in gold}
+    extra = [key(p) for p in pred if key(p) not in gold_keys]
+    if extra:
+        raise CliError(f"{len(extra)} predicted spans match no gold span "
+                       f"(first: {extra[0]}); tc {args.command} needs span-aligned files")
     pred_by_key = {key(s): s.technique for s in pred}
-    missing = [key(g) for g in gold if key(g) not in pred_by_key]
-    if missing:
-        raise CliError(f"{len(missing)} gold spans have no prediction "
-                       f"(first: {missing[0]}); tc {args.command} needs span-aligned files")
-    return techniques, pred, gold, [pred_by_key[key(g)] for g in gold]
+    return techniques, pred, gold, [pred_by_key.get(key(g), UNPREDICTED) for g in gold]
 
 
 # -- command handlers -----------------------------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    cfg = _load_config(args.config)
-    overrides = _scoped(cfg, "synth")
-    synth_cfg = SynthConfig(seed=args.seed)
-    known = set(synth_cfg.__dataclass_fields__)
-    bad = set(overrides) - known
-    if bad:
-        raise CliError(f"unknown synth.* config keys: {sorted(bad)}")
+    # --seed is the one seed: a synth.seed key would be a second
+    accepted = [k for k in SynthConfig.__dataclass_fields__ if k != "seed"]
+    overrides = _overrides(_load_config(args.config), "synth", accepted)
     for key in ("sentences_per_article", "sentence_length"):
         if key in overrides:
             overrides[key] = tuple(overrides[key])
-    synth_cfg = replace(synth_cfg, seed=args.seed, **overrides)
+    synth_cfg = SynthConfig(seed=args.seed, **overrides)
 
     corpus = gen_synth(synth_cfg)
     out = _out_dir(args)
@@ -293,7 +293,7 @@ def cmd_gen_synth(args) -> int:
         write_spans_tsv(out / name / "labels-tc.tsv", split.spans, corpus.labels)
     write_articles(out / "pool" / "articles", corpus.pool.articles)
 
-    config = _effective(args, synth={k: getattr(synth_cfg, k) for k in known})
+    config = _effective(args, synth=asdict(synth_cfg))
     pl.append_manifest(out, pl.run_record("gen-synth", config, args.seed, None))
     print(f"wrote {len(corpus.train.articles)} train / {len(corpus.dev.articles)} dev "
           f"articles and a pool of {len(corpus.pool.articles)} to {out}")
@@ -428,6 +428,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_score(args) -> int:
     out = _out_dir(args)
+    counts = {}  # tc: the gold spans without a prediction
     if args.task == "si":
         pred = read_spans_tsv(args.pred, "si")
         gold = read_spans_tsv(args.gold, "si")
@@ -439,10 +440,15 @@ def cmd_score(args) -> int:
         techniques, pred, gold, predicted = _tc_aligned(args)
         gold_ids = np.array([g.technique for g in gold])
         pred_ids = np.array(predicted)
-        f1 = micro_f1(pred_ids, gold_ids)
-        cm = confusion_matrix(pred_ids, gold_ids, len(techniques))
-        outcomes = span_outcomes(pred, gold, techniques)
-        report = {"task": "tc", "micro_f1": f1,
+        answered = pred_ids != UNPREDICTED
+        counts["unpredicted_spans"] = int((~answered).sum())
+        f1 = micro_f1(pred_ids, gold_ids)  # an unpredicted span counts as a wrong label
+        cm = confusion_matrix(pred_ids[answered], gold_ids[answered], len(techniques))
+        # each gold span meets its own prediction only, so an unpredicted one
+        # is not identified even where another span's prediction covers it
+        own = lambda s: replace(s, article_id=(s.article_id, s.start, s.end))
+        outcomes = span_outcomes([own(p) for p in pred], [own(g) for g in gold], techniques)
+        report = {"task": "tc", "micro_f1": f1, **counts,
                   "confusion_matrix": cm.tolist(),
                   "outcomes": {name: {"count": c, "fully": fu, "subsequence": su,
                                       "missed": mi}
@@ -453,10 +459,11 @@ def cmd_score(args) -> int:
                   for name, c, fu, su, mi in outcomes.rows()]
         (out / "outcomes.tsv").write_text("".join(l + "\n" for l in lines),
                                           encoding="utf-8")
-        print(f"micro-F1 {f1:.4f} over {len(gold)} spans")
+        print(f"micro-F1 {f1:.4f} over {len(gold)} spans, "
+              f"{counts['unpredicted_spans']} without a prediction (scored as missed)")
     (out / "score.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
-    _append_file_record(args, out, "pred", "gold", "techniques")
+    _append_file_record(args, out, "pred", "gold", "techniques", **counts)
     return 0
 
 
@@ -480,15 +487,9 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _ranges_by_article(spans: list[Span]) -> dict[str, list[tuple[int, int]]]:
-    out: dict[str, list[tuple[int, int]]] = {}
-    for s in spans:
-        out.setdefault(s.article_id, []).append((s.start, s.end))
-    return out
-
-
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
+    counts = {}  # tc: the gold spans without a prediction
     articles = read_articles(args.articles)
     specs = ana.parse_feature_file(args.features) if args.features \
         else ana.default_features(args.task)
@@ -499,21 +500,24 @@ def cmd_analyze(args) -> int:
         check_spans_in_articles(pred, articles, args.pred)
         check_spans_in_articles(gold, articles, args.gold)
         per_article = flc_f1_per_article(pred, gold)
-        gold_by, pred_by = _ranges_by_article(gold), _ranges_by_article(pred)
+        gold_by, pred_by = spans_by_article(gold), spans_by_article(pred)
+        ranges = lambda by, aid: [(s.start, s.end) for s in by.get(aid, [])]
         items, scores = [], []
         for aid in sorted(per_article):
             items.append(ana.AnalysisItem(text=articles[aid],
-                                          expected_spans=gold_by.get(aid, []),
-                                          output_spans=pred_by.get(aid, [])))
+                                          expected_spans=ranges(gold_by, aid),
+                                          output_spans=ranges(pred_by, aid)))
             scores.append(per_article[aid].f1)
     else:
         _, _, gold, predicted = _tc_aligned(args)
         check_spans_in_articles(gold, articles, args.gold)
+        counts["unpredicted_spans"] = predicted.count(UNPREDICTED)
+        print(f"{counts['unpredicted_spans']} gold spans without a prediction (scored 0.0)")
         aligned = sorted(zip(gold, predicted), key=lambda gp: (gp[0].article_id,
                                                                gp[0].start, gp[0].end))
         items = [ana.AnalysisItem(text=articles[g.article_id], span=(g.start, g.end))
                  for g, _ in aligned]
-        scores = [1.0 if p == g.technique else 0.0 for g, p in aligned]
+        scores = [1.0 if p == g.technique else 0.0 for g, p in aligned]  # UNPREDICTED: 0.0
 
     report = ana.worsening_features(items, scores, specs)
     path = out / f"worsening-{args.task}.tsv"
@@ -523,7 +527,7 @@ def cmd_analyze(args) -> int:
     for name in report.skipped:
         print(f"note: {name} skipped (present in none or all items)", file=sys.stderr)
     print(f"report -> {path}")
-    _append_file_record(args, out, "pred", "gold", "techniques", "features")
+    _append_file_record(args, out, "pred", "gold", "techniques", "features", **counts)
     return 0
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .tokens import Span, TokenizedText, tokenize
+from .tokens import Span, TokenizedText, spans_by_article, tokenize
 
 _ARTICLE_RE = re.compile(r"^article(.+)\.txt$")
 
@@ -31,9 +31,7 @@ class SpanDataset:
     def __post_init__(self):
         if not self.tokenized:
             self.tokenized = {aid: tokenize(text) for aid, text in self.articles.items()}
-        self._by_article: dict[str, list[Span]] = {}
-        for sp in self.spans:
-            self._by_article.setdefault(sp.article_id, []).append(sp)
+        self._by_article = spans_by_article(self.spans)
 
     def spans_for(self, article_id: str) -> list[Span]:
         return list(self._by_article.get(article_id, []))

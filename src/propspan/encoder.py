@@ -16,7 +16,7 @@ embeddings. Three heads sit on top of its hidden states:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,11 +46,7 @@ class EncoderConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return dict(vocab_size=self.vocab_size, hidden_size=self.hidden_size,
-                    layers=self.layers, heads=self.heads,
-                    intermediate_size=self.intermediate_size,
-                    max_positions=self.max_positions, dropout=self.dropout,
-                    attention_dropout=self.attention_dropout)
+        return asdict(self)
 
 
 @dataclass
@@ -61,8 +57,7 @@ class SpanClsConfig:
     # hidden size is inherited from the host encoder
 
     def to_dict(self) -> dict:
-        return dict(layers=self.layers, heads=self.heads,
-                    intermediate_size=self.intermediate_size)
+        return asdict(self)
 
 
 def _init(rng: np.random.Generator, shape, dtype) -> np.ndarray:

@@ -4,20 +4,19 @@ breakdowns, and row-normalized confusion matrices.
 The span scorer gives fractional credit per (predicted, gold) pair:
 C(s, t, h) = |s intersect t| / h, summed s-major for precision (h = |s|)
 and t-major for recall (h = |t|), with pairs restricted to the same
-article (and the same technique in label-aware mode). Totals use
-math.fsum so the result is independent of pair enumeration order, which
-lets the swept implementation match a naive double sum bit for bit.
+article. Totals use math.fsum so the result is independent of pair
+enumeration order, which lets the swept implementation match a naive
+double sum bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tokens import Span
+from .tokens import Span, spans_by_article
 
 
 @dataclass(frozen=True)
@@ -38,29 +37,18 @@ def _overlap(a: Span, b: Span) -> int:
     return max(0, min(a.end, b.end) - max(a.start, b.start))
 
 
-def _group(spans: list[Span], label_aware: bool) -> dict:
-    groups = defaultdict(list)
-    for s in spans:
-        if s.length() <= 0:
-            raise ValueError(f"degenerate span {s}")
-        key = (s.article_id, s.technique) if label_aware else s.article_id
-        groups[key].append(s)
-    return groups
-
-
-def flc_f1(pred: list[Span], gold: list[Span], label_aware: bool = False) -> FlcScore:
-    """Partial-credit span F1 over same-article (and same-label) pairs.
+def flc_f1(pred: list[Span], gold: list[Span]) -> FlcScore:
+    """Partial-credit span F1 over same-article pairs.
 
     Spans are grouped per article and sorted by start; only overlapping
     pairs contribute, so the sweep skips the zero terms of the full
     double sum without changing the fsum total.
     """
-    pred_groups = _group(pred, label_aware)
-    gold_groups = _group(gold, label_aware)
+    gold_groups = spans_by_article(gold)
     p_terms: list[float] = []
     r_terms: list[float] = []
-    for key, ps in pred_groups.items():
-        ts = gold_groups.get(key)
+    for aid, ps in spans_by_article(pred).items():
+        ts = gold_groups.get(aid)
         if not ts:
             continue
         ps = sorted(ps, key=lambda s: (s.start, s.end))
@@ -79,17 +67,11 @@ def flc_f1(pred: list[Span], gold: list[Span], label_aware: bool = False) -> Flc
     return FlcScore.from_sums(math.fsum(p_terms), len(pred), math.fsum(r_terms), len(gold))
 
 
-def flc_f1_per_article(pred: list[Span], gold: list[Span],
-                       label_aware: bool = False) -> dict[str, FlcScore]:
+def flc_f1_per_article(pred: list[Span], gold: list[Span]) -> dict[str, FlcScore]:
     """Article-level scores, for per-item error analysis."""
-    ids = sorted({s.article_id for s in pred} | {s.article_id for s in gold})
-    by_pred = defaultdict(list)
-    by_gold = defaultdict(list)
-    for s in pred:
-        by_pred[s.article_id].append(s)
-    for s in gold:
-        by_gold[s.article_id].append(s)
-    return {aid: flc_f1(by_pred[aid], by_gold[aid], label_aware) for aid in ids}
+    by_pred, by_gold = spans_by_article(pred), spans_by_article(gold)
+    return {aid: flc_f1(by_pred.get(aid, []), by_gold.get(aid, []))
+            for aid in sorted(by_pred.keys() | by_gold.keys())}
 
 
 def micro_f1(pred_labels, gold_labels) -> float:
@@ -135,10 +117,7 @@ class OutcomeBreakdown:
 def span_outcomes(pred: list[Span], gold: list[Span],
                   techniques: list[str]) -> OutcomeBreakdown:
     """Classify each gold span as fully identified, identified subsequence, or missed."""
-    by_article = defaultdict(list)
-    for s in pred:
-        by_article[s.article_id].append(s)
-
+    by_article = spans_by_article(pred)
     tallies: dict[str, list[int]] = {name: [0, 0, 0] for name in techniques}
     overall = [0, 0, 0]
     for g in gold:

@@ -15,7 +15,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, LinearHead, SpanClsConfig, SpanClsHead
 from .tensor import Tensor
-from .tokens import SPECIAL_TOKENS, Vocab
+from .tokens import BOS, EOS, SPECIAL_TOKENS, Vocab, inject_markers
 
 N_TAGS = 3  # O/B/I
 
@@ -88,21 +88,12 @@ class SiTagger:
         return out
 
     def save(self, path, meta: dict | None = None) -> None:
-        config = {"kind": "si", "use_crf": self.use_crf,
-                  "encoder": self.config.to_dict(), "vocab": self.vocab.itos[len(SPECIAL_TOKENS):]}
-        save_checkpoint(path, {k: v.data for k, v in self.params().items()},
-                        config, meta)
+        _save(self, path, meta, kind="si", use_crf=self.use_crf)
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "SiTagger":
-        tensors, config, _ = load_checkpoint(path)
-        if config.get("kind") != "si":
-            raise ValueError(f"{path} is not a sequence-tagger checkpoint")
-        vocab = Vocab(config["vocab"])
-        model = cls(EncoderConfig(**config["encoder"]), vocab,
-                    use_crf=config["use_crf"], seed=None, dtype=dtype)
-        _assign(model.params(), tensors, dtype)
-        return model
+        return _load(path, "si", "sequence-tagger", dtype, lambda config, enc, vocab: cls(
+            enc, vocab, use_crf=config["use_crf"], seed=None, dtype=dtype))
 
 
 class TcClassifier:
@@ -134,47 +125,61 @@ class TcClassifier:
         out.update(self.head.params)
         return out
 
-    def logits(self, ids: np.ndarray, mask: np.ndarray,
-               spans: list[tuple[int, int]] | None = None, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Class logits [B, n_classes]; the encoder's last layer runs only at
-        the positions the head reads."""
-        if self.head_kind == "marker":  # class logits from the [BOS] position
+    def inputs(self, items) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """Token ids, mask and each item's span range in them, laid out for this
+        model's head from classification items (``window_tokens``,
+        ``span_start``, ``span_end``): ``[BOS] left [BOP] span [EOP] right
+        [EOS]`` for the marker head, ``[BOS] window [EOS]`` for the span head."""
+        marker = self.head_kind == "marker"
+        seqs = [inject_markers(it.window_tokens, it.span_start, it.span_end) if marker
+                else [BOS, *it.window_tokens, EOS] for it in items]
+        shift = 2 if marker else 1  # the span follows [BOS] (and [BOP])
+        ids, mask, _ = self.vocab.pad(seqs)
+        return ids, mask, [(it.span_start + shift, it.span_end + shift) for it in items]
+
+    def logits(self, ids: np.ndarray, mask: np.ndarray, spans: list[tuple[int, int]],
+               train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """Class logits [B, n_classes] of ``inputs``' layout; the encoder's last
+        layer runs only at the positions the head reads."""
+        if self.head_kind == "marker":  # class logits from the [BOS] position; spans unread
             bos_row = np.zeros((len(ids), 1), dtype=np.int64)
             hidden = self.encoder.encode(ids, mask, train=train, rng=rng, rows=bos_row)
             return self.head(hidden[:, 0, :])
-        if spans is None:
-            raise ValueError("span ranges are required for the span-cls head")
         rows, spans = SpanClsHead.host_rows(spans, *np.shape(ids))
         hidden = self.encoder.encode(ids, mask, train=train, rng=rng, rows=rows)
         return self.head.logits(hidden, spans, train=train, rng=rng)
 
     def probs(self, ids: np.ndarray, mask: np.ndarray,
-              spans: list[tuple[int, int]] | None = None) -> np.ndarray:
+              spans: list[tuple[int, int]]) -> np.ndarray:
         with T.no_grad():
             return T.sigmoid(self.logits(ids, mask, spans, train=False)).numpy()
 
     def save(self, path, meta: dict | None = None) -> None:
-        config = {"kind": "tc", "head": self.head_kind, "labels": self.labels,
-                  "encoder": self.config.to_dict(), "span_cls": self.span_cfg.to_dict(),
-                  "vocab": self.vocab.itos[len(SPECIAL_TOKENS):]}
-        save_checkpoint(path, {k: v.data for k, v in self.params().items()},
-                        config, meta)
+        _save(self, path, meta, kind="tc", head=self.head_kind, labels=self.labels,
+              span_cls=self.span_cfg.to_dict())
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "TcClassifier":
-        tensors, config, _ = load_checkpoint(path)
-        if config.get("kind") != "tc":
-            raise ValueError(f"{path} is not a span-classifier checkpoint")
-        vocab = Vocab(config["vocab"])
-        model = cls(EncoderConfig(**config["encoder"]), vocab, config["labels"],
-                    head_kind=config["head"], span_cfg=SpanClsConfig(**config["span_cls"]),
-                    seed=None, dtype=dtype)
-        _assign(model.params(), tensors, dtype)
-        return model
+        return _load(path, "tc", "span-classifier", dtype, lambda config, enc, vocab: cls(
+            enc, vocab, config["labels"], head_kind=config["head"],
+            span_cfg=SpanClsConfig(**config["span_cls"]), seed=None, dtype=dtype))
 
 
-def _assign(params: dict[str, Tensor], tensors: dict[str, np.ndarray], dtype) -> None:
+def _save(model, path, meta: dict | None, **config) -> None:
+    """Write ``model``'s parameters and ``config`` with its encoder config and
+    vocabulary (the words after the special tokens)."""
+    config.update(encoder=model.config.to_dict(), vocab=model.vocab.itos[len(SPECIAL_TOKENS):])
+    save_checkpoint(path, {k: v.data for k, v in model.params().items()}, config, meta)
+
+
+def _load(path, kind: str, what: str, dtype, build):
+    """The model that ``build(config, encoder config, vocabulary)`` makes from a
+    ``kind`` checkpoint, with the checkpoint's tensors as its parameters."""
+    tensors, config, _ = load_checkpoint(path)
+    if config.get("kind") != kind:
+        raise ValueError(f"{path} is not a {what} checkpoint")
+    model = build(config, EncoderConfig(**config["encoder"]), Vocab(config["vocab"]))
+    params = model.params()
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)
     if missing or extra:
@@ -186,3 +191,4 @@ def _assign(params: dict[str, Tensor], tensors: dict[str, np.ndarray], dtype) ->
             raise ValueError(f"{name}: checkpoint shape {arr.shape} != "
                              f"config shape {p.data.shape}")
         p.data = arr.astype(dtype, copy=False)
+    return model

@@ -24,7 +24,7 @@ import select
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -37,8 +37,8 @@ from .losses import class_weights, reweighted_bce, uniform_weights
 from .metrics import flc_f1, micro_f1
 from .models import SiTagger, TcClassifier
 from .optim import Optimizer
-from .tokens import (BOS, EOS, Span, Token, TokenizedText, Vocab, _token_range,
-                     extend_context, inject_markers, spans_to_tags, tags_to_spans)
+from .tokens import (Span, Token, TokenizedText, Vocab, _token_range, extend_context,
+                     spans_to_tags, tags_to_spans)
 
 DESK_STEPS_SI = 2000
 DESK_STEPS_TC = 1000
@@ -100,7 +100,7 @@ class HyperParams:
         raise ValueError(f"unknown task {task!r}")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 def self_train_overwrite(hp: HyperParams) -> HyperParams:
@@ -378,20 +378,8 @@ def build_si_windows(data: SpanDataset, max_len: int) -> list[SiWindow]:
     return windows
 
 
-def _pad(seqs: list[list[str]], vocab: Vocab):
-    """Token ids right-padded to the longest sequence, the mask of real tokens
-    and the lengths."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    width = int(lengths.max())
-    ids = np.full((len(seqs), width), vocab.pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, :len(s)] = vocab.encode(s)
-    mask = np.arange(width)[None, :] < lengths[:, None]
-    return ids, mask, lengths
-
-
 def _pad_si_batch(windows: list[SiWindow], vocab: Vocab):
-    ids, mask, lengths = _pad([[t.surface for t in w.tokens] for w in windows], vocab)
+    ids, mask, lengths = vocab.pad([[t.surface for t in w.tokens] for w in windows])
     tags = np.zeros(ids.shape, dtype=np.int64)
     for i, w in enumerate(windows):
         tags[i, :len(w.tags)] = w.tags
@@ -424,8 +412,7 @@ class EvalPoint:
     recall: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "score": self.score,
-                "precision": self.precision, "recall": self.recall}
+        return asdict(self)
 
 
 @dataclass
@@ -708,7 +695,7 @@ def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
         first, stop = _token_range(tt, sp.start, sp.end)
         if first >= stop:
             continue
-        win = extend_context(tt, sp, budget, truncate=True)
+        win = extend_context(tt, sp, budget)
         toks = tt.tokens[win.start:win.end]
         items.append(TcItem(
             article_id=sp.article_id,
@@ -728,20 +715,6 @@ def tc_item_counts(items: list[TcItem], n_spans: int) -> dict:
             "skipped_spans": n_spans - len(items)}
 
 
-def _pad_tc_batch(items: list[TcItem], vocab: Vocab, head_kind: str):
-    seqs: list[list[str]] = []
-    spans: list[tuple[int, int]] = []
-    for it in items:
-        if head_kind == "marker":
-            seqs.append(inject_markers(it.window_tokens, it.span_start, it.span_end))
-            spans.append((it.span_start + 2, it.span_end + 2))  # after [BOS]+[BOP]
-        else:
-            seqs.append([BOS] + it.window_tokens + [EOS])
-            spans.append((it.span_start + 1, it.span_end + 1))
-    ids, mask, _ = _pad(seqs, vocab)
-    return ids, mask, spans
-
-
 def _multi_hot(items: list[TcItem], n_classes: int) -> np.ndarray:
     y = np.zeros((len(items), n_classes), dtype=np.float64)
     for i, it in enumerate(items):
@@ -758,9 +731,7 @@ def predict_tc_probs(model: TcClassifier, items: list[TcItem],
     """Per-class sigmoid probabilities, [n_items, n_classes]; batches go
     through ``parallel_map``."""
     def batch_probs(start: int) -> np.ndarray:
-        chunk = items[start:start + batch_size]
-        ids, mask, spans = _pad_tc_batch(chunk, model.vocab, model.head_kind)
-        return model.probs(ids, mask, spans if model.head_kind == "span_cls" else None)
+        return model.probs(*model.inputs(items[start:start + batch_size]))
 
     return np.concatenate(parallel_map(batch_probs, range(0, len(items), batch_size)),
                           axis=0)
@@ -784,10 +755,9 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
     mixed = mix_with_silver(list(train_items), silver, ratio)
 
     vocab = Vocab.build([it.window_tokens for it in mixed])
-    head_kind = "span_cls" if opts.span_cls else "marker"
     model = TcClassifier(_model_config(encoder_cfg, vocab, hp), vocab, labels,
-                         head_kind=head_kind, span_cfg=span_cfg or SpanClsConfig(),
-                         seed=seed)
+                         head_kind="span_cls" if opts.span_cls else "marker",
+                         span_cfg=span_cfg or SpanClsConfig(), seed=seed)
 
     n_classes = len(labels)
     if opts.reweight:
@@ -812,10 +782,7 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
 
     def batch_loss(idx: np.ndarray, shard: int) -> T.Tensor:
         chunk = [mixed[j] for j in idx]
-        ids, mask, spans = _pad_tc_batch(chunk, vocab, head_kind)
-        logits = model.logits(ids, mask,
-                              spans if head_kind == "span_cls" else None,
-                              train=True, rng=drop_rng)
+        logits = model.logits(*model.inputs(chunk), train=True, rng=drop_rng)
         return reweighted_bce(T.sigmoid(logits), _multi_hot(chunk, n_classes), weights)
 
     dev_gold = np.array([it.label for it in dev_items], dtype=np.int64)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 O, B, I = 0, 1, 2
 TAG_NAMES = ("O", "B", "I")
 
@@ -48,6 +50,14 @@ class Span:
 
     def length(self) -> int:
         return self.end - self.start
+
+
+def spans_by_article(spans: list[Span]) -> dict[str, list[Span]]:
+    """``spans`` grouped by article, each group in input order."""
+    out: dict[str, list[Span]] = {}
+    for sp in spans:
+        out.setdefault(sp.article_id, []).append(sp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,21 +160,18 @@ class ContextWindow:
     span_end: int
 
 
-def extend_context(tt: TokenizedText, span: Span, max_tokens: int,
-                   truncate: bool = False) -> ContextWindow:
+def extend_context(tt: TokenizedText, span: Span, max_tokens: int) -> ContextWindow:
     """Grow the span's token range equally left and right up to ``max_tokens``.
 
     Budget left over at a document boundary moves to the other side, so the
-    window always has min(max_tokens, len(doc)) tokens.
+    window always has min(max_tokens, len(doc)) tokens. A span longer than
+    ``max_tokens`` keeps its first ``max_tokens`` tokens, with no context.
     """
     s0, s1 = span_token_range(tt, span)
-    span_len = s1 - s0
     n = len(tt.tokens)
-    if span_len > max_tokens:
-        if not truncate:
-            raise ValueError(f"span of {span_len} tokens exceeds budget {max_tokens}")
+    if s1 - s0 > max_tokens:
         return ContextWindow(s0, s0 + max_tokens, s0, s0 + max_tokens)
-    budget = max_tokens - span_len
+    budget = max_tokens - (s1 - s0)
     left = min(budget // 2, s0)
     right = min(budget - left, n - s1)
     left = min(budget - right, s0)
@@ -208,6 +215,13 @@ class Vocab:
         unk = self.stoi[UNK]
         return [self.stoi.get(t, unk) for t in tokens]
 
-    @property
-    def pad_id(self) -> int:
-        return self.stoi[PAD]
+    def pad(self, seqs: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Token ids right-padded to the longest sequence, the mask of real
+        tokens and the lengths."""
+        lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+        width = int(lengths.max())
+        ids = np.full((len(seqs), width), self.stoi[PAD], dtype=np.int64)
+        for i, s in enumerate(seqs):
+            ids[i, :len(s)] = self.encode(s)
+        mask = np.arange(width)[None, :] < lengths[:, None]
+        return ids, mask, lengths

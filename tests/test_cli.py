@@ -12,7 +12,7 @@ from propspan import pipeline as pl
 from propspan.checkpoint import MAGIC, save_checkpoint
 from propspan.cli import main
 from propspan.datasets import read_articles, read_spans_tsv, read_techniques, write_spans_tsv
-from propspan.metrics import micro_f1
+from propspan.metrics import confusion_matrix, micro_f1
 from propspan.models import SiTagger
 from propspan.tokens import Span, span_token_range, tokenize
 
@@ -78,6 +78,17 @@ class TestGenSynth:
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         assert run(["gen-synth", "--out", str(tmp_path / "x")]) == 1
         assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["warp_speed", "seed"])
+    def test_unknown_synth_key_exit_1(self, tmp_path, capsys, key):
+        # --seed is the one seed, so synth.seed is unknown like any other key
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({f"synth.{key}": 3}))
+        assert run(["gen-synth", "--seed", "7", "--config", str(config),
+                    "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown synth.* config keys: ['{key}'] (accepted: vocab_size," in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrainSi:
@@ -408,6 +419,17 @@ def test_unknown_hp_key_exit_1(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "o" / "model-si.spfg").exists()
 
 
+@pytest.mark.parametrize("command", ["train-si", "train-tc"])
+def test_hp_task_key_exit_1(synth_dir, tmp_path, capsys, command):
+    # the command sets the task; an hp.task key once crashed train-si with exit 2
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "hp.task": "tc" if command == "train-si" else "si"}))
+    assert run([command, "--seed", "1", "--config", str(cfg),
+                *split_args(synth_dir, command[-2:]), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown hp.* config keys: ['task'] (accepted: dropout," in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,key", [("train-si", "weight_decay"),
                                          ("train-tc", "momentum")])
 def test_optimizer_setting_without_effect_exit_1(synth_dir, tmp_path, capsys, command, key):
@@ -470,10 +492,15 @@ def test_score_malformed_row_names_file_and_line(synth_dir, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["score", "analyze"])
 def test_tc_alignment_errors_exit_1(synth_dir, tmp_path, capsys, command):
-    # score and analyze --task tc both pair each gold span with its prediction
+    # score and analyze --task tc both pair each gold span with its prediction,
+    # so a prediction at offsets no gold span has is bad input
     gold = synth_dir / "dev" / "labels-tc.tsv"
+    rows = gold.read_text().splitlines()
+    aid, name, start, end = rows[0].split("\t")
+    extra = (aid, int(start), int(end) + 1)
+    assert extra not in {(a, int(s), int(e)) for a, _, s, e in (r.split("\t") for r in rows)}
     pred = tmp_path / "pred.tsv"
-    pred.write_text("".join(row + "\n" for row in gold.read_text().splitlines()[1:]))
+    pred.write_text("".join(row + "\n" for row in rows + [f"{aid}\t{name}\t{start}\t{extra[2]}"]))
     argv = [command, "--task", "tc", "--gold", str(gold), "--out", str(tmp_path / "o")]
     if command == "analyze":
         argv += ["--articles", str(synth_dir / "dev" / "articles")]
@@ -481,11 +508,51 @@ def test_tc_alignment_errors_exit_1(synth_dir, tmp_path, capsys, command):
     assert run(argv + ["--pred", str(gold)]) == 1
     assert "--techniques is required" in capsys.readouterr().err
     assert run(argv + ["--pred", str(pred)] + techniques) == 1
-    missing = gold.read_text().splitlines()[0].split("\t")
-    want = repr((missing[0], int(missing[2]), int(missing[3])))
-    assert f"1 gold spans have no prediction (first: {want})" in capsys.readouterr().err
+    assert f"1 predicted spans match no gold span (first: {extra!r})" in capsys.readouterr().err
     assert not (tmp_path / "o" / "runs.jsonl").exists()
     assert run(argv + ["--pred", str(gold)] + techniques) == 0
+
+
+def test_tc_gold_span_without_prediction_scored_as_missed(synth_dir, tc_models, tmp_path,
+                                                          capsys):
+    # annotate skips a dev span over a space, which covers no token; score and
+    # analyze then score it as missed and count it
+    techniques = read_techniques(synth_dir / "techniques.txt")
+    dev = synth_dir / "dev" / "articles"
+    aid, text = sorted(read_articles(dev).items())[0]
+    gap = text.index(" ")
+    gold_spans = read_spans_tsv(synth_dir / "dev" / "labels-tc.tsv", "tc", techniques)
+    gold_spans.append(Span(aid, gap, gap + 1, 0))
+    gold_tc, gold_si = tmp_path / "labels-tc.tsv", tmp_path / "labels-si.tsv"
+    write_spans_tsv(gold_tc, gold_spans, techniques)
+    write_spans_tsv(gold_si, gold_spans)
+    assert run(["annotate", "--task", "tc", "--model", str(tc_models[0]), "--pool", str(dev),
+                "--labels", str(gold_si), "--out", str(tmp_path / "ann")]) == 0
+    pred = tmp_path / "ann" / "silver-tc.tsv"
+    predicted = {(p.article_id, p.start, p.end): p.technique
+                 for p in read_spans_tsv(pred, "tc", techniques)}
+    assert len(predicted) == len(gold_spans) - 1
+    common = ["--task", "tc", "--pred", str(pred), "--gold", str(gold_tc),
+              "--techniques", str(synth_dir / "techniques.txt")]
+    capsys.readouterr()
+    assert run(["score", *common, "--out", str(tmp_path / "score")]) == 0
+    assert "1 without a prediction (scored as missed)" in capsys.readouterr().out
+    assert run(["analyze", *common, "--articles", str(dev), "--out", str(tmp_path / "an")]) == 0
+    assert "1 gold spans without a prediction (scored 0.0)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "score" / "score.json").read_text())
+    assert report["unpredicted_spans"] == 1
+    for name in ("score", "an"):
+        record = json.loads((tmp_path / name / "runs.jsonl").read_text())
+        assert record["meta"]["unpredicted_spans"] == 1
+    # a wrong label in micro-F1, not identified, and no confusion-matrix entry
+    labels = [predicted.get((g.article_id, g.start, g.end)) for g in gold_spans]
+    hits = sum(lab == g.technique for lab, g in zip(labels, gold_spans))
+    assert report["micro_f1"] == hits / len(gold_spans)
+    assert report["outcomes"]["Overall"]["count"] == len(gold_spans)
+    assert report["outcomes"]["Overall"]["missed"] == 100.0 / len(gold_spans)
+    answered = [(lab, g.technique) for lab, g in zip(labels, gold_spans) if lab is not None]
+    want = confusion_matrix(*zip(*answered), len(techniques))
+    assert report["confusion_matrix"] == want.tolist()
 
 
 def test_help_prints_both_profiles(capsys):

@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propspan.metrics import (FlcScore, confusion_matrix, flc_f1, flc_f1_per_article,
                               micro_f1, span_outcomes)
 from propspan.tokens import Span
 
 
-def naive_flc(pred, gold, label_aware=False):
+def naive_flc(pred, gold):
     """The normative O(|S|*|T|) double sum."""
     p_terms, r_terms = [], []
     for s in pred:
         for t in gold:
             if s.article_id != t.article_id:
-                continue
-            if label_aware and s.technique != t.technique:
                 continue
             ov = max(0, min(s.end, t.end) - max(s.start, t.start))
             if True:  # keep every pair, zero terms included
@@ -61,14 +61,6 @@ class TestFlcF1:
             slow = naive_flc(pred, gold)
             assert fast == slow  # bit-for-bit, fsum on both sides
 
-    def test_label_aware_matches_naive(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            pred = random_spans(rng, labeled=True)
-            gold = random_spans(rng, labeled=True)
-            assert flc_f1(pred, gold, label_aware=True) == \
-                naive_flc(pred, gold, label_aware=True)
-
     def test_swap_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -91,6 +83,32 @@ class TestFlcF1:
     def test_empty_sides(self):
         assert flc_f1([], [Span("a", 0, 3)]).f1 == 0.0
         assert flc_f1([Span("a", 0, 3)], []).f1 == 0.0
+
+
+@st.composite
+def _span_set(draw):
+    """Spans over three articles, each drawn alone or with a partner nested in
+    it, overlapping its end or abutting it; possibly none."""
+    spans = []
+    for aid, start, length, partner, k in draw(st.lists(st.tuples(
+            st.sampled_from("abc"), st.integers(0, 40), st.integers(1, 12),
+            st.sampled_from([None, "nested", "overlapping", "abutting"]),
+            st.integers(1, 6)), max_size=8)):
+        end = start + length
+        spans.append(Span(aid, start, end))
+        if partner == "nested":
+            spans.append(Span(aid, start + (k - 1) % length, end))
+        elif partner == "overlapping":
+            spans.append(Span(aid, end - 1, end + k))
+        elif partner == "abutting":
+            spans.append(Span(aid, end, end + k))
+    return spans
+
+
+@settings(max_examples=500, deadline=None)
+@given(_span_set(), _span_set())
+def test_flc_f1_equals_naive_double_sum(pred, gold):
+    assert flc_f1(pred, gold) == naive_flc(pred, gold)  # bit for bit: fsum on both sides
 
 
 def test_per_article_scores():

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from propspan import encoder as encoder_mod
+from propspan import pipeline as pl
 from propspan import tensor as T
 from propspan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from propspan.encoder import EncoderConfig, SpanClsConfig
 from propspan.losses import class_weights, reweighted_bce
 from propspan.models import SiTagger, TcClassifier
-from propspan.tokens import Vocab
+from propspan.tokens import BOP, BOS, EOP, EOS, PAD, Span, Vocab
 
 
 def tiny_cfg(vocab_size, **kw):
@@ -218,7 +219,7 @@ class TestTcClassifier:
         model = TcClassifier(tiny_cfg(len(vocab)), vocab, ["A", "B"], seed=4)
         ids = np.array([[6, 7, 8], [9, 10, 11]])
         mask = np.ones((2, 3), dtype=bool)
-        probs = model.probs(ids, mask)
+        probs = model.probs(ids, mask, [(1, 2), (1, 3)])
         assert probs.shape == (2, 2)
         assert ((probs > 0) & (probs < 1)).all()
 
@@ -227,8 +228,25 @@ class TestTcClassifier:
                              head_kind="span_cls",
                              span_cfg=SpanClsConfig(layers=1, heads=2,
                                                     intermediate_size=16))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="spans"):
             model.logits(np.array([[6, 7]]), np.ones((1, 2), dtype=bool))
+
+    @pytest.mark.parametrize("head", ["marker", "span_cls"])
+    def test_inputs_lay_out_each_head(self, head):
+        vocab = Vocab(["a", "b", "c", "d", "e"])
+        model = TcClassifier(tiny_cfg(len(vocab)), vocab, ["A"], head_kind=head,
+                             span_cfg=SpanClsConfig(layers=1, heads=2, intermediate_size=16))
+        items = [pl.TcItem("1", ["a", "b", "c", "d"], 1, 3, 0, Span("1", 2, 5)),
+                 pl.TcItem("1", ["e", "a"], 0, 1, 0, Span("1", 0, 1))]
+        ids, mask, spans = model.inputs(items)
+        words = [[vocab.itos[i] for i in row[m]] for row, m in zip(ids, mask)]
+        if head == "marker":
+            assert words == [[BOS, "a", BOP, "b", "c", EOP, "d", EOS],
+                             [BOS, BOP, "e", EOP, "a", EOS]]
+        else:
+            assert words == [[BOS, "a", "b", "c", "d", EOS], [BOS, "e", "a", EOS]]
+        assert [w[s:e] for w, (s, e) in zip(words, spans)] == [["b", "c"], ["e"]]
+        assert (ids[~mask] == vocab.stoi[PAD]).all()
 
     def test_unknown_head_rejected(self, vocab):
         with pytest.raises(ValueError):
@@ -301,6 +319,6 @@ def test_tc_logits_equal_full_encoder_read(vocab, head_kind):
         full = model.encoder.encode(ids, mask)
         oracle = (model.head(full[:, 0, :]) if head_kind == "marker"
                   else model.head.logits(full, spans))
-        got = model.logits(ids, mask, spans if head_kind == "span_cls" else None)
+        got = model.logits(ids, mask, spans)
     assert got.shape == (4, 3)
     np.testing.assert_allclose(got.numpy(), oracle.numpy(), rtol=0, atol=1e-12)

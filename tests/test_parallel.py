@@ -353,8 +353,7 @@ def test_predict_tc_probs_bit_identical_to_serial_batches(tc_model_and_items, cp
     assert len(items) > 3 * batch
     serial = []
     for i in range(0, len(items), batch):
-        ids, mask, spans = pl._pad_tc_batch(items[i:i + batch], model.vocab, model.head_kind)
-        serial.append(model.probs(ids, mask, spans))
+        serial.append(model.probs(*model.inputs(items[i:i + batch])))
     serial = np.concatenate(serial)
 
     cpus(n_cpus)

@@ -206,13 +206,10 @@ class TestExtendContext:
             assert win.end - win.start == min(budget, n)
             assert win.start <= win.span_start < win.span_end <= win.end
 
-    def test_oversize_span_rejected_unless_truncating(self):
+    def test_oversize_span_keeps_its_first_tokens(self):
         doc = self.doc(20)
         span = Span("d", doc.tokens[0].start, doc.tokens[19].end)
-        with pytest.raises(ValueError):
-            extend_context(doc, span, 10)
-        win = extend_context(doc, span, 10, truncate=True)
-        assert win.end - win.start == 10
+        assert extend_context(doc, span, 10) == ContextWindow(0, 10, 0, 10)
 
 
 class TestInjectMarkers:
@@ -309,9 +306,8 @@ def test_span_token_range_matches_scan(case):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_text_and_spans(max_spans=1).filter(lambda case: case[1]), st.integers(1, 30),
-       st.booleans())
-def test_extend_context_window_invariants(case, max_tokens, truncate):
+@given(_text_and_spans(max_spans=1).filter(lambda case: case[1]), st.integers(1, 30))
+def test_extend_context_window_invariants(case, max_tokens):
     """A span that fits sits in a window of min(max_tokens, n) tokens whose left
     and right context differ by at most one token unless one side reaches the
     document boundary; an over-budget span truncates to its first max_tokens."""
@@ -322,14 +318,10 @@ def test_extend_context_window_invariants(case, max_tokens, truncate):
         assume(False)
     n = len(tt)
     if s1 - s0 > max_tokens:
-        if truncate:
-            assert extend_context(tt, span, max_tokens, truncate=True) == \
-                ContextWindow(s0, s0 + max_tokens, s0, s0 + max_tokens)
-        else:
-            with pytest.raises(ValueError, match="exceeds budget"):
-                extend_context(tt, span, max_tokens)
+        assert extend_context(tt, span, max_tokens) == \
+            ContextWindow(s0, s0 + max_tokens, s0, s0 + max_tokens)
         return
-    win = extend_context(tt, span, max_tokens, truncate)
+    win = extend_context(tt, span, max_tokens)
     assert (win.span_start, win.span_end) == (s0, s1)
     assert 0 <= win.start <= s0 and s1 <= win.end <= n
     assert win.end - win.start == min(max_tokens, n)
