@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,10 +158,11 @@ def _overrides(cfg: dict, prefix: str, accepted: list[str] | tuple[str, ...]) ->
 ENCODER_KEYS = ("hidden_size", "layers", "heads", "intermediate_size")
 
 
-def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None]:
+def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None, dict]:
     """A training command's hyperparameters (profile, then ``hp.*`` keys, then
-    ``--steps``) and its encoder: ``None`` for the desk encoder, else the desk
-    encoder with the ``encoder.*`` keys applied."""
+    ``--steps``), its encoder (``None`` for the desk encoder, else the desk
+    encoder with the ``encoder.*`` keys applied) and the start of its run
+    config, which names the resolved ``encoder.*`` keys or ``None``."""
     cfg = _load_config(args.config)
     hp = pl.HyperParams.paper(task) if args.paper_scale else pl.HyperParams.desk(task)
     # the command sets the task, so an hp.task key would be a second one
@@ -169,30 +170,26 @@ def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None]:
     if args.steps is not None:
         hp = replace(hp, steps=args.steps)
     overrides = _overrides(cfg, "encoder", ENCODER_KEYS)
-    if not overrides:
-        return hp, None
-    return hp, replace(pl.desk_encoder_config(1, hp), **overrides)
+    enc = replace(pl.desk_encoder_config(1, hp), **overrides) if overrides else None
+    return hp, enc, {"hp": hp.to_dict(), "encoder": None if enc is None else
+                     {k: getattr(enc, k) for k in ENCODER_KEYS}}
 
 
-def _inputs(args, hp: pl.HyperParams):
+def _inputs(args, hp: pl.HyperParams, config: dict):
     """The train and dev splits as the trainer takes them: datasets for SI;
     for TC, classification items, the technique inventory and the per-split
-    span counts of ``_tc_items``."""
+    span counts of ``counted_tc_items``. ``config`` gets each split's
+    ``_data_hash``."""
     techniques = args.techniques if hp.task == "tc" else None
     train = load_dataset(args.articles, args.labels, hp.task, techniques)
     dev = load_dataset(args.dev_articles, args.dev_labels, hp.task, techniques)
+    config.update({name: _data_hash(d.articles, d.spans, d.labels)
+                   for name, d in (("train", train), ("dev", dev))})
     if hp.task == "si":
         return train, dev
-    train_items, train_counts = _tc_items(train, hp.max_seq_len)
-    dev_items, dev_counts = _tc_items(dev, hp.max_seq_len)
+    train_items, train_counts = pl.counted_tc_items(train, hp.max_seq_len)
+    dev_items, dev_counts = pl.counted_tc_items(dev, hp.max_seq_len)
     return train_items, dev_items, train.labels, {"train": train_counts, "dev": dev_counts}
-
-
-def _tc_items(data: SpanDataset, max_seq_len: int) -> tuple[list[pl.TcItem], dict]:
-    """``data``'s classification items, and how many of its spans were
-    truncated to the window budget or skipped for covering no token."""
-    items = pl.build_tc_items(data, max_seq_len)
-    return items, pl.tc_item_counts(items, len(data.spans))
 
 
 def _parse_ratio(text: str) -> tuple[int, int] | None:
@@ -200,37 +197,54 @@ def _parse_ratio(text: str) -> tuple[int, int] | None:
         return None
     try:
         g, s = text.split(":")
-        return (int(g), int(s))
+        ratio = (int(g), int(s))
     except ValueError:
         raise CliError(f"--gold-silver-ratio must look like 1:4, got {text!r}") from None
+    if min(ratio) < 1:
+        raise CliError(f"--gold-silver-ratio parts must be positive, got {text!r}")
+    return ratio
 
 
-def _effective(args, hp: pl.HyperParams | None = None, enc: EncoderConfig | None = None,
-               **extra) -> dict:
-    """The hashed run config; a training run records ``encoder: None`` for the
-    desk encoder and the resolved ``encoder.*`` keys otherwise."""
-    config = {"command": args.command, "seed": getattr(args, "seed", None)}
-    if hp is not None:
-        config["hp"] = hp.to_dict()
-        config["encoder"] = None if enc is None else {k: getattr(enc, k) for k in ENCODER_KEYS}
-    config.update(extra)
-    return config
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def _content_hash(path: str) -> str:
-    """SHA-256 of a file's bytes: a manifest hashes the checkpoint or span file
-    a run read, not the path it was read from."""
+    """SHA-256 of a file's bytes."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _append_file_record(args, out: Path, *names: str, **meta) -> None:
-    """Append the ``runs.jsonl`` record of a command that trains nothing: the
-    config hashes the contents of each given file argument in ``names``, and
-    the record's ``meta`` keeps their paths and the counts given as ``meta``."""
-    paths = {k: getattr(args, k) for k in names if getattr(args, k)}
-    config = _effective(args, task=args.task, **{k: _content_hash(v) for k, v in paths.items()})
-    pl.append_manifest(out, pl.run_record(args.command, config, None, None,
-                                          meta={**paths, **meta}))
+def _data_hash(articles: dict[str, str], spans=(), techniques=None) -> str:
+    """SHA-256 of a corpus as a run read it: its articles, spans and technique names."""
+    canon = _json([articles, [astuple(s) for s in spans], techniques])
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _record(args, out: Path, config: dict, meta: dict | None = None, files=(),
+            res: pl.TrainResult | None = None, checkpoint: str | None = None,
+            command: str | None = None) -> None:
+    """Append the run's record to ``<out>/runs.jsonl``, the one writer of that file.
+
+    The hashed config is the command, its seed (None for a command that draws
+    no random number), ``config``, and the ``_content_hash`` of each given file
+    argument named in ``files``, whose paths go to the record's ``meta`` with
+    ``meta``: a config hashes what a run read, not where from. A training
+    run's record carries ``res`` (and its meta) and ``checkpoint``;
+    ``command`` names a self-training round.
+    """
+    paths = {k: getattr(args, k) for k in files if getattr(args, k, None)}
+    config = {"command": args.command, "seed": getattr(args, "seed", None), **config,
+              **{k: _content_hash(v) for k, v in paths.items()}}
+    record = {"command": command or args.command, "config": config, "seed": config["seed"],
+              "config_hash": hashlib.sha256(_json(config).encode("utf-8")).hexdigest()[:16],
+              "checkpoint": checkpoint, "blas_threads": pl.blas_threads()}
+    if res is not None:
+        record.update(best_score=res.best_score, best_step=res.best_step,
+                      eval_trace=[p.to_dict() for p in res.trace], meta=res.meta)
+    elif meta is not None:
+        record["meta"] = {**paths, **meta}
+    with open(out / "runs.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(_json(record) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -239,13 +253,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _save(args, name: str, res: pl.TrainResult, config: dict, command: str,
+def _save(args, name: str, res: pl.TrainResult, config: dict, command: str | None = None,
           **meta) -> Path:
     """Write ``res.model`` to ``<out>/<name>`` and append its ``runs.jsonl`` record."""
     out = _out_dir(args)
     ckpt = out / name
     res.model.save(ckpt, meta={"best_score": res.best_score, "seed": args.seed, **meta})
-    pl.append_manifest(out, pl.run_record(command, config, args.seed, res, str(ckpt)))
+    _record(args, out, config, res=res, checkpoint=str(ckpt), command=command)
     return ckpt
 
 
@@ -293,20 +307,19 @@ def cmd_gen_synth(args) -> int:
         write_spans_tsv(out / name / "labels-tc.tsv", split.spans, corpus.labels)
     write_articles(out / "pool" / "articles", corpus.pool.articles)
 
-    config = _effective(args, synth=asdict(synth_cfg))
-    pl.append_manifest(out, pl.run_record("gen-synth", config, args.seed, None))
+    _record(args, out, {"synth": asdict(synth_cfg)})
     print(f"wrote {len(corpus.train.articles)} train / {len(corpus.dev.articles)} dev "
           f"articles and a pool of {len(corpus.pool.articles)} to {out}")
     return 0
 
 
 def cmd_train_si(args) -> int:
-    hp, enc = _resolve(args, "si")
-    train, dev = _inputs(args, hp)
+    hp, enc, config = _resolve(args, "si")
+    train, dev = _inputs(args, hp, config)
     res = pl.train_si(train, dev, hp, args.seed, use_crf=not args.no_crf,
                       encoder_cfg=enc)
-    config = _effective(args, hp, enc, use_crf=not args.no_crf)
-    ckpt = _save(args, "model-si.spfg", res, config, "train-si", best_step=res.best_step)
+    config["use_crf"] = not args.no_crf
+    ckpt = _save(args, "model-si.spfg", res, config, best_step=res.best_step)
     print(f"best dev FLC-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
     return 0
 
@@ -316,15 +329,16 @@ def cmd_train_tc(args) -> int:
     if (args.pool is None) != (args.si_model is None):
         raise CliError("TC self-training needs both --pool and --si-model")
     self_train = args.pool is not None
-    hp, enc = _resolve(args, "tc")
-    train_items, dev_items, labels, counts = _inputs(args, hp)
-    opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     ratio = _parse_ratio(args.gold_silver_ratio)
+    hp, enc, config = _resolve(args, "tc")
+    train_items, dev_items, labels, counts = _inputs(args, hp, config)
+    opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
 
     silver_items = None
     if self_train:
         si_model = SiTagger.load(args.si_model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
+        config.update(pool=_data_hash(pool.articles), si_model=_content_hash(args.si_model))
         annotator = pl.train_tc(train_items, dev_items, labels, opts, hp,
                                 pl.derive_seed(args.seed, 77), encoder_cfg=enc)
         silver_items, counts["silver"] = pl.build_tc_silver(si_model, annotator.model, pool,
@@ -333,25 +347,23 @@ def cmd_train_tc(args) -> int:
     res = pl.train_tc(train_items, dev_items, labels, opts, hp, args.seed,
                       silver_items=silver_items, ratio=ratio, encoder_cfg=enc)
     res.meta["tc_items"] = counts
-    config = _effective(args, hp, enc, options={"reweight": opts.reweight,
-                                                "span_cls": opts.span_cls,
-                                                "self_train": self_train},
-                        ratio=args.gold_silver_ratio)
-    ckpt = _save(args, "model-tc.spfg", res, config, "train-tc", best_step=res.best_step)
+    config.update(options={**asdict(opts), "self_train": self_train},
+                  ratio=args.gold_silver_ratio)
+    ckpt = _save(args, "model-tc.spfg", res, config, best_step=res.best_step)
     print(f"best dev micro-F1 {res.best_score:.4f} at step {res.best_step}; saved {ckpt}")
     return 0
 
 
 def cmd_self_train(args) -> int:
-    hp, enc = _resolve(args, "si")
-    train, dev = _inputs(args, hp)
-    pool = SpanDataset(articles=read_articles(args.pool), spans=[])
     ratio = _parse_ratio(args.gold_silver_ratio)
+    hp, enc, config = _resolve(args, "si")
+    train, dev = _inputs(args, hp, config)
+    pool = SpanDataset(articles=read_articles(args.pool), spans=[])
     results = pl.self_train_si(train, dev, pool, args.iterations, hp,
                                seed=args.seed, ratio=ratio, use_crf=not args.no_crf,
                                encoder_cfg=enc)
-    config = _effective(args, hp, enc, iterations=args.iterations,
-                        ratio=args.gold_silver_ratio, use_crf=not args.no_crf)
+    config.update(pool=_data_hash(pool.articles), iterations=args.iterations,
+                  ratio=args.gold_silver_ratio, use_crf=not args.no_crf)
     for i, res in enumerate(results):
         name = "model-si-base.spfg" if i == 0 else f"model-si-iter{i}.spfg"
         ckpt = _save(args, name, res, config, f"self-train[{i}]", iteration=i)
@@ -362,7 +374,7 @@ def cmd_self_train(args) -> int:
 
 def cmd_annotate(args) -> int:
     out = _out_dir(args)
-    meta = {"model": args.model}
+    meta = {}
     if args.task == "si":
         model = SiTagger.load(args.model)
         pool = SpanDataset(articles=read_articles(args.pool), spans=[])
@@ -376,7 +388,7 @@ def cmd_annotate(args) -> int:
             raise CliError("--labels is required for tc annotation")
         model = TcClassifier.load(args.model)
         data = load_dataset(args.pool, args.labels, "si")
-        items, counts = _tc_items(data, model.config.max_positions)
+        items, counts = pl.counted_tc_items(data, model.config.max_positions)
         pred = pl.predict_tc_probs(model, items).argmax(axis=1)
         labeled = [replace(it.char_span, technique=int(lab)) for it, lab in zip(items, pred)]
         path = out / "silver-tc.tsv"
@@ -385,8 +397,7 @@ def cmd_annotate(args) -> int:
               f"truncated to {model.config.max_positions - pl.MARKER_OVERHEAD} tokens, "
               f"{counts['skipped_spans']} skipped for covering no token)")
         meta["tc_items"] = {"pool": counts}
-    config = _effective(args, model=_content_hash(args.model), task=args.task)
-    pl.append_manifest(out, pl.run_record("annotate", config, None, None, meta=meta))
+    _record(args, out, {"task": args.task}, meta, files=["model"])
     return 0
 
 
@@ -398,12 +409,12 @@ def cmd_ensemble(args) -> int:
         raise CliError("--enumerate needs at least two models")
     models = [TcClassifier.load(p) for p in paths]
     data = load_dataset(args.articles, args.labels, "tc", args.techniques)
-    items, counts = _tc_items(data, models[0].config.max_positions)
+    items, counts = pl.counted_tc_items(data, models[0].config.max_positions)
     gold = np.array([it.label for it in items])
     out = _out_dir(args)
 
     probs = pl.member_probs(models, items)
-    pred = pl.mean_probs(probs).argmax(axis=1)
+    pred = pl.ensemble_predict(probs)
     score = micro_f1(pred, gold)
     spans = [replace(it.char_span, technique=int(p)) for it, p in zip(items, pred)]
     write_spans_tsv(out / "ensemble-predictions.tsv", spans, data.labels)
@@ -418,11 +429,9 @@ def cmd_ensemble(args) -> int:
                                            encoding="utf-8")
         print(f"enumerated {len(results)} subsets -> {out / 'ensembles.tsv'}")
 
-    config = _effective(args, models=[_content_hash(p) for p in paths],
-                        enumerate=args.enumerate_all)
-    pl.append_manifest(out, pl.run_record("ensemble", config, None, None,
-                                          meta={"models": paths,
-                                                "tc_items": {"eval": counts}}))
+    _record(args, out, {"models": [_content_hash(p) for p in paths],
+                        "enumerate": args.enumerate_all},
+            {"models": paths, "tc_items": {"eval": counts}})
     return 0
 
 
@@ -463,26 +472,24 @@ def cmd_score(args) -> int:
               f"{counts['unpredicted_spans']} without a prediction (scored as missed)")
     (out / "score.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
-    _append_file_record(args, out, "pred", "gold", "techniques", **counts)
+    _record(args, out, {"task": args.task}, counts, files=["pred", "gold", "techniques"])
     return 0
 
 
 def cmd_cv(args) -> int:
-    hp, enc = _resolve(args, "tc")
-    train_items, dev_items, labels, counts = _inputs(args, hp)
+    hp, enc, config = _resolve(args, "tc")
+    train_items, dev_items, labels, counts = _inputs(args, hp, config)
     opts = pl.TcOptions(reweight=args.reweight, span_cls=args.span_cls)
     scores = pl.cross_validate(train_items, dev_items, labels, opts, hp,
                                k=args.k, seed=args.seed, encoder_cfg=enc)
     out = _out_dir(args)
     mean, std = float(np.mean(scores)), float(np.std(scores))
     report = {"k": args.k, "scores": scores, "mean": mean, "std": std,
-              "options": {"reweight": opts.reweight, "span_cls": opts.span_cls}}
+              "options": asdict(opts)}
     (out / "cv.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                  encoding="utf-8")
-    config = _effective(args, hp, enc, k=args.k, reweight=args.reweight,
-                        span_cls=args.span_cls)
-    pl.append_manifest(out, pl.run_record("cv", config, args.seed, None,
-                                          meta={"tc_items": counts}))
+    _record(args, out, {**config, "k": args.k, "options": asdict(opts)},
+            {"tc_items": counts})
     print(f"{args.k}-fold micro-F1 {mean:.4f} +/- {std:.4f}")
     return 0
 
@@ -527,7 +534,8 @@ def cmd_analyze(args) -> int:
     for name in report.skipped:
         print(f"note: {name} skipped (present in none or all items)", file=sys.stderr)
     print(f"report -> {path}")
-    _append_file_record(args, out, "pred", "gold", "techniques", "features", **counts)
+    _record(args, out, {"task": args.task, "articles": _data_hash(articles)}, counts,
+            files=["pred", "gold", "techniques", "features"])
     return 0
 
 

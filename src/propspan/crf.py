@@ -31,20 +31,16 @@ class CrfParams:
 
     @classmethod
     def create(cls, n_labels: int, rng: np.random.Generator | None = None,
-               scale: float = 0.01, dtype=np.float32) -> "CrfParams":
+               dtype=np.float32) -> "CrfParams":
         if rng is None:
             init = lambda shape: np.zeros(shape, dtype=dtype)
         else:
-            init = lambda shape: (rng.normal(0.0, scale, shape)).astype(dtype)
+            init = lambda shape: (rng.normal(0.0, 0.01, shape)).astype(dtype)
         return cls(
             transitions=Tensor(init((n_labels, n_labels)), requires_grad=True),
             start_scores=Tensor(init((n_labels,)), requires_grad=True),
             end_scores=Tensor(init((n_labels,)), requires_grad=True),
         )
-
-    @property
-    def n_labels(self) -> int:
-        return self.transitions.shape[0]
 
     def named(self, prefix: str = "crf") -> dict[str, Tensor]:
         return {f"{prefix}.transitions": self.transitions,
@@ -75,14 +71,6 @@ class ConstraintMask:
         allowed[0, 2] = False
         return cls(allowed_transitions=allowed, allowed_start=np.array([True, True, False]))
 
-    def validate_tags(self, tags: np.ndarray) -> None:
-        tags = np.asarray(tags)
-        if not self.allowed_start[tags[0]]:
-            raise ValueError(f"label {tags[0]} cannot start a sequence")
-        for a, b in zip(tags[:-1], tags[1:]):
-            if not self.allowed_transitions[a, b]:
-                raise ValueError(f"transition {a} -> {b} is not allowed")
-
 
 def _check_tags(tags: np.ndarray, n_labels: int, length: int) -> np.ndarray:
     tags = np.asarray(tags, dtype=np.int64)
@@ -101,14 +89,11 @@ def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
     return T.reshape(log_partition_batch(batch, [length], params), ())
 
 
-def nll(emissions: Tensor, tags, params: CrfParams,
-        constraint: ConstraintMask | None = None) -> Tensor:
+def nll(emissions: Tensor, tags, params: CrfParams) -> Tensor:
     """Negative log-likelihood of the tag path; >= 0 up to float error."""
     emissions = T.as_tensor(emissions)
     length, n_labels = emissions.shape
     tags = _check_tags(tags, n_labels, length)
-    if constraint is not None:
-        constraint.validate_tags(tags)
     batch = T.reshape(emissions, (1, length, n_labels))
     return T.reshape(nll_batch(batch, tags[None, :], [length], params), ())
 
@@ -250,16 +235,7 @@ def log_partition_batch(emissions: Tensor, lengths: np.ndarray,
 
 
 def nll_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
-              params: CrfParams, per_token: bool = False) -> Tensor:
-    """Mean NLL over a padded batch.
-
-    ``per_token`` divides by the total token count instead of the sequence
-    count; gradients then stay O(1) in sequence length, which keeps plain
-    SGD stable. The objective's argmin is unchanged.
-    """
-    logz = log_partition_batch(emissions, lengths, params)
-    gold = path_score_batch(emissions, tags, lengths, params)
-    total = logz - gold
-    if per_token:
-        return total.sum() * (1.0 / float(np.asarray(lengths).sum()))
-    return total.mean()
+              params: CrfParams) -> Tensor:
+    """Per-sequence NLL of the tag paths of a padded batch. Returns [B]."""
+    return (log_partition_batch(emissions, lengths, params)
+            - path_score_batch(emissions, tags, lengths, params))

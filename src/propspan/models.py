@@ -53,7 +53,10 @@ class SiTagger:
              rng: np.random.Generator | None = None) -> Tensor:
         emissions = self.emissions(ids, mask, train=train, rng=rng)
         if self.use_crf:
-            return crf_mod.nll_batch(emissions, tags, lengths, self.crf, per_token=True)
+            # the CRF NLL per token, not per sequence: gradients stay O(1) in
+            # sequence length, which keeps plain SGD stable
+            nll = crf_mod.nll_batch(emissions, tags, lengths, self.crf)
+            return nll.sum() * (1.0 / float(np.asarray(lengths).sum()))
         # no CRF: mean per-token cross-entropy over real positions
         logp = emissions - T.logsumexp_t(emissions, axis=-1, keepdims=True)
         gold = T.take_along_last(logp, np.asarray(tags, dtype=np.int64))

@@ -3,20 +3,17 @@
 Covers the two task recipes (sequence tagging with SGD on the CRF loss,
 span classification with AdamW on BCE), naive self-training for both,
 probability-averaging ensembles with full subset enumeration, and k-fold
-splits over train+dev unions. A JSON line per run is appended to
-``runs.jsonl`` for downstream ablation tooling. One forked-worker primitive
-(``_forked``) puts both cores to work for two users: ``parallel_map`` spreads
-independent work (the folds of a cross-validation, the batches of a tagging
-or classification pass) over the CPUs this process may use, and an SI
-training run forks one worker for the whole run, which computes half of every
-batch (``_fit``). A training loop's dev evaluations run serially.
+splits over train+dev unions. One forked-worker primitive (``_forked``)
+puts both cores to work for two users: ``parallel_map`` spreads independent
+work (the folds of a cross-validation, the batches of a tagging or
+classification pass) over the CPUs this process may use, and an SI training
+run forks one worker for the whole run, which computes half of every batch
+(``_fit``). A training loop's dev evaluations run serially.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import json
 import mmap
 import os
 import pickle
@@ -89,15 +86,11 @@ class HyperParams:
 
     @classmethod
     def paper(cls, task: str) -> "HyperParams":
-        if task == "si":
-            return cls(task="si", batch_size=8, lr=5e-4, steps=60_000,
-                       momentum=0.9, weight_decay=0.0, optimizer="sgd",
+        """The desk profile at the paper's learning rate and step budget."""
+        desk = cls.desk(task)  # raises for an unknown task
+        si = task == "si"
+        return replace(desk, lr=5e-4 if si else 2e-5, steps=60_000 if si else 20_000,
                        eval_every=2000)
-        if task == "tc":
-            return cls(task="tc", batch_size=16, lr=2e-5, steps=20_000,
-                       momentum=0.0, weight_decay=0.01, optimizer="adamw",
-                       eval_every=2000)
-        raise ValueError(f"unknown task {task!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -708,11 +701,14 @@ def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
     return items
 
 
-def tc_item_counts(items: list[TcItem], n_spans: int) -> dict:
-    """How many of the ``n_spans`` spans behind ``build_tc_items``' ``items``
-    were truncated to the window budget or skipped for covering no token."""
-    return {"truncated_spans": sum(it.truncated for it in items),
-            "skipped_spans": n_spans - len(items)}
+def counted_tc_items(data: SpanDataset, max_seq_len: int,
+                     spans: list[Span] | None = None) -> tuple[list[TcItem], dict]:
+    """``build_tc_items``' items, and how many of their spans were truncated
+    to the window budget or skipped for covering no token."""
+    spans = data.spans if spans is None else spans
+    items = build_tc_items(data, max_seq_len, spans)
+    return items, {"truncated_spans": sum(it.truncated for it in items),
+                   "skipped_spans": len(spans) - len(items)}
 
 
 def _multi_hot(items: list[TcItem], n_classes: int) -> np.ndarray:
@@ -798,15 +794,15 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
 def build_tc_silver(si_model: SiTagger, tc_model: TcClassifier, pool: SpanDataset,
                     max_seq_len: int = 256) -> tuple[list[TcItem], dict]:
     """Silver classification items, spans found by the tagger with labels from
-    the gold-trained classifier's argmax, and their ``tc_item_counts``."""
+    the gold-trained classifier's argmax, and their ``counted_tc_items`` counts."""
     spans = predict_spans(si_model, pool.tokenized, max_seq_len)
-    items = build_tc_items(pool, max_seq_len, spans=spans)
+    items, counts = counted_tc_items(pool, max_seq_len, spans)
     if items:
         pred = predict_tc_probs(tc_model, items).argmax(axis=1)
         for it, lab in zip(items, pred):
             it.label = int(lab)
             it.char_span = replace(it.char_span, technique=int(lab))
-    return items, tc_item_counts(items, len(spans))
+    return items, counts
 
 
 # -- ensembling and folds --------------------------------------------------------------
@@ -828,9 +824,10 @@ def mean_probs(probs: list[np.ndarray]) -> np.ndarray:
     return acc / len(probs)
 
 
-def ensemble_predict(models: list[TcClassifier], items: list[TcItem]) -> np.ndarray:
-    """Argmax of averaged probabilities; ties resolve to the lowest label id."""
-    return mean_probs(member_probs(models, items)).argmax(axis=1)
+def ensemble_predict(probs: list[np.ndarray]) -> np.ndarray:
+    """The ensemble's vote: the argmax of the members' ``mean_probs``; ties
+    resolve to the lowest label id."""
+    return mean_probs(probs).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -844,8 +841,7 @@ def subset_scores(probs: list[np.ndarray], gold: np.ndarray) -> list[EnsembleRes
     n = len(probs)
     if n < 2:
         raise ValueError("need at least two models to enumerate ensembles")
-    return [EnsembleResult(subset, micro_f1(
-                mean_probs([probs[i] for i in subset]).argmax(axis=1), gold))
+    return [EnsembleResult(subset, micro_f1(ensemble_predict([probs[i] for i in subset]), gold))
             for size in range(2, n + 1) for subset in combinations(range(n), size)]
 
 
@@ -890,21 +886,7 @@ def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],
     return parallel_map(fold_score, range(k))
 
 
-# -- run manifest -------------------------------------------------------------------
-
-def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def append_manifest(out_dir: str | Path, record: dict) -> Path:
-    path = Path(out_dir) / "runs.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, separators=(",", ":"),
-                            default=str) + "\n")
-    return path
-
+# -- OpenBLAS threads ----------------------------------------------------------------
 
 # symbol prefixes of the OpenBLAS builds in numpy wheels: numpy 2's
 # scipy-openblas and numpy 1's openblas64_
@@ -947,22 +929,3 @@ def _set_blas_threads(count: int) -> int | None:
     setter.argtypes, setter.restype = [ctypes.c_int], None
     setter(count)
     return before
-
-
-def run_record(command: str, config: dict, seed: int | None,
-               result: TrainResult | None, checkpoint: str | None = None,
-               meta: dict | None = None) -> dict:
-    """One ``runs.jsonl`` line; ``meta`` stands in for a training result's meta
-    in the records of commands that train nothing, and ``seed`` is None for
-    commands that draw no random number."""
-    record = {"command": command, "config_hash": config_hash(config),
-              "config": config, "seed": seed, "checkpoint": checkpoint,
-              "blas_threads": blas_threads()}
-    if result is not None:
-        record["best_score"] = result.best_score
-        record["best_step"] = result.best_step
-        record["eval_trace"] = [p.to_dict() for p in result.trace]
-        record["meta"] = result.meta
-    elif meta is not None:
-        record["meta"] = meta
-    return record

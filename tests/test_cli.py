@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -290,6 +292,8 @@ class TestTrainTcAndEnsembleAndCv:
         assert code == 0
         report = json.loads((out / "cv.json").read_text())
         assert len(report["scores"]) == 3
+        record = json.loads((out / "runs.jsonl").read_text())
+        assert record["config"]["options"] == {"reweight": False, "span_cls": False}
 
     def test_ensemble_enumerate_one_model_writes_nothing(self, synth_dir, tc_models,
                                                          tmp_path, capsys):
@@ -562,6 +566,101 @@ def test_help_prints_both_profiles(capsys):
     out = capsys.readouterr().out
     assert "desk scale" in out and "--paper-scale" in out
     assert "5e-4" in out and "60k" in out
+
+
+@pytest.mark.parametrize("ratio", ["1:0", "-1:4"])
+@pytest.mark.parametrize("command", ["self-train", "train-tc"])
+def test_non_positive_gold_silver_ratio_exit_1(synth_dir, si_model, train_cfg_path, tmp_path,
+                                               capsys, command, ratio):
+    # 1:0 once trained the base tagger, then died dividing by zero (exit 2)
+    task = "tc" if command == "train-tc" else "si"
+    source = ["--pool", str(synth_dir / "pool" / "articles")]
+    if task == "tc":
+        source += ["--si-model", str(si_model)]
+    out = tmp_path / "o"
+    assert run([command, "--seed", "1", *split_args(synth_dir, task), *source,
+                "--config", str(train_cfg_path), f"--gold-silver-ratio={ratio}",
+                "--out", str(out)]) == 1
+    assert f"--gold-silver-ratio parts must be positive, got '{ratio}'" in \
+        capsys.readouterr().err
+    assert not list(out.glob("*.spfg"))
+
+
+@pytest.mark.parametrize("command", ["train-si", "train-tc", "self-trained train-tc",
+                                     "self-train", "cv", "analyze"])
+def test_run_config_hashes_the_data_it_read(synth_dir, si_model, train_cfg_path, tmp_path,
+                                            command):
+    """A copy of the corpus in another directory gives the same config hash;
+    the seed-8 corpus gives another, and so does, for analyze, one changed
+    article under the same span files."""
+    copy, other = tmp_path / "copy", tmp_path / "other"
+    shutil.copytree(synth_dir, copy)
+    if command == "analyze":
+        shutil.copytree(synth_dir, other)
+        article = sorted((other / "dev" / "articles").iterdir())[0]
+        text = article.read_text()
+        article.write_text(text.replace(text[0], "x" if text[0] != "x" else "y", 1))
+    else:
+        assert run(["gen-synth", "--seed", "8", "--config", str(synth_dir.parent / "synth.json"),
+                    "--out", str(other)]) == 0
+    gold = synth_dir / "dev" / "labels-si.tsv"
+    hashes = {}
+    for name, data in (("same", synth_dir), ("copy", copy), ("other", other)):
+        train = ["--seed", "1", "--steps", "0", "--config", str(train_cfg_path)]
+        argv = {"train-si": ["train-si", *train, *split_args(data, "si")],
+                "train-tc": ["train-tc", *train, *split_args(data, "tc")],
+                "self-trained train-tc": ["train-tc", *train, *split_args(data, "tc"),
+                                          "--pool", str(data / "pool" / "articles"),
+                                          "--si-model", str(si_model)],
+                "self-train": ["self-train", *train, "--iterations", "1",
+                               *split_args(data, "si"), "--pool", str(data / "pool" / "articles")],
+                "cv": ["cv", *train, "--k", "2", *split_args(data, "tc")],
+                "analyze": ["analyze", "--task", "si", "--articles", str(data / "dev" / "articles"),
+                            "--pred", str(gold), "--gold", str(gold)]}[command]
+        out = tmp_path / f"out-{name}"
+        assert run([*argv, "--out", str(out)]) == 0
+        hashes[name] = json.loads((out / "runs.jsonl").read_text().splitlines()[0])["config_hash"]
+    assert hashes["same"] == hashes["copy"] != hashes["other"]
+
+
+def test_every_record_keeps_its_invariants(synth_dir, si_model, tc_models, train_cfg_path,
+                                           tmp_path):
+    """Each command's record: its seed is the config's, its hash is that of
+    the canonical config, it names a checkpoint exactly when the command saved
+    one, and it names the OpenBLAS thread count."""
+    dev = synth_dir / "dev"
+    gold_si, gold_tc = str(dev / "labels-si.tsv"), str(dev / "labels-tc.tsv")
+    techniques = ["--techniques", str(synth_dir / "techniques.txt")]
+    train = ["--seed", "1", "--steps", "1", "--config", str(train_cfg_path)]
+    runs = {"train-si": ["train-si", *train, *split_args(synth_dir, "si")],
+            "train-tc": ["train-tc", *train, *split_args(synth_dir, "tc")],
+            "self-train": ["self-train", *train, "--iterations", "1", *split_args(synth_dir, "si"),
+                           "--pool", str(synth_dir / "pool" / "articles")],
+            "cv": ["cv", *train, "--k", "2", *split_args(synth_dir, "tc")],
+            "annotate": ["annotate", "--task", "si", "--model", str(si_model),
+                         "--pool", str(dev / "articles")],
+            "ensemble": ["ensemble", "--models", ",".join(map(str, tc_models)),
+                         "--articles", str(dev / "articles"), "--labels", gold_tc, *techniques],
+            "score": ["score", "--task", "tc", "--pred", gold_tc, "--gold", gold_tc, *techniques],
+            "analyze": ["analyze", "--task", "si", "--articles", str(dev / "articles"),
+                        "--pred", gold_si, "--gold", gold_si]}
+    records = [json.loads((synth_dir / "runs.jsonl").read_text().splitlines()[0])]
+    for name, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        records += [json.loads(line)
+                    for line in (tmp_path / name / "runs.jsonl").read_text().splitlines()]
+    assert [r["command"] for r in records] == [
+        "gen-synth", "train-si", "train-tc", "self-train[0]", "self-train[1]", "cv",
+        "annotate", "ensemble", "score", "analyze"]
+    for r in records:
+        canonical = json.dumps(r["config"], sort_keys=True, separators=(",", ":"))
+        assert r["config_hash"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        assert r["seed"] == r["config"]["seed"]
+        assert r["config"]["command"] == r["command"].split("[")[0]
+        saved = r["command"].startswith(("train-", "self-train"))
+        assert (r["checkpoint"] is not None) == saved, r["command"]
+        assert not saved or Path(r["checkpoint"]).is_file()
+        assert "blas_threads" in r
 
 
 def test_paper_scale_flag_swaps_table_values(synth_dir, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 import time
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propspan.cli import main
 from propspan.datasets import SpanDataset
 from propspan.encoder import EncoderConfig, SpanClsConfig
 from propspan.metrics import micro_f1
@@ -16,7 +18,7 @@ from propspan.pipeline import (EvalPoint, HyperParams, TcOptions, _fit, annotate
                                build_tc_silver, cross_validate, derive_seed,
                                desk_encoder_config, ensemble_predict, enumerate_ensembles,
                                kfold_split, mean_probs, member_probs, mix_with_silver,
-                               partition_pool, predict_tc_probs, run_record,
+                               partition_pool, predict_tc_probs,
                                self_train_overwrite, self_train_si, subset_scores,
                                train_si, train_tc, _forked)
 from propspan.synth import SynthConfig, gen_synth
@@ -66,6 +68,8 @@ class TestHyperParams:
             replace(HyperParams.desk("si"), task="ner")
         with pytest.raises(ValueError, match="'ner'"):
             HyperParams(task="ner")
+        with pytest.raises(ValueError, match="'ner'"):
+            HyperParams.paper("ner")
 
     @pytest.mark.parametrize("field", ["max_seq_len", "eval_every"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -474,7 +478,7 @@ class TestEnsembles:
         for m in models:
             m.params()["cls.w"].data[:] = 0
             m.params()["cls.b"].data[:] = 0
-        pred = ensemble_predict(models, items)
+        pred = ensemble_predict(member_probs(models, items))
         assert (pred == 0).all()
 
     def test_permutation_invariant(self):
@@ -503,7 +507,8 @@ class TestEnsembles:
         items = self.make_items(6)
         gold = np.array([it.label for it in items])
         full = [r for r in enumerate_ensembles(models, items) if len(r.members) == 3]
-        assert [r.score for r in full] == [micro_f1(ensemble_predict(models, items), gold)]
+        assert [r.score for r in full] == \
+            [micro_f1(ensemble_predict(member_probs(models, items)), gold)]
 
     def test_subsets_average_in_float64(self):
         # a float32 running sum rounds these to a tie that picks class 0; the
@@ -595,7 +600,7 @@ def test_tc_self_train_applies_overwrite_profile_by_default():
     assert res.meta["batch_size"] == 16
 
 
-def test_blas_threads_reports_the_effective_count():
+def test_blas_threads_reports_the_effective_count(tmp_path):
     # CI runs this with OPENBLAS_NUM_THREADS=1 and again with it unset
     n = blas_threads()
     if n is None:  # numpy 1 wheels may bundle an OpenBLAS without a known getter
@@ -604,7 +609,15 @@ def test_blas_threads_reports_the_effective_count():
         assert n == int(os.environ["OPENBLAS_NUM_THREADS"])
     else:
         assert isinstance(n, int) and n >= 1
-    assert run_record("x", {}, 0, None)["blas_threads"] == n
+    # a run records the count it ran at: one thread unless the variable names a count
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"synth.n_train": 2, "synth.n_dev": 1, "synth.n_pool": 1}))
+    assert main(["gen-synth", "--seed", "1", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 0
+    record = json.loads((tmp_path / "o" / "runs.jsonl").read_text())
+    pinned = n is not None and not os.environ.get("OPENBLAS_NUM_THREADS")
+    assert record["blas_threads"] == (1 if pinned else n)
+    assert blas_threads() == n
 
 
 def test_worker_exits_once_it_has_answered_its_last_message():
