@@ -13,7 +13,7 @@ from .synth import SynthConfig, gen_synth
 from .encoder import Encoder, EncoderConfig, SpanClsConfig
 from .models import SiTagger, TcClassifier
 from .pipeline import (HyperParams, TcOptions, annotate_si, build_tc_silver,
-                       ensemble_predict, enumerate_ensembles, kfold_split,
-                       self_train_overwrite, self_train_si, train_si, train_tc)
+                       ensemble_predict, kfold_split, self_train_overwrite,
+                       self_train_si, train_si, train_tc)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +216,8 @@ def _content_hash(path: str) -> str:
 
 def _data_hash(articles: dict[str, str], spans=(), techniques=None) -> str:
     """SHA-256 of a corpus as a run read it: its articles, spans and technique names."""
-    canon = _json([articles, [astuple(s) for s in spans], techniques])
+    canon = _json([articles, [(s.article_id, s.start, s.end, s.technique) for s in spans],
+                   techniques])
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -387,8 +388,8 @@ def cmd_annotate(args) -> int:
         if not args.labels:
             raise CliError("--labels is required for tc annotation")
         model = TcClassifier.load(args.model)
-        data = load_dataset(args.pool, args.labels, "si")
-        items, counts = pl.counted_tc_items(data, model.config.max_positions)
+        pool = load_dataset(args.pool, args.labels, "si")
+        items, counts = pl.counted_tc_items(pool, model.config.max_positions)
         pred = pl.predict_tc_probs(model, items).argmax(axis=1)
         labeled = [replace(it.char_span, technique=int(lab)) for it, lab in zip(items, pred)]
         path = out / "silver-tc.tsv"
@@ -397,7 +398,8 @@ def cmd_annotate(args) -> int:
               f"truncated to {model.config.max_positions - pl.MARKER_OVERHEAD} tokens, "
               f"{counts['skipped_spans']} skipped for covering no token)")
         meta["tc_items"] = {"pool": counts}
-    _record(args, out, {"task": args.task}, meta, files=["model"])
+    _record(args, out, {"task": args.task, "pool": _data_hash(pool.articles, pool.spans)},
+            meta, files=["model"])
     return 0
 
 
@@ -430,7 +432,8 @@ def cmd_ensemble(args) -> int:
         print(f"enumerated {len(results)} subsets -> {out / 'ensembles.tsv'}")
 
     _record(args, out, {"models": [_content_hash(p) for p in paths],
-                        "enumerate": args.enumerate_all},
+                        "enumerate": args.enumerate_all,
+                        "eval": _data_hash(data.articles, data.spans, data.labels)},
             {"models": paths, "tc_items": {"eval": counts}})
     return 0
 

@@ -845,13 +845,6 @@ def subset_scores(probs: list[np.ndarray], gold: np.ndarray) -> list[EnsembleRes
             for size in range(2, n + 1) for subset in combinations(range(n), size)]
 
 
-def enumerate_ensembles(models: list[TcClassifier],
-                        dev_items: list[TcItem]) -> list[EnsembleResult]:
-    """Score every subset of two or more models on the dev items."""
-    gold = np.array([it.label for it in dev_items], dtype=np.int64)
-    return subset_scores(member_probs(models, dev_items), gold)
-
-
 def kfold_split(train_items: list, dev_items: list, k: int = 6,
                 seed: int = 0) -> list[list]:
     """Shuffle the train+dev union and cut into k near-even folds."""

@@ -25,8 +25,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 ATTN_MASK_BIAS = -1e9  # exp() underflows to exactly 0 after the softmax shift
-# No-grad attention runs in blocks of whole sequences whose scores fit this
-# many bytes, the L2 cache of a desk CPU core, instead of one batch-sized buffer.
+# No-grad attention over a batch whose scores exceed this many bytes, the L2
+# cache of a desk CPU core, runs one sequence at a time instead of in one buffer.
 _SCORE_BLOCK_BYTES = 2 << 20
 
 _grad_enabled = True
@@ -456,36 +456,38 @@ def _attention_weights(q4: np.ndarray, k4: np.ndarray, allowed: np.ndarray,
     return attn
 
 
-def _attend_in_blocks(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
-                      allowed: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """No-grad attention over blocks of whole sequences; returns ``[B, Tq, heads, dh]``.
+def _attend_per_sequence(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
+                         allowed: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """No-grad attention one sequence at a time; returns ``[B, Tq, heads, dh]``.
 
-    Each block's scores fit ``_SCORE_BLOCK_BYTES`` (or hold one sequence) and
-    cover only the key columns that some query in the block may attend to.
-    With a key-only mask and ``Tq == Tk`` (self-attention), query rows at or
-    past the block's last live key are padding: they are skipped and come out
-    zero. A block with a query that may attend to no key keeps every column
+    Keys-major scores ``k @ (q * scale)^T`` over the sequence's live key columns,
+    so max and sum reduce over the outer axis; ``ATTN_MASK_BIAS`` only where a
+    kept column is forbidden; normalised after the value product. In
+    self-attention with a key-only mask, rows past the last live key are skipped
+    (zero). A sequence with a query that may attend to no key keeps every column
     and row, as the one-buffer path does.
     """
     bsz, heads, tq, dh = q4.shape
-    tk = k4.shape[2]
     allowed = allowed.reshape((1,) * (4 - allowed.ndim) + allowed.shape)
-    pad_rows = allowed.shape[2] == 1 and tq == tk
-    step = max(1, _SCORE_BLOCK_BYTES // (heads * tq * tk * q4.itemsize))
+    pad_rows = allowed.shape[2] == 1 and tq == k4.shape[2]
     out = np.zeros((bsz, tq, heads, dh), dtype=np.result_type(q4, k4, v4))
-    for b0 in range(0, bsz, step):
-        blk = slice(b0, b0 + step)
-        m = allowed[blk] if allowed.shape[0] > 1 else allowed
+    for b in range(bsz):
+        m = allowed[b if allowed.shape[0] > 1 else 0, 0]  # [Tq or 1, Tk]
         rows = keys = slice(None)
         if m.any(axis=-1).all():
-            live = np.flatnonzero(m.any(axis=(0, 1, 2)))
+            live = np.flatnonzero(m.any(axis=0))
             hi = int(live[-1]) + 1
             keys = slice(int(live[0]), hi) if hi - live[0] == live.size else live
-            if pad_rows:
-                rows = slice(0, hi)
-        attn = _attention_weights(q4[blk, :, rows], k4[blk, :, keys], m[..., keys], scale)
-        out[blk, rows] = np.swapaxes(np.matmul(attn, v4[blk, :, keys]), 1, 2)
-        del attn  # before the next block's scores are allocated
+            rows = slice(0, hi) if pad_rows else rows
+        kb, vb, m = k4[b][:, keys], v4[b][:, keys], m[:, keys]
+        scores = np.matmul(kb, np.swapaxes(q4[b][:, rows] * scale, 1, 2))  # [heads, Tk, Tq]
+        if not m.all():
+            np.add(scores, np.where(m, 0.0, ATTN_MASK_BIAS).astype(scores.dtype).T, out=scores)
+        np.subtract(scores, scores.max(axis=1, keepdims=True), out=scores)
+        np.exp(scores, out=scores)
+        ctx = np.matmul(np.swapaxes(scores, 1, 2), vb)  # [heads, Tq, dh]
+        np.divide(ctx, scores.sum(axis=1)[..., None], out=ctx)
+        out[b, rows] = np.swapaxes(ctx, 0, 1)
     return out
 
 
@@ -503,10 +505,10 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
     written as separate ops, so values and gradients are the same bit for bit.
 
     When no graph is recorded and no dropout is drawn, a batch whose scores
-    exceed ``_SCORE_BLOCK_BYTES`` runs in blocks of whole sequences (see
-    ``_attend_in_blocks``): live keys match the one-buffer result to rounding
-    (exactly where no block drops a key column), and in self-attention the
-    padded query rows past a block's last live key are zero.
+    exceed ``_SCORE_BLOCK_BYTES`` (2 MiB) runs one sequence at a time, keys-major
+    and normalised after the value product (``_attend_per_sequence``): live rows
+    match the one-buffer result to rounding and do not depend on the rest of the
+    batch. Below 2 MiB the one-buffer path runs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     bsz, tq, hid = q.data.shape
@@ -521,7 +523,7 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
     dropping = train and p > 0.0
     if (not track and not dropping
             and bsz * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
-        return Tensor(_attend_in_blocks(q4, k4, v4, allowed, scale).reshape(bsz, tq, hid))
+        return Tensor(_attend_per_sequence(q4, k4, v4, allowed, scale).reshape(bsz, tq, hid))
 
     attn = _attention_weights(q4, k4, allowed, scale)  # [B, heads, Tq, Tk]
     dropped, mask = attn, None

@@ -24,8 +24,8 @@ from propspan.losses import class_weights, reweighted_bce, uniform_weights
 from propspan.metrics import FlcScore, flc_f1, micro_f1
 from propspan.models import TcClassifier
 from propspan.pipeline import (HyperParams, TcItem, TcOptions, annotate_si, build_tc_items,
-                               derive_seed, enumerate_ensembles, kfold_split, parallel_map,
-                               predict_tc_probs, train_si, train_tc)
+                               derive_seed, kfold_split, member_probs, parallel_map,
+                               predict_tc_probs, subset_scores, train_si, train_tc)
 from propspan.stats import bartlett, kruskal_wallis, mann_whitney_u, spearman_rho
 from propspan.synth import SynthConfig, gen_synth
 from propspan.tensor import Tensor, grad_check
@@ -252,7 +252,8 @@ def test_criterion_07_ensemble_enumeration():
     items = [TcItem(article_id=f"a{i}", window_tokens=[f"w{j}" for j in range(4)],
                     span_start=1, span_end=3, label=i % 2,
                     char_span=Span(f"a{i}", 0, 4, i % 2)) for i in range(6)]
-    results = enumerate_ensembles(models, items)
+    gold = np.array([it.label for it in items])
+    results = subset_scores(member_probs(models, items), gold)
     scored = all(0.0 <= r.score <= 1.0 for r in results)
     report(7, "8 models enumerate to exactly 247 scored ensembles",
            len(results) == 247 and scored, f"n={len(results)}")

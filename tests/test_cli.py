@@ -587,9 +587,10 @@ def test_non_positive_gold_silver_ratio_exit_1(synth_dir, si_model, train_cfg_pa
 
 
 @pytest.mark.parametrize("command", ["train-si", "train-tc", "self-trained train-tc",
-                                     "self-train", "cv", "analyze"])
-def test_run_config_hashes_the_data_it_read(synth_dir, si_model, train_cfg_path, tmp_path,
-                                            command):
+                                     "self-train", "cv", "analyze", "annotate si",
+                                     "annotate tc", "ensemble"])
+def test_run_config_hashes_the_data_it_read(synth_dir, si_model, tc_models, train_cfg_path,
+                                            tmp_path, command):
     """A copy of the corpus in another directory gives the same config hash;
     the seed-8 corpus gives another, and so does, for analyze, one changed
     article under the same span files."""
@@ -616,7 +617,16 @@ def test_run_config_hashes_the_data_it_read(synth_dir, si_model, train_cfg_path,
                                *split_args(data, "si"), "--pool", str(data / "pool" / "articles")],
                 "cv": ["cv", *train, "--k", "2", *split_args(data, "tc")],
                 "analyze": ["analyze", "--task", "si", "--articles", str(data / "dev" / "articles"),
-                            "--pred", str(gold), "--gold", str(gold)]}[command]
+                            "--pred", str(gold), "--gold", str(gold)],
+                "annotate si": ["annotate", "--task", "si", "--model", str(si_model),
+                                "--pool", str(data / "pool" / "articles")],
+                "annotate tc": ["annotate", "--task", "tc", "--model", str(tc_models[0]),
+                                "--pool", str(data / "dev" / "articles"),
+                                "--labels", str(data / "dev" / "labels-si.tsv")],
+                "ensemble": ["ensemble", "--models", ",".join(map(str, tc_models)),
+                             "--articles", str(data / "dev" / "articles"),
+                             "--labels", str(data / "dev" / "labels-tc.tsv"),
+                             "--techniques", str(data / "techniques.txt")]}[command]
         out = tmp_path / f"out-{name}"
         assert run([*argv, "--out", str(out)]) == 0
         hashes[name] = json.loads((out / "runs.jsonl").read_text().splitlines()[0])["config_hash"]

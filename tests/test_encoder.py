@@ -161,9 +161,9 @@ def test_masked_attention_weights_are_zero():
 
 
 class TestBlockedAttention:
-    """No-grad attention over blocks of whole sequences against the one-buffer
-    grad path. Shapes are small, so the tests shrink ``_SCORE_BLOCK_BYTES`` to
-    hold ``per_block`` sequences."""
+    """No-grad attention one sequence at a time against the one-buffer grad
+    path. Shapes are small, so the tests shrink ``_SCORE_BLOCK_BYTES`` below
+    the batch's scores (to ``per_block`` sequences' worth)."""
 
     bsz, seq, hid, heads = 7, 9, 12, 4  # head dim 3: the scale is inexact
 
@@ -219,15 +219,52 @@ class TestBlockedAttention:
             monkeypatch, _padded_allowed(lengths, self.seq), 2, tq=tq)
         np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-12)
 
+    def attend_no_grad(self, arrays, allowed):
+        with T.no_grad():
+            return T.attention(*(Tensor(a) for a in arrays), allowed, self.heads,
+                               0.0, None, False).numpy()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     def test_bit_identical_where_no_key_is_trimmed(self, monkeypatch, per_block, dtype):
-        # every block holds a full-length element, so no block drops a key or a row
+        # each padded sequence gives the bytes of the same sequence run unpadded,
+        # where the kernel has no key and no row to trim; its padded rows are zero
         lengths = {1: np.full(7, 9), 2: np.array([9, 4, 9, 9, 2, 9, 9]),
                    3: np.array([2, 9, 4, 9, 1, 3, 9])}[per_block]
-        blocked, full = self.blocked_and_full(
-            monkeypatch, _padded_allowed(lengths, self.seq), per_block, dtype=dtype)
-        assert blocked.tobytes() == full.tobytes()
+        rng = np.random.default_rng(45)
+        data = [rng.normal(size=(self.bsz, self.seq, self.hid)).astype(dtype) for _ in range(3)]
+        per_seq = self.heads * self.seq * self.seq * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", per_block * per_seq)
+        batch = self.attend_no_grad(data, _padded_allowed(lengths, self.seq))
+        assert batch.dtype == dtype
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)  # the unpadded runs take the same kernel
+        for b, n in enumerate(lengths):
+            alone = self.attend_no_grad([d[b:b + 1, :n].copy() for d in data],
+                                        _padded_allowed([n], n))
+            assert alone.tobytes() == batch[b:b + 1, :n].tobytes()
+            assert not batch[b, n:].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask", ["keys", "queries", "empty-query"])
+    def test_each_sequence_gives_the_same_bytes_alone_or_in_a_batch(self, monkeypatch,
+                                                                    mask, dtype):
+        rng = np.random.default_rng(44)
+        if mask == "keys":  # padded lengths; element 1 has no real key
+            allowed = _padded_allowed(np.array([9, 0, 4, 1, 6, 9, 3]), self.seq)
+        else:
+            allowed = rng.random((self.bsz, 1, self.seq, self.seq)) < 0.4
+            allowed[..., 0] = True
+            allowed[2, ..., 3:] = False  # keys end early
+            if mask == "empty-query":
+                allowed[5, 0, 4] = False  # one query that may attend to no key
+        data = [rng.normal(size=(self.bsz, self.seq, self.hid)).astype(dtype) for _ in range(3)]
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)  # even one sequence's scores exceed it
+        batch = self.attend_no_grad(data, allowed)
+        assert batch.dtype == dtype
+        for b in range(self.bsz):
+            alone = self.attend_no_grad([d[b:b + 1].copy() for d in data],
+                                        allowed[b:b + 1].copy())
+            assert alone.tobytes() == batch[b:b + 1].tobytes()
 
     def test_batch_in_one_block_keeps_the_one_buffer_arithmetic(self):
         lengths = np.array([9, 4, 1, 6, 2, 5, 3])

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from propspan import pipeline as pl
+from propspan import tensor as T
 from propspan.cli import main
 from propspan.datasets import SpanDataset, load_dataset, read_articles
 from propspan.encoder import EncoderConfig
@@ -345,10 +346,15 @@ def tc_model_and_items(corpus, tmp_path_factory):
     return model, pl.build_tc_items(train, 32)
 
 
-@pytest.mark.parametrize("n_cpus", [2, 3])
+@pytest.mark.parametrize("n_cpus,score_bytes", [
+    pytest.param(2, T._SCORE_BLOCK_BYTES, id="2"), pytest.param(3, T._SCORE_BLOCK_BYTES, id="3"),
+    pytest.param(2, 0, id="2-per-sequence-attention")])
 def test_predict_tc_probs_bit_identical_to_serial_batches(tc_model_and_items, cpus,
-                                                          monkeypatch, n_cpus):
+                                                          monkeypatch, n_cpus, score_bytes):
+    """``score_bytes`` 0 sends every attention call, in the workers too,
+    through the per-sequence no-grad kernel."""
     model, items = tc_model_and_items
+    monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", score_bytes)
     batch = 4
     assert len(items) > 3 * batch
     serial = []
@@ -407,10 +413,15 @@ def test_train_tc_and_annotate_identical_for_one_and_two_cpus(corpus, cpus, monk
 
 # -- predict_spans and training ---------------------------------------------------
 
-@pytest.mark.parametrize("batch", [4, 16])
+@pytest.mark.parametrize("batch,score_bytes", [
+    pytest.param(4, T._SCORE_BLOCK_BYTES, id="4"), pytest.param(16, T._SCORE_BLOCK_BYTES, id="16"),
+    pytest.param(4, 0, id="4-per-sequence-attention")])
 def test_predict_spans_bit_identical_for_one_two_and_three_cpus(corpus, si_model, cpus,
-                                                                monkeypatch, batch):
+                                                                monkeypatch, batch, score_bytes):
+    """``score_bytes`` 0 sends every attention call, in the workers too,
+    through the per-sequence no-grad kernel."""
     data, _ = corpus
+    monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", score_bytes)
     model = SiTagger.load(si_model)
     pool = SpanDataset(articles=read_articles(data / "pool" / "articles"), spans=[])
     assert len(pl.build_si_windows(pool, 32)) > 2 * batch  # three batches or more

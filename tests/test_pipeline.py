@@ -16,8 +16,8 @@ from propspan.models import TcClassifier
 from propspan.pipeline import (EvalPoint, HyperParams, TcOptions, _fit, annotate_si,
                                blas_threads, build_si_windows, build_tc_items,
                                build_tc_silver, cross_validate, derive_seed,
-                               desk_encoder_config, ensemble_predict, enumerate_ensembles,
-                               kfold_split, mean_probs, member_probs, mix_with_silver,
+                               desk_encoder_config, ensemble_predict, kfold_split,
+                               mean_probs, member_probs, mix_with_silver,
                                partition_pool, predict_tc_probs,
                                self_train_overwrite, self_train_si, subset_scores,
                                train_si, train_tc, _forked)
@@ -495,18 +495,20 @@ class TestEnsembles:
 
     def test_enumerate_counts(self):
         items = self.make_items(6)
+        gold = np.array([it.label for it in items])
         for n, want in ((2, 1), (3, 4), (8, 247)):
             models = self.make_models(n)
-            results = enumerate_ensembles(models, items)
+            results = subset_scores(member_probs(models, items), gold)
             assert len(results) == want == 2 ** n - n - 1
         with pytest.raises(ValueError):
-            enumerate_ensembles(self.make_models(1), items)
+            subset_scores(member_probs(self.make_models(1), items), gold)
 
     def test_all_members_subset_matches_ensemble_predict(self):
         models = self.make_models(3)
         items = self.make_items(6)
         gold = np.array([it.label for it in items])
-        full = [r for r in enumerate_ensembles(models, items) if len(r.members) == 3]
+        full = [r for r in subset_scores(member_probs(models, items), gold)
+                if len(r.members) == 3]
         assert [r.score for r in full] == \
             [micro_f1(ensemble_predict(member_probs(models, items)), gold)]
 
