@@ -1,14 +1,16 @@
-"""Linear-chain CRF: path scoring, forward-algorithm partition, NLL, Viterbi.
+"""Linear-chain CRF: forward-backward partition, NLL, Viterbi.
 
 Training-path functions take autograd Tensors so gradients flow back into
 emissions and the transition parameters; the padded-batch functions are the
 one implementation, and the single-sequence ``log_partition``/``nll`` run
-them at batch size 1. ``log_partition_batch`` is a single graph node, built
-like every tensor op: its one backward function is the adjoint of the
-forward recursion (the forward-backward marginals; Lafferty et al. 2001,
-Sutton & McCallum 2012) and returns the emission, transition, start and end
-gradients together. Decoding is plain numpy: ``viterbi_batch`` decodes a
-padded batch, and ``viterbi`` runs it at batch size 1.
+them at batch size 1. ``log_partition_batch`` and ``nll_batch`` are one
+graph node each, built like every tensor op, over one private float64
+scaled forward-backward pass (Rabiner 1989, section V.A): the backward
+returns the marginals (Lafferty et al. 2001, Sutton & McCallum 2012), and
+``nll_batch`` subtracts the gold path's score and one-hots. They are exact
+in float64 up to rounding, not the arithmetic of a log-space recursion.
+Decoding is plain numpy: ``viterbi_batch`` decodes a padded batch, and
+``viterbi`` runs it at batch size 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _logsumexp_weights
+from .tensor import Tensor
 
 NEG_INF = -1e9
 
@@ -164,78 +166,131 @@ def _check_lengths(lengths, bsz: int, max_len: int) -> np.ndarray:
     return lengths
 
 
-def path_score_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
-                     params: CrfParams) -> Tensor:
-    """Per-sequence gold path scores for padded batches. Returns [B]."""
-    tags = np.asarray(tags, dtype=np.int64)
-    bsz, max_len, n_labels = emissions.shape
-    lengths = _check_lengths(lengths, bsz, max_len)
-    if tags.min() < 0 or tags.max() >= n_labels:
-        raise ValueError(f"label id out of range [0, {n_labels})")
-    pos_mask = np.arange(max_len)[None, :] < lengths[:, None]
+def _forward_backward(em: np.ndarray, lengths: np.ndarray, params: CrfParams):
+    """Scaled float64 forward pass over a padded ``[B, T, L]`` batch.
 
-    emit = T.take_along_last(emissions, tags)  # [B, T]
-    emit = T.where(pos_mask, emit, T.Tensor(np.zeros_like(emit.data)))
-    score = emit.sum(axis=1)
+    Returns each row's log Z (``[B]`` float64) and a function that maps the
+    output gradient ``g`` (``[B]``) to the emission, transition, start and
+    end gradients, cast to the dtypes of the emissions and the parameters.
+    """
+    bsz, _, n_labels = em.shape
+    steps = int(lengths.max())
+    positions = np.arange(steps)
+    live = (positions[:, None] < lengths)[:, :, None]  # [T, B, 1]
+    psi = np.zeros((steps, bsz, n_labels))  # time-major; padded slots are never read
+    np.copyto(psi, em[:, :steps].transpose(1, 0, 2), where=live)
+    shift = psi.max(axis=2, keepdims=True)
+    psi -= shift
+    np.exp(psi, out=psi)
+    trans, start, end = (p.data.astype(np.float64) for p in
+                         (params.transitions, params.start_scores, params.end_scores))
+    peaks = trans.max(), start.max(), end.max()
+    trans_exp = np.exp(trans - peaks[0])
+    end_exp = np.exp(end - peaks[2])
 
-    score = score + params.start_scores[tags[:, 0]]
-    last = tags[np.arange(bsz), lengths - 1]
-    score = score + params.end_scores[last]
+    # alpha[t] is the forward vector scaled to sum to 1; z[t] is the scale
+    alpha = np.empty_like(psi)
+    z = np.empty((steps, bsz, 1))
+    np.multiply(psi[0], np.exp(start - peaks[1]), out=alpha[0])
+    for t in range(steps):
+        a = alpha[t]
+        if t:
+            np.matmul(alpha[t - 1], trans_exp, out=a)
+            a *= psi[t]
+        np.sum(a, axis=1, keepdims=True, out=z[t])
+        a /= z[t]
+    rows, last = np.arange(bsz), lengths - 1
+    final = alpha[last, rows] @ end_exp
+    logz = (np.where(live, np.log(z) + shift, 0.0).sum(axis=(0, 2))
+            + last * peaks[0] + peaks[1] + peaks[2] + np.log(final))
 
-    if max_len > 1:
-        trans_mask = pos_mask[:, 1:]
-        tr = params.transitions[tags[:, :-1], tags[:, 1:]]  # [B, T-1]
-        tr = T.where(trans_mask, tr, T.Tensor(np.zeros_like(tr.data)))
-        score = score + tr.sum(axis=1)
-    return score
+    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        # beta[t] is the backward vector under the same scales, restarted at
+        # each row's last position, so that alpha[t] * beta[t] is the marginal
+        restart = end_exp / final[:, None]
+        at_end = positions[:, None, None] == last[:, None]
+        u = psi / z
+        beta = np.empty_like(alpha)
+        beta[-1] = restart
+        trans_exp_t = trans_exp.T
+        for t in range(steps - 2, -1, -1):
+            u[t + 1] *= beta[t + 1]
+            np.matmul(u[t + 1], trans_exp_t, out=beta[t])
+            np.copyto(beta[t], restart, where=at_end[t])
+        weight = np.where(live, np.asarray(g, dtype=np.float64)[:, None], 0.0)
+        unary = alpha * beta
+        unary *= weight
+        pair = u[1:] * weight[1:]
+        g_em = np.zeros(em.shape, em.dtype)
+        g_em[:, :steps] = unary.transpose(1, 0, 2)
+        g_trans = trans_exp * (alpha[:-1].reshape(-1, n_labels).T @ pair.reshape(-1, n_labels))
+        return (g_em, g_trans.astype(params.transitions.dtype, copy=False),
+                unary[0].sum(axis=0).astype(params.start_scores.dtype, copy=False),
+                unary[last, rows].sum(axis=0).astype(params.end_scores.dtype, copy=False))
+
+    return logz, grads
 
 
 def log_partition_batch(emissions: Tensor, lengths: np.ndarray,
                         params: CrfParams) -> Tensor:
     """Per-sequence log partition for padded batches. Returns [B].
 
-    One graph node. The forward pass runs the max-shifted forward recursion
-    and keeps each step's softmax weights over the previous label; the
-    backward pass is the adjoint of that recursion, walked from the last step
-    down. It repeats the arithmetic of the recursion written as tensor ops,
-    so values and gradients are the same bit for bit.
+    One graph node, computed in float64 by the scaled forward-backward
+    algorithm (Rabiner 1989, section V.A): each position's emissions and the
+    transitions are shifted by their max and exponentiated, and the forward
+    vector is renormalised at every step. Its backward returns the marginals.
+    The value comes back in the dtype of the emissions. Domain: finite
+    transition, start and end scores, each set within about 700 nats of its
+    own max, so that none of their exponentials underflows to zero.
     """
     emissions = T.as_tensor(emissions)
-    bsz, max_len, n_labels = emissions.shape
+    bsz, max_len, _ = emissions.shape
     lengths = _check_lengths(lengths, bsz, max_len)
-    em = emissions.data
-    trans = params.transitions.data
-    steps = int(lengths.max())
-    alive = [(lengths > t)[:, None] for t in range(steps)]
-
-    alpha = params.start_scores.data.reshape(1, -1) + em[:, 0, :]
-    weights = [None]  # weights[t]: [B, from, to]
-    for t in range(1, steps):
-        lse, w = _logsumexp_weights(alpha[:, :, None] + trans[None], axis=1)
-        weights.append(w)
-        alpha = np.where(alive[t], lse[:, 0, :] + em[:, t, :], alpha)
-    logz, w_end = _logsumexp_weights(alpha + params.end_scores.data.reshape(1, -1), axis=1)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_alpha = g[:, None] * w_end
-        g_end = g_alpha.sum(axis=0)
-        g_em = np.zeros_like(em)
-        g_trans = np.zeros_like(trans)
-        for t in range(steps - 1, 0, -1):
-            g_next = np.where(alive[t], g_alpha, 0.0)
-            g_em[:, t, :] += g_next
-            g_inner = g_next[:, None, :] * weights[t]
-            g_trans = g_trans + g_inner.sum(axis=0)
-            g_alpha = np.where(alive[t], 0.0, g_alpha) + g_inner.sum(axis=2)
-        g_em[:, 0, :] += g_alpha
-        return g_em, g_trans, g_alpha.sum(axis=0), g_end
-
-    return T._node(logz[:, 0], (emissions, params.transitions, params.start_scores,
-                                params.end_scores), backward)
+    logz, grads = _forward_backward(emissions.data, lengths, params)
+    return T._node(logz.astype(emissions.dtype), (emissions, params.transitions,
+                                                  params.start_scores, params.end_scores), grads)
 
 
 def nll_batch(emissions: Tensor, tags: np.ndarray, lengths: np.ndarray,
               params: CrfParams) -> Tensor:
-    """Per-sequence NLL of the tag paths of a padded batch. Returns [B]."""
-    return (log_partition_batch(emissions, lengths, params)
-            - path_score_batch(emissions, tags, lengths, params))
+    """Per-sequence NLL of the tag paths of a padded batch. Returns [B].
+
+    One graph node: ``log_partition_batch`` minus the gold path's score. Its
+    gradient is the marginals minus the gold path's one-hots, each summed on
+    its own as the two separate graphs would sum them, so values and
+    gradients equal that difference bit for bit.
+    """
+    emissions = T.as_tensor(emissions)
+    tags = np.asarray(tags, dtype=np.int64)
+    bsz, max_len, n_labels = emissions.shape
+    lengths = _check_lengths(lengths, bsz, max_len)
+    if tags.min() < 0 or tags.max() >= n_labels:
+        raise ValueError(f"label id out of range [0, {n_labels})")
+    em = emissions.data
+    trans, start, end = params.transitions.data, params.start_scores.data, params.end_scores.data
+    logz, grads = _forward_backward(em, lengths, params)
+
+    live = np.arange(max_len) < lengths[:, None]
+    last = tags[np.arange(bsz), lengths - 1]
+    emit = np.where(live, np.take_along_axis(em, tags[..., None], axis=-1)[..., 0], 0)
+    gold = emit.sum(axis=1) + start[tags[:, 0]] + end[last]
+    pairs = (tags[:, :-1], tags[:, 1:])
+    if max_len > 1:
+        gold = gold + np.where(live[:, 1:], trans[pairs], 0).sum(axis=1)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_em, g_trans, g_start, g_end = grads(g)
+        neg = -g
+        gold_em = np.zeros_like(em)
+        np.put_along_axis(gold_em, tags[..., None],
+                          np.where(live, neg.astype(em.dtype)[:, None], 0)[..., None], axis=-1)
+        gold_trans = np.zeros_like(trans)
+        np.add.at(gold_trans, pairs, np.where(live[:, 1:], neg.astype(trans.dtype)[:, None], 0))
+        gold_start, gold_end = np.zeros_like(start), np.zeros_like(end)
+        np.add.at(gold_start, tags[:, 0], neg)
+        np.add.at(gold_end, last, neg)
+        return g_em + gold_em, g_trans + gold_trans, g_start + gold_start, g_end + gold_end
+
+    return T._node(logz.astype(em.dtype) - gold,
+                   (emissions, params.transitions, params.start_scores, params.end_scores),
+                   backward)

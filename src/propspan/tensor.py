@@ -254,8 +254,13 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out_data = 0.5 * x * (1.0 + t)
+    t = x2 * x  # the tanh argument, built in place
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= 0.5 * x
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         dinner = _GELU_C * (1.0 + 0.134145 * x2)
@@ -322,18 +327,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def _logsumexp_weights(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max-shifted log-sum-exp over ``axis`` (kept as size 1) and the softmax weights."""
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis, keepdims=True)
-    return m + np.log(s), e / s
-
-
 def logsumexp_t(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """log sum exp over an axis, computed with a max shift."""
     a = as_tensor(a)
-    out_full, soft = _logsumexp_weights(a.data, axis)
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=axis, keepdims=True)
+    soft = e / s  # the softmax weights, which the backward reuses
+    out_full = m + np.log(s)
     out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
@@ -433,7 +434,9 @@ def linear(x, weight, bias) -> Tensor:
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     n_in, n_out = weight.data.shape
     x2d = x.data.reshape(-1, n_in)
-    out_data = (np.matmul(x2d, weight.data) + bias.data).reshape(x.data.shape[:-1] + (n_out,))
+    out_data = np.matmul(x2d, weight.data)
+    out_data += bias.data
+    out_data = out_data.reshape(x.data.shape[:-1] + (n_out,))
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
         g2d = g.reshape(-1, n_out)
@@ -557,13 +560,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = x.data
-    n = xd.shape[-1]
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat = xd - xd.mean(axis=-1, keepdims=True)  # centred, then scaled in place
+    inv = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
         gh = g * gamma.data

@@ -321,10 +321,13 @@ def test_criterion_10_self_training_trend():
                       ratio=(1, 4))
         return base.best_score, st.best_score
 
-    base_scores, st_scores = zip(*parallel_map(chain, range(5)))
+    # 20 seeds, fixed in advance: one seed's margin has a standard deviation
+    # of about 0.03, so with fewer seeds the mean margin sits within its
+    # standard error
+    base_scores, st_scores = zip(*parallel_map(chain, range(20)))
     elapsed = time.time() - start
     ok = np.mean(st_scores) >= np.mean(base_scores) and elapsed < 900
-    report(10, "mean best dev F1 over 5 seeds: 10% gold + 1:4 silver >= gold-only",
+    report(10, "mean best dev F1 over 20 seeds: 10% gold + 1:4 silver >= gold-only",
            ok, f"self-train={np.mean(st_scores):.3f} gold={np.mean(base_scores):.3f} "
                f"{elapsed:.0f}s")
 

@@ -38,11 +38,37 @@ def composite_log_partition_batch(emissions, lengths, params):
     return T.logsumexp_t(alpha + T.reshape(params.end_scores, (1, -1)), axis=1)
 
 
+def path_score_batch(emissions, tags, lengths, params):
+    """Per-sequence gold path scores of a padded batch as a chain of autograd ops:
+    ``nll_batch``'s oracle for its gold-path half. Returns [B]."""
+    tags = np.asarray(tags, dtype=np.int64)
+    bsz, max_len, n_labels = emissions.shape
+    lengths = C._check_lengths(lengths, bsz, max_len)
+    if tags.min() < 0 or tags.max() >= n_labels:
+        raise ValueError(f"label id out of range [0, {n_labels})")
+    pos_mask = np.arange(max_len)[None, :] < lengths[:, None]
+
+    emit = T.take_along_last(emissions, tags)  # [B, T]
+    emit = T.where(pos_mask, emit, T.Tensor(np.zeros_like(emit.data)))
+    score = emit.sum(axis=1)
+
+    score = score + params.start_scores[tags[:, 0]]
+    last = tags[np.arange(bsz), lengths - 1]
+    score = score + params.end_scores[last]
+
+    if max_len > 1:
+        trans_mask = pos_mask[:, 1:]
+        tr = params.transitions[tags[:, :-1], tags[:, 1:]]  # [B, T-1]
+        tr = T.where(trans_mask, tr, T.Tensor(np.zeros_like(tr.data)))
+        score = score + tr.sum(axis=1)
+    return score
+
+
 def path_score(em, path, params):
     """Gold path score of one sequence: a batch-size-1 ``path_score_batch`` call."""
     em = np.asarray(em, dtype=np.float64)
-    return C.path_score_batch(Tensor(em[None], dtype=np.float64), np.asarray([path]),
-                              [len(em)], params).numpy()[0]
+    return path_score_batch(Tensor(em[None], dtype=np.float64), np.asarray([path]),
+                            [len(em)], params).numpy()[0]
 
 
 def enumerate_paths(length, n_labels):
@@ -198,8 +224,8 @@ class TestNll:
                 if use_nll:
                     loss = C.nll(e, tags, params)
                 else:
-                    gold = C.path_score_batch(T.reshape(e, (1, length, 3)), tags[None],
-                                              [length], params)
+                    gold = path_score_batch(T.reshape(e, (1, length, 3)), tags[None],
+                                            [length], params)
                     loss = C.log_partition(e, params) - T.reshape(gold, ())
                 loss.backward()
                 results.append([loss.data, e.grad, params.transitions.grad,
@@ -293,7 +319,7 @@ def test_batched_matches_single_sequence():
     tr, st, en = (params.transitions.data, params.start_scores.data,
                   params.end_scores.data)
     logz = C.log_partition_batch(Tensor(em, dtype=np.float64), lengths, params)
-    gold = C.path_score_batch(Tensor(em, dtype=np.float64), tags, lengths, params)
+    gold = path_score_batch(Tensor(em, dtype=np.float64), tags, lengths, params)
     for i, ln in enumerate(lengths):
         assert logz.numpy()[i] == pytest.approx(
             brute_log_partition(em[i, :ln], tr, st, en), abs=1e-9)
@@ -340,24 +366,25 @@ def test_oracle_200_instances_under_10s():
     assert time.time() - start < 10.0
 
 
-def _padded_case(rng, em_dtype):
+def _padded_case(rng, dtype, em_scale=3.0, trans_scale=1.0):
     bsz, n_labels, width = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (2, 5), (1, 9)))
     lengths = rng.integers(1, width + 1, size=bsz)
     lengths[rng.integers(bsz)] = 1
-    em = rng.normal(0.0, 3.0, size=(bsz, width, n_labels)).astype(em_dtype)
-    params = [rng.normal(size=shape).astype(np.float32)
+    em = rng.normal(0.0, em_scale, size=(bsz, width, n_labels)).astype(dtype)
+    params = [rng.normal(0.0, trans_scale, size=shape).astype(dtype)
               for shape in ((n_labels, n_labels), (n_labels,), (n_labels,))]
     tags = rng.integers(0, n_labels, size=(bsz, width))
     return em, lengths, params, tags
 
 
-def _run(log_partition, em, lengths, params, tags, with_gold):
-    """Values and the four gradients of a scalar built on ``log_partition``."""
-    em_t = Tensor(em.copy(), requires_grad=True)
-    crf = C.CrfParams(*[Tensor(p.copy(), requires_grad=True) for p in params])
+def _run(log_partition, em, lengths, params, tags, with_gold, dtype=None):
+    """Values and the four gradients of a scalar built on ``log_partition``,
+    with every input cast to ``dtype`` if one is given."""
+    em_t = Tensor(em.copy(), requires_grad=True, dtype=dtype)
+    crf = C.CrfParams(*[Tensor(p.copy(), requires_grad=True, dtype=dtype) for p in params])
     logz = log_partition(em_t, lengths, crf)
     if with_gold:  # the training loss: gold scores share transitions and emissions
-        loss = (logz - C.path_score_batch(em_t, tags, lengths, crf)).sum() \
+        loss = (logz - path_score_batch(em_t, tags, lengths, crf)).sum() \
             * (1.0 / lengths.sum())
     else:
         loss = (logz * Tensor(np.linspace(0.3, 1.7, len(lengths)))).sum()
@@ -368,25 +395,87 @@ def _run(log_partition, em, lengths, params, tags, with_gold):
                           for t in leaves]
 
 
+def _worst_error(got, want):
+    """Largest error of ``got`` against the float64 oracle ``want``, relative
+    to max(1, |want|), over the value and the four gradients."""
+    return max(float(np.max(np.abs(g.astype(np.float64) - w) / np.maximum(1.0, np.abs(w)),
+                            initial=0.0)) for g, w in zip(got, want))
+
+
+def _check_against_composite(case, with_gold):
+    """float64 results within 1e-12 of the composite chain's, float32 results
+    within 1e-6 of the float64 composite's on the same inputs; each result
+    keeps the dtype of its input."""
+    dtype = case[0].dtype
+    want = _run(composite_log_partition_batch, *case, with_gold, dtype=np.float64)
+    got = _run(C.log_partition_batch, *case, with_gold)
+    assert all(g.dtype == dtype for g in got)
+    assert _worst_error(got, want) <= (1e-12 if dtype == np.float64 else 1e-6)
+
+
 @pytest.mark.parametrize("em_dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("with_gold", [False, True])
 def test_fused_log_partition_bit_identical_to_composite(em_dtype, with_gold):
+    # the scaled forward-backward does not repeat the composite's arithmetic, so
+    # despite the name this checks the tolerances of _check_against_composite
     rng = np.random.default_rng(14)
-    for _ in range(50):
-        case = _padded_case(rng, em_dtype)
-        want = _run(composite_log_partition_batch, *case, with_gold)
-        got = _run(C.log_partition_batch, *case, with_gold)
-        for w, g in zip(want, got):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    for _ in range(75):
+        _check_against_composite(_padded_case(rng, em_dtype), with_gold)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wide_scores_match_composite_and_brute_force(dtype):
+    # the domain's far end: emissions ~ N(0, 30), transitions ~ N(0, 10)
+    rng = np.random.default_rng(17)
+    for i in range(60):
+        case = _padded_case(rng, dtype, em_scale=30.0, trans_scale=10.0)
+        if i % 10 == 0:  # a batch whose rows all have length 1
+            case[1][:] = 1
+        _check_against_composite(case, with_gold=bool(i % 3))
+        em, lengths, params, tags = case
+        p64 = C.CrfParams(*[Tensor(p, dtype=np.float64) for p in params])
+        logz = C.log_partition_batch(Tensor(em, dtype=np.float64), lengths, p64).numpy()
+        nll = C.nll_batch(Tensor(em, dtype=np.float64), tags, lengths, p64).numpy()
+        tr, st_, en = (p.astype(np.float64) for p in params)
+        for b, ln in enumerate(lengths):
+            row = em[b, :ln].astype(np.float64)
+            want = brute_log_partition(row, tr, st_, en)
+            assert logz[b] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            gold = brute_path_score(row, tr, st_, en, tags[b, :ln])
+            assert nll[b] == pytest.approx(want - gold, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("fn", ["log_partition_batch", "nll_batch"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_padded_positions_are_never_read(fn, bad):
+    rng = np.random.default_rng(18)
+    em, lengths, params, tags = _padded_case(rng, np.float64)
+    while lengths.min() == em.shape[1]:
+        em, lengths, params, tags = _padded_case(rng, np.float64)
+    results = []
+    for fill in (False, True):
+        e = em.copy()
+        if fill:
+            e[np.arange(e.shape[1])[None, :] >= lengths[:, None]] = bad
+        em_t = Tensor(e, requires_grad=True)
+        crf = C.CrfParams(*[Tensor(p.copy(), requires_grad=True) for p in params])
+        args = (tags,) if fn == "nll_batch" else ()
+        out = getattr(C, fn)(em_t, *args, lengths, crf)
+        out.backward(np.linspace(0.5, 1.5, len(lengths)))
+        results.append([out.data, em_t.grad, crf.transitions.grad, crf.start_scores.grad,
+                        crf.end_scores.grad])
+    for clean, filled in zip(*results):
+        assert np.array_equal(clean, filled)
 
 
 def test_fused_log_partition_is_one_graph_node():
     rng = np.random.default_rng(15)
-    em, lengths, params, _ = _padded_case(rng, np.float64)
+    em, lengths, params, tags = _padded_case(rng, np.float64)
     em_t = Tensor(em, requires_grad=True)
     crf = C.CrfParams(*[Tensor(p, requires_grad=True) for p in params])
-    logz = C.log_partition_batch(em_t, lengths, crf)
-    assert logz._parents == (em_t, crf.transitions, crf.start_scores, crf.end_scores)
+    parents = (em_t, crf.transitions, crf.start_scores, crf.end_scores)
+    assert C.log_partition_batch(em_t, lengths, crf)._parents == parents
+    assert C.nll_batch(em_t, tags, lengths, crf)._parents == parents
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,24 +487,42 @@ def test_rows_match_oracle_and_dominate_viterbi(bsz, width, n_labels, seed):
     params = make_params(rng, n_labels)
     logz = C.log_partition_batch(Tensor(em), lengths, params).numpy()
     want = composite_log_partition_batch(Tensor(em), lengths, params).numpy()
+    em32 = em.astype(np.float32)
+    p32 = [p.data.astype(np.float32)
+           for p in (params.transitions, params.start_scores, params.end_scores)]
+    logz32 = C.log_partition_batch(Tensor(em32), lengths, C.CrfParams(*map(Tensor, p32))).numpy()
+    want32 = composite_log_partition_batch(  # the float64 oracle on the same float32 inputs
+        Tensor(em32, dtype=np.float64), lengths,
+        C.CrfParams(*(Tensor(p, dtype=np.float64) for p in p32))).numpy()
+    assert logz32.dtype == np.float32
     for i, ln in enumerate(lengths):
-        assert logz[i] == want[i]
+        assert abs(logz[i] - want[i]) <= 1e-12 * max(1.0, abs(want[i]))
+        assert abs(float(logz32[i]) - want32[i]) <= 1e-6 * max(1.0, abs(want32[i]))
         _, best = C.viterbi(em[i, :ln], params)
         assert logz[i] >= best - 1e-9
 
 
-@pytest.mark.parametrize("fn", ["log_partition_batch", "path_score_batch"])
+@pytest.mark.parametrize("fn", ["log_partition_batch", "nll_batch", "path_score_batch"])
 @pytest.mark.parametrize("lengths, match", [
     ([2, 0], "row 1: length 0"),     # an empty row used to add a phantom loss
     ([5, 2], "row 0: length 5"),     # past the padded width: used to be an IndexError
     ([4], r"shape \(1,\)"),          # used to broadcast over the batch
 ])
 def test_bad_lengths_rejected(fn, lengths, match):
+    # path_score_batch is this module's oracle, which checks lengths as the CRF does
     params = make_params(np.random.default_rng(16), 3)
     em = Tensor(np.zeros((2, 4, 3)))
-    args = (em, np.zeros((2, 4), dtype=np.int64)) if fn == "path_score_batch" else (em,)
+    args = (em,) if fn == "log_partition_batch" else (em, np.zeros((2, 4), dtype=np.int64))
     with pytest.raises(ValueError, match=match):
-        getattr(C, fn)(*args, lengths, params)
+        (path_score_batch if fn == "path_score_batch" else getattr(C, fn))(*args, lengths, params)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_nll_batch_rejects_out_of_range_tags(bad):
+    tags = np.zeros((2, 4), dtype=np.int64)
+    tags[1, 3] = bad  # a padded position: negative ids would wrap around
+    with pytest.raises(ValueError, match="out of range"):
+        C.nll_batch(Tensor(np.zeros((2, 4, 3))), tags, [4, 2], make_params(None, 3, zero=True))
 
 
 @settings(max_examples=150, deadline=None)

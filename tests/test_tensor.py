@@ -1,3 +1,4 @@
+import math
 import operator
 import zlib
 
@@ -132,6 +133,12 @@ def _crf_log_partition(rng):
     return C.log_partition_batch(randt(rng, (2, 4, 3)), np.array([4, 2]), params)
 
 
+def _crf_nll(rng):
+    params = C.CrfParams(randt(rng, (3, 3)), _const(rng, (3,)), randt(rng, (3,)))
+    tags = np.array([[0, 1, 2, 1], [2, 2, 0, 0]])
+    return C.nll_batch(randt(rng, (2, 4, 3)), tags, np.array([4, 2]), params)
+
+
 # One node per op on float64 inputs. The operands made with _const, mul's
 # scalar and mean's scalar factor take no gradient.
 NODE_OPS = {
@@ -169,9 +176,11 @@ NODE_OPS = {
     "layer_norm": lambda r: T.layer_norm(randt(r, (2, 3, 4)), randt(r, (4,)), _const(r, (4,))),
     "dropout": lambda r: T.dropout(randt(r, (3, 4)), 0.3, np.random.default_rng(0), True),
     "crf.log_partition_batch": _crf_log_partition,
+    "crf.nll_batch": _crf_nll,
 }
 WITH_CONSTANT = {"add", "sub", "mul", "div", "where", "mean", "concat", "matmul", "linear",
-                 "attention", "layer_norm", "crf.log_partition_batch"}
+                 "attention", "layer_norm", "crf.log_partition_batch",
+                 "crf.nll_batch"}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_OPS))
@@ -214,6 +223,43 @@ def test_linear_bit_identical_to_composite(shape, x_dtype):
     for got, want in zip(*results):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _old_linear(x, w, b):
+    return (np.matmul(x.reshape(-1, w.shape[0]), w) + b).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _old_gelu(x, *_):
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * ((x * x) * x)))
+    return 0.5 * x * (1.0 + t)
+
+
+def _old_layer_norm(x, gamma, beta):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
+    return xhat * gamma + beta
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (2, 3, 64), (8, 60, 64), (3, 17, 33)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["linear", "gelu", "layer_norm"])
+def test_forward_gives_the_bytes_of_the_expression_it_replaces(name, dtype, shape):
+    # the forwards update their temporaries in place; the arithmetic and its
+    # order are those of the one-expression forms above
+    rng = np.random.default_rng(zlib.crc32(f"{name}{shape}".encode()))
+    x = (rng.normal(0.0, 3.0, size=shape)).astype(dtype)
+    width = shape[-1]
+    extra = {"linear": [rng.normal(size=(width, 5)), rng.normal(size=5)],
+             "gelu": [],
+             "layer_norm": [rng.normal(size=width), rng.normal(size=width)]}[name]
+    extra = [e.astype(dtype) for e in extra]
+    with T.no_grad():
+        got = getattr(T, name)(Tensor(x), *(Tensor(e) for e in extra)).numpy()
+    want = {"linear": _old_linear, "gelu": _old_gelu, "layer_norm": _old_layer_norm}[name](
+        x, *extra)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_linear_gradients_and_single_node():
