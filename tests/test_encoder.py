@@ -183,14 +183,18 @@ class TestBlockedAttention:
         assert blocked.dtype == full.dtype == dtype
         return blocked, full
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_padded_batch_matches_grad_path(self, monkeypatch, dtype):
-        lengths = np.array([9, 4, 1, 6, 2, 5, 3])
-        blocked, full = self.blocked_and_full(
-            monkeypatch, _padded_allowed(lengths, self.seq), dtype=dtype)
+    @pytest.mark.parametrize("lengths_case", [1, 2, 3])
+    def test_padded_batch_matches_grad_path(self, monkeypatch, lengths_case):
+        # mixed lengths; no padding at all; one full sequence among short ones
+        lengths = {1: np.array([9, 4, 1, 6, 2, 5, 3]), 2: np.full(7, 9),
+                   3: np.array([1, 2, 9, 1, 3, 1, 2])}[lengths_case]
         real = np.arange(self.seq)[None, :] < lengths[:, None]
-        np.testing.assert_allclose(blocked[real], full[real], rtol=0, atol=self.atol[dtype])
-        assert not blocked[~real].any()  # a padded query row attends to nothing
+        for dtype in (np.float32, np.float64):
+            blocked, full = self.blocked_and_full(
+                monkeypatch, _padded_allowed(lengths, self.seq), dtype=dtype)
+            np.testing.assert_allclose(blocked[real], full[real], rtol=0,
+                                       atol=self.atol[dtype])
+            assert not blocked[~real].any()  # a padded query row attends to nothing
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sequence_with_no_real_key(self, monkeypatch, dtype):
