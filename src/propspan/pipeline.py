@@ -724,13 +724,13 @@ def _multi_hot(items: list[TcItem], n_classes: int) -> np.ndarray:
 
 def predict_tc_probs(model: TcClassifier, items: list[TcItem],
                      batch_size: int = 32) -> np.ndarray:
-    """Per-class sigmoid probabilities, [n_items, n_classes]; batches go
-    through ``parallel_map``."""
+    """Per-class sigmoid probabilities, [n_items, n_classes] in the model's
+    dtype (no rows for no items); batches go through ``parallel_map``."""
     def batch_probs(start: int) -> np.ndarray:
         return model.probs(*model.inputs(items[start:start + batch_size]))
 
-    return np.concatenate(parallel_map(batch_probs, range(0, len(items), batch_size)),
-                          axis=0)
+    return np.concatenate([np.empty((0, len(model.labels)), model.dtype),
+                           *parallel_map(batch_probs, range(0, len(items), batch_size))])
 
 
 def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[str],

@@ -26,7 +26,8 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 ATTN_MASK_BIAS = -1e9  # exp() underflows to exactly 0 after the softmax shift
 # No-grad attention over a batch whose scores exceed this many bytes, the L2
-# cache of a desk CPU core, runs one sequence at a time instead of in one buffer.
+# cache of a desk CPU core, runs one sequence at a time instead of in one buffer;
+# Encoder.encode runs such a batch in blocks of sequences sized from it.
 _SCORE_BLOCK_BYTES = 2 << 20
 
 _grad_enabled = True
@@ -495,7 +496,8 @@ def _attend_per_sequence(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
 
 
 def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
-              rng: np.random.Generator | None, train: bool) -> Tensor:
+              rng: np.random.Generator | None, train: bool,
+              batch_size: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention from projected inputs.
 
     ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. ``allowed``
@@ -511,7 +513,9 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
     exceed ``_SCORE_BLOCK_BYTES`` (2 MiB) runs one sequence at a time, keys-major
     and normalised after the value product (``_attend_per_sequence``): live rows
     match the one-buffer result to rounding and do not depend on the rest of the
-    batch. Below 2 MiB the one-buffer path runs.
+    batch. Below 2 MiB the one-buffer path runs. Given ``batch_size``, the
+    inputs are one block of a batch that large (see ``Encoder.encode``), whose
+    scores choose the kernel, so no row's bytes depend on the block.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     bsz, tq, hid = q.data.shape
@@ -525,7 +529,7 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
     track = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     dropping = train and p > 0.0
     if (not track and not dropping
-            and bsz * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
+            and (batch_size or bsz) * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
         return Tensor(_attend_per_sequence(q4, k4, v4, allowed, scale).reshape(bsz, tq, hid))
 
     attn = _attention_weights(q4, k4, allowed, scale)  # [B, heads, Tq, Tk]

@@ -838,6 +838,29 @@ def test_tc_commands_count_truncated_and_skipped_spans(synth_dir, tmp_path, caps
     assert len(read_spans_tsv(out / "silver-tc.tsv", "tc", techniques)) == len(spans) - 1
 
 
+@pytest.mark.parametrize("labels_case", ["empty", "whitespace-span"])
+def test_annotate_tc_with_no_classifiable_span_writes_an_empty_file(
+        synth_dir, tc_models, tmp_path, capsys, labels_case):
+    # no span covers a token: the skipped-span policy applies, as it does to one span
+    articles = synth_dir / "dev" / "articles"
+    aid, text = sorted(read_articles(articles).items())[0]
+    gap = text.index(" ")
+    spans = [] if labels_case == "empty" else [Span(aid, gap, gap + 1)]
+    labels = tmp_path / "labels-si.tsv"
+    write_spans_tsv(labels, spans)
+    out = tmp_path / "annotate"
+    capsys.readouterr()
+    assert run(["annotate", "--task", "tc", "--model", str(tc_models[0]), "--pool",
+                str(articles), "--labels", str(labels), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"classified 0 spans -> {out / 'silver-tc.tsv'} (0 truncated")
+    assert f", {len(spans)} skipped for covering no token)" in printed
+    assert (out / "silver-tc.tsv").read_bytes() == b""
+    record = json.loads((out / "runs.jsonl").read_text())
+    assert record["meta"]["tc_items"]["pool"] == {"truncated_spans": 0,
+                                                  "skipped_spans": len(spans)}
+
+
 def test_self_trained_train_tc_counts_silver_spans(synth_dir, tmp_path):
     # a tagger that tags every token B or I finds each 12-token window as one span,
     # which outgrows the 8-token budget of a 12-token TC window whenever it is longer

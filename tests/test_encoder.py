@@ -6,7 +6,9 @@ import pytest
 from propspan import tensor as T
 from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
                               SpanClsHead, TransformerStack, key_padding_allowed)
+from propspan.models import SiTagger, TcClassifier
 from propspan.tensor import ATTN_MASK_BIAS, Tensor, grad_check
+from propspan.tokens import SPECIAL_TOKENS, Vocab
 
 
 def small_config(vocab=50, **kw):
@@ -357,6 +359,92 @@ class TestRowRestrictedStack:
         stack(x, per_query)  # fine without rows
         with pytest.raises(ValueError, match="key-only mask"):
             stack(x, per_query, rows=np.zeros((1, 1), dtype=np.int64))
+
+
+class TestBlockedEncoder:
+    """A no-grad eval batch whose attention runs one sequence at a time runs
+    ``Encoder.encode`` in blocks of sequences; every output keeps the bytes of
+    the same batch run whole. Desk shapes (hidden 64, intermediate 128, 4
+    heads) over short sequences, with ``_SCORE_BLOCK_BYTES`` shrunk so that a
+    block holds ``per_block`` sequences (0: the threshold itself is 0)."""
+
+    seq = 64
+    lengths = np.array([64, 9, 1, 30, 2, 17, 5])  # one full, short ones and a 1-token one
+
+    def config(self):
+        return EncoderConfig(vocab_size=50, hidden_size=64, layers=2, heads=4,
+                             intermediate_size=128, max_positions=self.seq)
+
+    def batch(self):
+        rng = np.random.default_rng(50)
+        mask = np.arange(self.seq)[None, :] < self.lengths[:, None]
+        ids = np.where(mask, rng.integers(5, 50, mask.shape), 0)
+        starts = rng.integers(0, self.lengths)
+        ends = np.minimum(self.lengths, starts + rng.integers(1, 6, len(starts)))
+        return ids, mask, list(zip(starts.tolist(), ends.tolist()))
+
+    def shrink(self, monkeypatch, per_block, dtype):
+        block = self.seq * 128 * np.dtype(dtype).itemsize  # one sequence's [T, 128]
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 4 * block * per_block)
+
+    def outputs(self, dtype):
+        vocab = Vocab([f"w{i}" for i in range(50 - len(SPECIAL_TOKENS))])
+        ids, mask, spans = self.batch()
+        tagger = SiTagger(self.config(), vocab, seed=1, dtype=dtype)
+        with T.no_grad():
+            out = {"emissions": tagger.emissions(ids, mask).numpy()}
+        out["paths"] = tagger.decode(ids, mask, self.lengths)
+        for seed, head in enumerate(("marker", "span_cls")):
+            model = TcClassifier(self.config(), vocab, ["a", "b", "c"], head, seed=seed,
+                                 dtype=dtype)
+            out[head] = model.probs(ids, mask, spans)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_block", [0, 1, 2, 3])
+    def test_blocks_give_the_bytes_of_the_whole_batch(self, monkeypatch, per_block, dtype):
+        self.shrink(monkeypatch, per_block, dtype)
+        blocked = self.outputs(dtype)
+        monkeypatch.setattr(Encoder, "_blocks", lambda *args: [slice(None)])
+        whole = self.outputs(dtype)
+        assert blocked["paths"] == whole["paths"]
+        for name in ("emissions", "marker", "span_cls"):
+            assert blocked[name].dtype == dtype
+            assert blocked[name].tobytes() == whole[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_block,sizes,one_row_sizes", [
+        (0, [1] * 7, [2, 2, 3]), (1, [1] * 7, [2, 2, 3]),
+        (2, [2, 2, 2, 1], [2, 2, 3]), (3, [3, 3, 1], [3, 4])])
+    def test_block_sizes(self, monkeypatch, dtype, per_block, sizes, one_row_sizes):
+        # a block of one sequence whose rows have one position would run gemv, so none is cut
+        self.shrink(monkeypatch, per_block, dtype)
+        enc = Encoder(self.config(), seed=None, dtype=dtype)
+        bos = np.zeros((7, 1), dtype=np.int64)
+        with T.no_grad():
+            for rows, want in ((None, sizes), (np.zeros((7, 2)), sizes), (bos, one_row_sizes)):
+                blocks = enc._blocks(7, self.seq, rows, False)
+                assert [len(range(7)[s]) for s in blocks] == want
+            assert enc._blocks(7, self.seq, None, True) == [slice(None)]  # train
+        assert enc._blocks(7, self.seq, None, False) == [slice(None)]  # graph recorded
+
+    def test_blocks_reach_linear_and_attention(self, monkeypatch):
+        # a long batch reaches them one block at a time, a short one whole
+        seen = []
+        for name in ("linear", "attention"):
+            op = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda x, *a, _op=op, **kw: seen.append(
+                x.shape[0]) or _op(x, *a, **kw))
+        enc = Encoder(self.config(), seed=0)
+        ids, mask, _ = self.batch()
+        with T.no_grad():
+            enc.encode(ids, mask)
+            assert seen and set(seen) == {7}
+            seen.clear()
+            self.shrink(monkeypatch, 2, np.float32)
+            enc.encode(ids, mask)
+        assert len(seen) == 4 * 14 and set(seen) == {2, 1}  # blocks 2, 2, 2, 1; 14 calls each
+        assert seen[-14:] == [1] * 14
 
 
 class TestHeads:

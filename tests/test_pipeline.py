@@ -440,6 +440,15 @@ class TestTcSilver:
             ([], {"truncated_spans": 0, "skipped_spans": 0})
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_tc_probs_of_no_items_has_no_rows(dtype):
+    vocab = Vocab(["w"])
+    cfg = EncoderConfig(vocab_size=len(vocab), hidden_size=16, layers=1, heads=2,
+                        intermediate_size=16, max_positions=16)
+    probs = predict_tc_probs(TcClassifier(cfg, vocab, ["A", "B", "C"], dtype=dtype), [])
+    assert probs.shape == (0, 3) and probs.dtype == dtype
+
 class TestEnsembles:
     def make_models(self, n, labels=("A", "B")):
         vocab = Vocab([f"w{i}" for i in range(10)])
