@@ -141,15 +141,23 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _overrides(cfg: dict, prefix: str, accepted: list[str] | tuple[str, ...]) -> dict:
-    """The ``<prefix>.*`` keys of ``cfg`` without their prefix; a key not in
-    ``accepted`` exits 1, naming the accepted ones."""
+def _overrides(cfg: dict, prefix: str, defaults: dict) -> dict:
+    """The ``<prefix>.*`` keys of ``cfg`` without their prefix. A key not in
+    ``defaults`` exits 1, naming the accepted ones, as does a value whose type
+    is not its default's: a number for a float (never a bool), a JSON list
+    for a tuple, else the same type."""
     out = {key[len(prefix) + 1:]: value for key, value in cfg.items()
            if key.startswith(prefix + ".")}
-    bad = set(out) - set(accepted)
+    bad = set(out) - set(defaults)
     if bad:
         raise CliError(f"unknown {prefix}.* config keys: {sorted(bad)} "
-                       f"(accepted: {', '.join(accepted)})")
+                       f"(accepted: {', '.join(defaults)})")
+    kinds = {tuple: "a list", float: "a number", int: "an integer", str: "a string"}
+    for key, value in out.items():
+        kind = type(defaults[key])
+        if not (isinstance(value, list) if kind is tuple else
+                type(value) in (int, float) if kind is float else type(value) is kind):
+            raise CliError(f"config key {prefix}.{key} must be {kinds[kind]}, got {value!r}")
     return out
 
 
@@ -166,11 +174,13 @@ def _resolve(args, task: str) -> tuple[pl.HyperParams, EncoderConfig | None, dic
     cfg = _load_config(args.config)
     hp = pl.HyperParams.paper(task) if args.paper_scale else pl.HyperParams.desk(task)
     # the command sets the task, so an hp.task key would be a second one
-    hp = replace(hp, **_overrides(cfg, "hp", [k for k in hp.to_dict() if k != "task"]))
+    hp = replace(hp, **_overrides(cfg, "hp", {k: v for k, v in hp.to_dict().items()
+                                              if k != "task"}))
     if args.steps is not None:
         hp = replace(hp, steps=args.steps)
-    overrides = _overrides(cfg, "encoder", ENCODER_KEYS)
-    enc = replace(pl.desk_encoder_config(1, hp), **overrides) if overrides else None
+    desk = pl.desk_encoder_config(1, hp)
+    overrides = _overrides(cfg, "encoder", {k: getattr(desk, k) for k in ENCODER_KEYS})
+    enc = replace(desk, **overrides) if overrides else None
     return hp, enc, {"hp": hp.to_dict(), "encoder": None if enc is None else
                      {k: getattr(enc, k) for k in ENCODER_KEYS}}
 
@@ -292,8 +302,8 @@ def _tc_aligned(args) -> tuple[list[str], list[Span], list[Span], list[int]]:
 
 def cmd_gen_synth(args) -> int:
     # --seed is the one seed: a synth.seed key would be a second
-    accepted = [k for k in SynthConfig.__dataclass_fields__ if k != "seed"]
-    overrides = _overrides(_load_config(args.config), "synth", accepted)
+    defaults = {k: v for k, v in asdict(SynthConfig()).items() if k != "seed"}
+    overrides = _overrides(_load_config(args.config), "synth", defaults)
     for key in ("sentences_per_article", "sentence_length"):
         if key in overrides:
             overrides[key] = tuple(overrides[key])

@@ -101,32 +101,28 @@ class TransformerStack:
         p[f"{prefix}.ln_f_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.prefix = prefix
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, allowed: np.ndarray, base: str,
+    def _attention(self, x_q: Tensor, x_kv: Tensor, key_mask: np.ndarray, base: str,
                    train: bool, rng, batch_size: int | None) -> Tensor:
         p = self.params
         q, k, v = (T.linear(x, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
                    for x, nm in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
-        ctx = T.attention(q, k, v, allowed, self.heads, self.attention_dropout, rng, train,
+        ctx = T.attention(q, k, v, key_mask, self.heads, self.attention_dropout, rng, train,
                           batch_size)
         return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
 
-    def __call__(self, x: Tensor, attn_allowed: np.ndarray,
+    def __call__(self, x: Tensor, key_mask: np.ndarray,
                  train: bool = False, rng: np.random.Generator | None = None,
                  rows: np.ndarray | None = None, batch_size: int | None = None) -> Tensor:
-        """attn_allowed: bool, broadcastable to [B, 1, Tq, Tk]; True = may attend.
+        """key_mask: a [B, T] bool key mask; True = every query may attend to the key.
 
         ``rows`` ([B, S] positions) asks for the output at those positions
         only, as ``[B, S, H]``. The last layer then runs its layer norm, keys
-        and values over every position and the rest only at ``rows``. That
-        needs a mask without a per-query axis.
+        and values over every position and the rest only at ``rows``.
 
         ``batch_size`` marks ``x`` as one block of a batch that large (see
         ``Encoder.encode``): every layer takes that batch's attention kernel,
         so the output does not depend on the block size.
         """
-        attn_allowed = np.asarray(attn_allowed)
-        if rows is not None and attn_allowed.ndim >= 2 and attn_allowed.shape[-2] != 1:
-            raise ValueError("rows need a key-only mask, not a per-query one")
         p = self.params
         h = x
         for i in range(self.layers):
@@ -136,19 +132,13 @@ class TransformerStack:
             if rows is not None and i == self.layers - 1:
                 at = (np.arange(h.shape[0])[:, None], rows)
                 h, hq = h[at], hn[at]
-            a = self._attention(hq, hn, attn_allowed, base, train, rng, batch_size)
+            a = self._attention(hq, hn, key_mask, base, train, rng, batch_size)
             h = h + T.dropout(a, self.dropout, rng, train)
             m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
             m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))
             m = T.linear(m, p[f"{base}.w2"], p[f"{base}.w2_b"])
             h = h + T.dropout(m, self.dropout, rng, train)
         return T.layer_norm(h, p[f"{self.prefix}.ln_f_g"], p[f"{self.prefix}.ln_f_b"])
-
-
-def key_padding_allowed(mask: np.ndarray) -> np.ndarray:
-    """[B, T] validity mask -> [B, 1, 1, T] allowed-key mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return mask[:, None, None, :]
 
 
 class Encoder:
@@ -181,7 +171,7 @@ class Encoder:
         the bytes do not depend on the blocks where a BLAS product row does
         not depend on the row count (OpenBLAS at the desk shapes).
         """
-        ids, mask = np.asarray(ids, dtype=np.int64), np.asarray(mask)
+        ids, mask = np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=bool)
         if ids.ndim != 2:
             raise ValueError("ids must be [batch, seq]")
         bsz, seq = ids.shape
@@ -220,8 +210,7 @@ class Encoder:
         x = T.embedding(self.params["emb.tok"], ids)
         x = x + self.params["emb.pos"][:ids.shape[1]]
         x = T.dropout(x, self.config.dropout, rng, train)
-        return self.stack(x, key_padding_allowed(mask), train=train, rng=rng, rows=rows,
-                          batch_size=batch_size)
+        return self.stack(x, mask, train=train, rng=rng, rows=rows, batch_size=batch_size)
 
 
 class LinearHead:
@@ -296,5 +285,5 @@ class SpanClsHead:
         starts, ends = np.asarray(spans, dtype=np.int64).T
         keys = np.arange(1 + seq)  # key k > 0 is host position k - 1
         allowed = (keys == 0) | ((keys > starts[:, None]) & (keys <= ends[:, None]))
-        out = self.stack(seqs, allowed[:, None, None, :], train=train, rng=rng, rows=bos_row)
+        out = self.stack(seqs, allowed, train=train, rng=rng, rows=bos_row)
         return self.out(out[:, 0, :])

@@ -20,7 +20,7 @@ import pickle
 import select
 import signal
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -155,37 +155,23 @@ def _sendable(exc: Exception) -> Exception:
 _SPIN_S = 0.005
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to pipe ``fd`` as one message: the 8-byte length of its
-    pickle, then the pickle, which is not copied again on the way."""
-    data = memoryview(pickle.dumps(obj))
-    head = len(data).to_bytes(8, "little")
-    done = os.writev(fd, [head, data])
-    while done < len(head) + len(data):  # a signal cut the write short
-        done += os.writev(fd, [head[done:], data[max(done - len(head), 0):]])
+def _send(pipe, obj) -> None:
+    """Write ``obj`` to the buffered pipe file ``pipe`` as one pickle."""
+    pipe.write(pickle.dumps(obj))
+    pipe.flush()
 
 
-def _read_into(fd: int, buf: bytearray) -> bytearray:
-    view = memoryview(buf)
-    while view:
-        n = os.readv(fd, [view])
-        if n == 0:
-            raise EOFError("the pipe's writer closed it")
-        view = view[n:]
-    return buf
-
-
-def _receive(fd: int):
-    """The next message ``_send`` wrote to pipe ``fd``, read into one buffer;
-    spins for up to ``_SPIN_S`` until the pipe is readable, then blocks.
-    ``EOFError`` where the writer closes the pipe first."""
+def _receive(pipe):
+    """The next pickle ``_send`` wrote to the buffered pipe file ``pipe``; spins
+    for up to ``_SPIN_S`` until the pipe is readable, then blocks. ``EOFError``
+    where the writer closes the pipe first, ``pickle.UnpicklingError`` where it
+    closes it inside a pickle."""
     poller = select.poll()
-    poller.register(fd, select.POLLIN)
+    poller.register(pipe, select.POLLIN)
     deadline = time.perf_counter() + _SPIN_S
     while not poller.poll(0) and time.perf_counter() < deadline:
         pass
-    size = int.from_bytes(_read_into(fd, bytearray(8)), "little")
-    return pickle.loads(_read_into(fd, bytearray(size)))
+    return pickle.load(pipe)
 
 
 class _Worker:
@@ -196,46 +182,47 @@ class _Worker:
 
     def __init__(self, body, name: str):
         self.name = name
-        (cmd_read, self.cmd_fd), (self.reply_fd, reply_write) = (os.pipe() for _ in range(2))
+        (cmd_read, cmd_write), (reply_read, reply_write) = (os.pipe() for _ in range(2))
         try:
             # a bare fork: with multiprocessing's, the caller's peak RSS in a
             # TC classification pass grew by ~10 MB (glibc's mmap threshold)
             self.pid = os.fork()
         except OSError:
-            for fd in (cmd_read, self.cmd_fd, self.reply_fd, reply_write):
+            for fd in (cmd_read, cmd_write, reply_read, reply_write):
                 os.close(fd)
             raise
         if self.pid == 0:
             try:
-                os.close(self.cmd_fd)
-                os.close(self.reply_fd)
+                os.close(cmd_write)
+                os.close(reply_read)
+                commands, replies = os.fdopen(cmd_read, "rb"), os.fdopen(reply_write, "wb")
                 while True:
-                    message = _receive(cmd_read)  # EOFError after the ``last`` one
+                    message = _receive(commands)  # EOFError after the ``last`` one
                     try:
                         reply = (True, body(message))
                     except Exception as exc:  # re-raised in the caller
                         reply = (False, _sendable(exc))
-                    _send(reply_write, reply)  # a reply that cannot be pickled sends nothing
+                    _send(replies, reply)  # a reply that cannot be pickled sends nothing
             finally:
                 os._exit(1)  # no atexit handlers, no flush of the parent's buffers
         os.close(cmd_read)
         os.close(reply_write)
+        self.commands, self.replies = os.fdopen(cmd_write, "wb"), os.fdopen(reply_read, "rb")
         self.code = None  # the exit code, once reaped
 
     def send(self, message, last: bool = False) -> None:
         """Send ``message``. After the ``last`` one the worker exits as soon as it
         has answered, while this process works on, not later at ``close``."""
-        _send(self.cmd_fd, message)
+        _send(self.commands, message)
         if last:
-            os.close(self.cmd_fd)
-            self.cmd_fd = None
+            self.commands.close()
 
     def receive(self):
         """``body``'s reply to the oldest message it has not answered yet; its
         exception is re-raised here with its type."""
         try:
-            ok, value = _receive(self.reply_fd)
-        except EOFError:
+            ok, value = _receive(self.replies)
+        except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(f"{self.name} exited with code {self.close()} "
                                "and no result") from None
         if not ok:
@@ -247,9 +234,9 @@ class _Worker:
         if self.code is None:
             os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            for fd in (self.cmd_fd, self.reply_fd):
-                if fd is not None:
-                    os.close(fd)
+            with suppress(BrokenPipeError):  # a message that the dead worker did not read
+                self.commands.close()
+            self.replies.close()
         return self.code
 
 
@@ -502,16 +489,17 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
             check(0)
         return trace, best_score, best_step
 
-    fork = (shard_weights is not None and min(hp.batch_size, n_items) > 1
-            and not _in_map and _usable_cpus() > 1)
+    two_shards = shard_weights is not None and min(hp.batch_size, n_items) > 1
+    fork = two_shards and not _in_map and _usable_cpus() > 1
     if fork:  # shared before the fork: the worker reads the caller's updates
         for p in params.values():
             p.data = _shared(p.data)
+    if two_shards:
         shared_grads = {k: _shared(np.zeros_like(p.data)) for k, p in params.items()}
 
     def shard_1(message) -> tuple[float, list[bool]]:
-        """Shard 1 in the worker: its loss, and which gradients it shared."""
-        nonlocal loss  # the worker's graph, kept until its next call as in the loop below
+        """Shard 1, in the worker or here: its loss, and which gradients it shared."""
+        nonlocal loss  # its graph, kept until its next call as in the loop below
         idx, weight = message
         loss = batch_loss(np.array(idx), 1)
         value = _backward(opt, loss, weight)
@@ -529,14 +517,15 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
                 cursor = 0
             idx = order[cursor:cursor + hp.batch_size]
             cursor += hp.batch_size
-            cut = len(idx) if shard_weights is None else -(-len(idx) // 2)
-            w0 = w1 = 1.0
-            if cut < len(idx):
+            cut = -(-len(idx) // 2) if two_shards else len(idx)
+            w0 = 1.0
+            if two_shards:
                 n0 = float(shard_weights[idx[:cut]].sum())
                 n1 = float(shard_weights[idx[cut:]].sum())
-                w0, w1 = n0 / (n0 + n1), n1 / (n0 + n1)
-                if workers:  # a list pickles ~10x faster than an array
-                    workers[0].send((idx[cut:].tolist(), w1))
+                w0 = n0 / (n0 + n1)
+                message = (idx[cut:].tolist(), n1 / (n0 + n1))  # a list pickles ~10x faster
+                if workers:
+                    workers[0].send(message)
             # the last step's graph lives until ``loss`` is rebound after
             # this forward pass, as it always has: freed at the end of each
             # step, it cut a train-tc run's peak RSS by 12 MB but doubled
@@ -545,21 +534,14 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
             value = _backward(opt, loss, w0)
             if not np.isfinite(value):
                 raise RuntimeError(f"non-finite training loss {value} at step {step}")
-            if cut < len(idx):
+            if two_shards:
                 grads = {k: p.grad for k, p in params.items()}
-                if workers:
-                    value, have = workers[0].receive()
-                    grads1 = {k: g if h else None
-                              for (k, g), h in zip(shared_grads.items(), have)}
-                else:
-                    loss = batch_loss(idx[cut:], 1)
-                    value = _backward(opt, loss, w1)
-                    grads1 = {k: p.grad for k, p in params.items()}
+                value, have = workers[0].receive() if workers else shard_1(message)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite training loss {value} at step "
                                        f"{step} (shard 1)")
-                for k, p in params.items():
-                    p.grad = None if grads[k] is None else grads[k] + grads1[k]
+                for (k, p), g1, h in zip(params.items(), shared_grads.values(), have):
+                    p.grad = None if grads[k] is None else grads[k] + (g1 if h else None)
             opt.step()
             if step % hp.eval_every == 0 or step == hp.steps:
                 check(step)
@@ -681,6 +663,9 @@ def build_tc_items(data: SpanDataset, max_seq_len: int = 256,
     A span longer than ``max_seq_len - 4`` tokens keeps its first ones and is
     marked ``truncated``; a span that covers no token gets no item.
     """
+    if max_seq_len <= MARKER_OVERHEAD:
+        raise ValueError(f"max_seq_len must be >= {MARKER_OVERHEAD + 1} for span classification "
+                         f"(4 marker tokens and a span token), got {max_seq_len}")
     budget = max_seq_len - MARKER_OVERHEAD
     items = []
     for sp in (data.spans if spans is None else spans):
@@ -853,14 +838,8 @@ def kfold_split(train_items: list, dev_items: list, k: int = 6,
     pool = list(train_items) + list(dev_items)
     if k > len(pool):
         raise ValueError(f"cannot split {len(pool)} items into {k} folds")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-    sizes = [len(pool) // k + (1 if i < len(pool) % k else 0) for i in range(k)]
-    folds, cursor = [], 0
-    for size in sizes:
-        folds.append([pool[j] for j in order[cursor:cursor + size]])
-        cursor += size
-    return folds
+    order = np.random.default_rng(seed).permutation(len(pool))
+    return [[pool[j] for j in fold] for fold in np.array_split(order, k)]
 
 
 def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],

@@ -40,6 +40,11 @@ class SynthConfig:
             raise ValueError("span_half_width must be >= 0")
         if self.class_skew < 1.0:
             raise ValueError("class_skew is max:min frequency and must be >= 1")
+        for name in ("sentences_per_article", "sentence_length"):
+            lo_hi = getattr(self, name)
+            if not (len(lo_hi) == 2 and all(type(v) is int for v in lo_hi)
+                    and 1 <= lo_hi[0] <= lo_hi[1]):
+                raise ValueError(f"{name} must be a pair of ints 1 <= lo <= hi, got {lo_hi!r}")
 
     def technique_names(self) -> list[str]:
         return [f"Technique_{k:02d}" for k in range(self.technique_count)]

@@ -447,13 +447,14 @@ def linear(x, weight, bias) -> Tensor:
     return _node(out_data, (x, weight, bias), backward)
 
 
-def _attention_weights(q4: np.ndarray, k4: np.ndarray, allowed: np.ndarray,
+def _attention_weights(q4: np.ndarray, k4: np.ndarray, key_mask: np.ndarray,
                        scale: np.ndarray) -> np.ndarray:
-    """Softmax over keys of ``q4 @ k4^T * scale``, where a key that ``allowed``
+    """Softmax over keys of ``q4 @ k4^T * scale``, where a key that ``key_mask``
     forbids gets ``ATTN_MASK_BIAS``; the scores live in one buffer updated in place."""
     attn = np.matmul(q4, np.swapaxes(k4, -1, -2))
     np.multiply(attn, scale, out=attn)
-    np.add(attn, np.where(allowed, 0.0, ATTN_MASK_BIAS).astype(attn.dtype), out=attn)
+    np.add(attn, np.where(key_mask, 0.0, ATTN_MASK_BIAS).astype(attn.dtype)[:, None, None],
+           out=attn)
     np.subtract(attn, attn.max(axis=-1, keepdims=True), out=attn)
     np.exp(attn, out=attn)
     np.divide(attn, attn.sum(axis=-1, keepdims=True), out=attn)
@@ -461,32 +462,31 @@ def _attention_weights(q4: np.ndarray, k4: np.ndarray, allowed: np.ndarray,
 
 
 def _attend_per_sequence(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
-                         allowed: np.ndarray, scale: np.ndarray) -> np.ndarray:
+                         key_mask: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """No-grad attention one sequence at a time; returns ``[B, Tq, heads, dh]``.
 
     Keys-major scores ``k @ (q * scale)^T`` over the sequence's live key columns,
     so max and sum reduce over the outer axis; ``ATTN_MASK_BIAS`` only where a
     kept column is forbidden; normalised after the value product. In
-    self-attention with a key-only mask, rows past the last live key are skipped
-    (zero). A sequence with a query that may attend to no key keeps every column
-    and row, as the one-buffer path does.
+    self-attention, rows past the last live key are skipped (zero). A sequence
+    with no live key keeps every column and row, as the one-buffer path does.
     """
     bsz, heads, tq, dh = q4.shape
-    allowed = allowed.reshape((1,) * (4 - allowed.ndim) + allowed.shape)
-    pad_rows = allowed.shape[2] == 1 and tq == k4.shape[2]
+    self_attention = tq == k4.shape[2]
     out = np.zeros((bsz, tq, heads, dh), dtype=np.result_type(q4, k4, v4))
     for b in range(bsz):
-        m = allowed[b if allowed.shape[0] > 1 else 0, 0]  # [Tq or 1, Tk]
+        m = key_mask[b]
         rows = keys = slice(None)
-        if m.any(axis=-1).all():
-            live = np.flatnonzero(m.any(axis=0))
+        live = np.flatnonzero(m)
+        if live.size:
             hi = int(live[-1]) + 1
             keys = slice(int(live[0]), hi) if hi - live[0] == live.size else live
-            rows = slice(0, hi) if pad_rows else rows
-        kb, vb, m = k4[b][:, keys], v4[b][:, keys], m[:, keys]
+            rows = slice(0, hi) if self_attention else rows
+        kb, vb, m = k4[b][:, keys], v4[b][:, keys], m[keys]
         scores = np.matmul(kb, np.swapaxes(q4[b][:, rows] * scale, 1, 2))  # [heads, Tk, Tq]
         if not m.all():
-            np.add(scores, np.where(m, 0.0, ATTN_MASK_BIAS).astype(scores.dtype).T, out=scores)
+            np.add(scores, np.where(m, 0.0, ATTN_MASK_BIAS).astype(scores.dtype)[:, None],
+                   out=scores)
         np.subtract(scores, scores.max(axis=1, keepdims=True), out=scores)
         np.exp(scores, out=scores)
         ctx = np.matmul(np.swapaxes(scores, 1, 2), vb)  # [heads, Tq, dh]
@@ -495,19 +495,19 @@ def _attend_per_sequence(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
     return out
 
 
-def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
+def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
               rng: np.random.Generator | None, train: bool,
               batch_size: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention from projected inputs.
 
-    ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. ``allowed``
-    is boolean and broadcastable to ``[B, 1, Tq, Tk]``: True where a query
-    may attend to a key. One graph node for the whole block: split into
-    heads, scores scaled by 1/sqrt(head dim), ``ATTN_MASK_BIAS`` added at
-    forbidden keys, softmax over keys, inverted dropout with rate ``p`` in
-    train mode, the weighted sum of values and the merge back to ``[B, Tq,
-    H]``. Forward and backward repeat the arithmetic of the same chain
-    written as separate ops, so values and gradients are the same bit for bit.
+    ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. ``key_mask``
+    is a ``[B, Tk]`` bool key mask: True where every query of the sequence may
+    attend to the key. One graph node for the whole block: split into heads,
+    scores scaled by 1/sqrt(head dim), ``ATTN_MASK_BIAS`` added at forbidden
+    keys, softmax over keys, inverted dropout with rate ``p`` in train mode,
+    the weighted sum of values and the merge back to ``[B, Tq, H]``. Forward
+    and backward repeat the arithmetic of the same chain written as separate
+    ops, so values and gradients are the same bit for bit.
 
     When no graph is recorded and no dropout is drawn, a batch whose scores
     exceed ``_SCORE_BLOCK_BYTES`` (2 MiB) runs one sequence at a time, keys-major
@@ -521,24 +521,21 @@ def attention(q, k, v, allowed: np.ndarray, heads: int, p: float,
     bsz, tq, hid = q.data.shape
     tk = k.data.shape[1]
     dh = hid // heads
+    key_mask = np.asarray(key_mask, dtype=bool)
     q4 = np.swapaxes(q.data.reshape(bsz, tq, heads, dh), 1, 2)
     k4, v4 = (np.swapaxes(t.data.reshape(bsz, tk, heads, dh), 1, 2) for t in (k, v))
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    allowed = np.asarray(allowed, dtype=bool)
 
     track = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     dropping = train and p > 0.0
     if (not track and not dropping
             and (batch_size or bsz) * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
-        return Tensor(_attend_per_sequence(q4, k4, v4, allowed, scale).reshape(bsz, tq, hid))
+        return Tensor(_attend_per_sequence(q4, k4, v4, key_mask, scale).reshape(bsz, tq, hid))
 
-    attn = _attention_weights(q4, k4, allowed, scale)  # [B, heads, Tq, Tk]
+    attn = _attention_weights(q4, k4, key_mask, scale)  # [B, heads, Tq, Tk]
     dropped, mask = attn, None
     if dropping:
-        if rng is None:
-            raise ValueError("dropout in train mode needs an RNG")
-        keep = rng.random(attn.shape) >= p
-        mask = keep.astype(attn.dtype) * np.asarray(1.0 / (1.0 - p), dtype=attn.dtype)
+        mask = _dropout_mask(rng, attn.shape, p, attn.dtype)
         dropped = attn * mask
     ctx = np.matmul(dropped, v4)  # [B, heads, Tq, dh]
     out_data = np.swapaxes(ctx, 1, 2).reshape(bsz, tq, hid)
@@ -582,15 +579,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out_data, (x, gamma, beta), backward)
 
 
+def _dropout_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> np.ndarray:
+    """Inverted dropout's mask: 1/(1-p) where ``rng.random(shape) >= p``, else 0."""
+    if rng is None:
+        raise ValueError("dropout in train mode needs an RNG")
+    keep = rng.random(shape) >= p
+    return keep.astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout: train-time scaling by 1/(1-p); eval is the identity."""
     if not train or p <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an RNG")
     x = as_tensor(x)
-    keep = rng.random(x.data.shape) >= p
-    mask = keep.astype(x.data.dtype) * np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
+    mask = _dropout_mask(rng, x.data.shape, p, x.data.dtype)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 

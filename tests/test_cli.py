@@ -465,6 +465,51 @@ def test_non_positive_hp_value_exit_1(synth_dir, tmp_path, capsys, key):
     assert not (tmp_path / "o" / "model-si.spfg").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    pytest.param("hp.lr", "x", id="lr-string"),
+    pytest.param("hp.batch_size", 2.5, id="batch_size-float"),
+    pytest.param("hp.steps", "3", id="steps-string"), pytest.param("hp.lr", True, id="lr-bool"),
+    pytest.param("synth.span_rate", "x", id="span_rate-string"),
+    pytest.param("synth.sentence_length", [5], id="sentence_length-one-int"),
+    pytest.param("synth.sentence_length", 7, id="sentence_length-int"),
+    pytest.param("synth.sentences_per_article", [3], id="sentences_per_article-one-int"),
+    pytest.param("synth.sentence_length", [9, 5], id="sentence_length-descending")])
+def test_config_value_of_the_wrong_type_exit_1(synth_dir, tmp_path, capsys, key, value):
+    # each ended in a runtime error (exit 2) once, and [9, 5] was accepted
+    if key.startswith("hp."):
+        code = train_si_with(synth_dir, tmp_path, {**TRAIN_CFG, key: value})
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run(["gen-synth", "--seed", "7", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert key.split(".")[1] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_for_a_float_config_key_is_accepted(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"synth.span_rate": 1, "synth.n_train": 2, "synth.n_dev": 1,
+                               "synth.n_pool": 0}))
+    assert run(["gen-synth", "--seed", "7", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("span_cls", [False, True])
+@pytest.mark.parametrize("max_seq_len", [1, 2, 3, 4])
+def test_tc_window_too_short_for_markers_exit_1(synth_dir, tmp_path, capsys, max_seq_len,
+                                                span_cls):
+    # once exit 1 with "span range (0, -3) outside window" or "empty or out-of-range span"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "hp.max_seq_len": max_seq_len}))
+    argv = ["train-tc", "--seed", "1", "--config", str(cfg), *split_args(synth_dir, "tc"),
+            "--out", str(tmp_path / "o")]
+    assert run(argv + ["--span-cls"] * span_cls) == 1
+    assert "max_seq_len must be >= 5 for span classification" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["vocab_size", "max_positions", "dropout",
                                  "attention_dropout"])
 def test_encoder_key_without_effect_exit_1(synth_dir, tmp_path, capsys, key):

@@ -5,7 +5,7 @@ import pytest
 
 from propspan import tensor as T
 from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
-                              SpanClsHead, TransformerStack, key_padding_allowed)
+                              SpanClsHead, TransformerStack)
 from propspan.models import SiTagger, TcClassifier
 from propspan.tensor import ATTN_MASK_BIAS, Tensor, grad_check
 from propspan.tokens import SPECIAL_TOKENS, Vocab
@@ -82,11 +82,11 @@ class TestEncode:
         assert a.tobytes() == b.tobytes()
 
 
-def chain_attention(q, k, v, allowed, heads, p, rng, train):
+def chain_attention(q, k, v, key_mask, heads, p, rng, train):
     """The attention block as a chain of autograd ops: the fused op's oracle."""
     bsz, tq, hid = q.shape
     dh = hid // heads
-    bias = np.where(allowed, 0.0, ATTN_MASK_BIAS).astype(q.dtype)
+    bias = np.where(key_mask, 0.0, ATTN_MASK_BIAS).astype(q.dtype)[:, None, None, :]
 
     def split(t):
         return T.swapaxes(T.reshape(t, (bsz, t.shape[1], heads, dh)), 1, 2)  # [B, heads, T, dh]
@@ -100,7 +100,8 @@ def chain_attention(q, k, v, allowed, heads, p, rng, train):
 
 
 def _padded_allowed(lengths, seq):
-    return key_padding_allowed(np.arange(seq)[None, :] < np.asarray(lengths)[:, None])
+    """The [B, T] key mask of sequences of these lengths padded to ``seq``."""
+    return np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -114,7 +115,7 @@ def test_fused_attention_bit_identical_to_chain(dtype, train, mask_kind, tq):
     if mask_kind == "padded_keys":
         allowed = _padded_allowed([6, 4, 1], seq)
     else:  # the span head's mask: every key allowed
-        allowed = np.ones((1, 1, 1, seq), dtype=bool)
+        allowed = np.ones((bsz, seq), dtype=bool)
     data = [rng.normal(size=(bsz, t, hid)).astype(dtype) for t in (tq, seq, seq)]
     seed_grad = rng.normal(size=(bsz, tq, hid)).astype(dtype)
     results, next_draws = [], []
@@ -208,16 +209,29 @@ class TestBlockedAttention:
         real = np.arange(self.seq)[None, :] < lengths[:, None]
         np.testing.assert_allclose(blocked[real], full[real], rtol=0, atol=atol)
 
+    def scattered_keys(self, rng, no_key: bool = True):
+        """Key masks with gaps: the span head's {BOS} union span, keys that end
+        early, random ones; with ``no_key``, one sequence with no live key."""
+        allowed = rng.random((self.bsz, self.seq)) < 0.4
+        allowed[:, 0] = True
+        allowed[2, 3:] = False  # keys end early
+        allowed[4] = False  # the span head's mask: [BOS] and a span
+        allowed[4, 0] = allowed[4, 3:6] = True
+        if no_key:
+            allowed[5] = False
+        return allowed
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_per_query_masks_match_grad_path(self, monkeypatch, dtype):
-        rng = np.random.default_rng(41)
-        allowed = rng.random((self.bsz, 1, self.seq, self.seq)) < 0.4
-        allowed[..., 0] = True  # every query may attend somewhere
-        allowed[2, ..., 3:] = False  # one element whose keys end early
-        allowed[4] = False  # the span head's equivalent mask: [BOS] and a span
-        allowed[4, ..., 0] = allowed[4, ..., 3:6] = True
+    def test_scattered_key_masks_match_grad_path(self, monkeypatch, dtype):
+        allowed = self.scattered_keys(np.random.default_rng(41))
         blocked, full = self.blocked_and_full(monkeypatch, allowed, dtype=dtype)
-        np.testing.assert_allclose(blocked, full, rtol=0, atol=self.atol[dtype])
+        # rows past a sequence's last live key are skipped; one with no live key keeps all
+        last = np.where(allowed.any(axis=1), self.seq - 1 - allowed[:, ::-1].argmax(axis=1),
+                        self.seq - 1)
+        kept = np.arange(self.seq)[None, :] <= last[:, None]
+        assert not kept.all() and kept[5].all()
+        np.testing.assert_allclose(blocked[kept], full[kept], rtol=0, atol=self.atol[dtype])
+        assert not blocked[~kept].any()
 
     @pytest.mark.parametrize("tq", [8, 3, 1])
     def test_row_restricted_queries_match_grad_path(self, monkeypatch, tq):
@@ -250,18 +264,14 @@ class TestBlockedAttention:
             assert not batch[b, n:].any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mask", ["keys", "queries", "empty-query"])
+    @pytest.mark.parametrize("mask", ["padded", "scattered", "scattered-no-key"])
     def test_each_sequence_gives_the_same_bytes_alone_or_in_a_batch(self, monkeypatch,
                                                                     mask, dtype):
         rng = np.random.default_rng(44)
-        if mask == "keys":  # padded lengths; element 1 has no real key
+        if mask == "padded":  # element 1 has no real key
             allowed = _padded_allowed(np.array([9, 0, 4, 1, 6, 9, 3]), self.seq)
         else:
-            allowed = rng.random((self.bsz, 1, self.seq, self.seq)) < 0.4
-            allowed[..., 0] = True
-            allowed[2, ..., 3:] = False  # keys end early
-            if mask == "empty-query":
-                allowed[5, 0, 4] = False  # one query that may attend to no key
+            allowed = self.scattered_keys(rng, no_key=mask == "scattered-no-key")
         data = [rng.normal(size=(self.bsz, self.seq, self.hid)).astype(dtype) for _ in range(3)]
         monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)  # even one sequence's scores exceed it
         batch = self.attend_no_grad(data, allowed)
@@ -315,7 +325,7 @@ class TestRowRestrictedStack:
 
     def full_and_input(self, stack, rng):
         x = Tensor(rng.normal(size=(3, 7, stack.hidden)))
-        allowed = key_padding_allowed(np.arange(7)[None, :] < self.lengths[:, None])
+        allowed = _padded_allowed(self.lengths, 7)
         return x, allowed, stack(x, allowed).numpy()
 
     def test_bos_row_matches_full_stack(self):
@@ -342,7 +352,7 @@ class TestRowRestrictedStack:
         for t in stack.params.values():  # off the init, so no gradient is tiny
             t.data = t.data + rng.normal(0.0, 0.5, t.shape)
         x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
-        allowed = key_padding_allowed(np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool))
+        allowed = _padded_allowed([4, 3], 4)
         rows = np.array([[0, 2], [1, 1]])  # a repeated row, as span padding makes
         weights = rng.normal(size=(2, 2, 8))
         names = ["s.layer0.wq", "s.layer0.wk", "s.layer0.wv_b", "s.layer0.ln1_g", "s.ln_f_b"]
@@ -351,14 +361,6 @@ class TestRowRestrictedStack:
             return (stack(x, allowed, rows=rows) * weights).sum()
 
         assert grad_check(fn, [x] + [stack.params[n] for n in names], eps=1e-6) <= 1e-5
-
-    def test_rows_reject_per_query_mask(self):
-        stack = _stack64()
-        x = Tensor(np.zeros((1, 4, 16)))
-        per_query = np.tril(np.ones((4, 4), dtype=bool))[None, None]
-        stack(x, per_query)  # fine without rows
-        with pytest.raises(ValueError, match="key-only mask"):
-            stack(x, per_query, rows=np.zeros((1, 1), dtype=np.int64))
 
 
 class TestBlockedEncoder:
@@ -603,11 +605,6 @@ def test_encoder_gradients_flow_end_to_end():
         t.data = t.data.astype(np.float64)
     err = grad_check(fn, tensors[:3], eps=1e-6)  # spot-check a few parameters
     assert err <= 1e-4
-
-
-def test_key_padding_allowed_shape():
-    mask = np.ones((2, 5), dtype=bool)
-    assert key_padding_allowed(mask).shape == (2, 1, 1, 5)
 
 
 def _graph_nodes(root) -> int:

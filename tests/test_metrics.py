@@ -146,6 +146,27 @@ class TestMicroF1:
         with pytest.raises(ValueError):
             micro_f1([0, 1], [0])
 
+    @staticmethod
+    def per_class_tally(pred, gold) -> float:
+        """The oracle: TP, FP and FN summed over every class either side names."""
+        tp = fp = fn = 0
+        for c in np.unique(np.concatenate([pred, gold])):
+            tp += int(((pred == c) & (gold == c)).sum())
+            fp += int(((pred == c) & (gold != c)).sum())
+            fn += int(((pred != c) & (gold == c)).sum())
+        return tp / (tp + 0.5 * (fp + fn))
+
+    def test_bit_identical_to_the_per_class_tally(self):
+        # labels from -1 (a span with no prediction) to 6, lengths 1 to 300
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            n, k = int(rng.integers(1, 301)), int(rng.integers(1, 8))
+            gold = rng.integers(0, k, n)
+            pred = np.where(rng.random(n) < 0.2, -1, rng.integers(0, k, n))
+            pred = np.where(rng.random(n) < 0.5, gold, pred)
+            assert micro_f1(pred, gold) == self.per_class_tally(pred, gold)
+            assert type(micro_f1(pred, gold)) is float
+
 
 class TestSpanOutcomes:
     def techniques(self):

@@ -14,6 +14,7 @@ completion order and task order shows in the output.
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -225,6 +226,33 @@ def test_killed_worker_raises_runtime_error(cpus):
         return x
     with pytest.raises(RuntimeError, match="exited with code -9 and no result"):
         pl.parallel_map(die, range(2))
+
+
+def test_reply_cut_inside_its_pickle_raises_runtime_error(cpus, monkeypatch):
+    cpus(2)
+    send = pl._send
+
+    def send_half_and_exit(pipe, obj):
+        if os.getpid() == CALLER:
+            return send(pipe, obj)
+        data = pickle.dumps(obj)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os._exit(3)
+    monkeypatch.setattr(pl, "_send", send_half_and_exit)
+    with pytest.raises(RuntimeError,
+                       match="^parallel_map worker 1 exited with code 3 and no result$"):
+        pl.parallel_map(lambda x: np.arange(1000) + x, range(2))
+
+
+def test_message_to_a_dead_worker_leaves_no_pipe_open():
+    # the unread message stays in the pipe file's buffer; closing it must not raise
+    with pl._forked(lambda x: x, ["worker"]) as (worker,):
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(BrokenPipeError):
+            worker.send(b"x" * 100)
+    assert worker.close() == -9
 
 
 def test_result_that_cannot_be_pickled_raises_runtime_error(cpus):

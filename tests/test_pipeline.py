@@ -563,6 +563,22 @@ class TestKfold:
         assert a == b
         assert a != c
 
+    @staticmethod
+    def remainder_rule_folds(pool, k, seed):
+        """The oracle: the first ``n % k`` folds take one extra item of the permutation."""
+        order = np.random.default_rng(seed).permutation(len(pool))
+        sizes = [len(pool) // k + (1 if i < len(pool) % k else 0) for i in range(k)]
+        starts = np.cumsum([0] + sizes)
+        return [[pool[j] for j in order[a:b]] for a, b in zip(starts, starts[1:])]
+
+    def test_matches_the_remainder_rule(self):
+        for n in range(2, 40):
+            for k in range(2, min(n, 9) + 1):
+                items = [f"item{i}" for i in range(n)]
+                cut = n // 3
+                assert kfold_split(items[:cut], items[cut:], k=k, seed=n * 10 + k) == \
+                    self.remainder_rule_folds(items, k, n * 10 + k)
+
     def test_too_many_folds_rejected(self):
         with pytest.raises(ValueError):
             kfold_split([1, 2], [3], k=4, seed=0)

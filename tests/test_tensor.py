@@ -171,7 +171,7 @@ NODE_OPS = {
     "matmul": lambda r: T.matmul(randt(r, (2, 3, 4)), _const(r, (4, 5))),
     "linear": lambda r: T.linear(randt(r, (2, 3, 4)), randt(r, (4, 5)), _const(r, (5,))),
     "attention": lambda r: T.attention(randt(r, (2, 3, 4)), _const(r, (2, 5, 4)),
-                                       randt(r, (2, 5, 4)), np.ones((2, 1, 1, 5), bool),
+                                       randt(r, (2, 5, 4)), np.ones((2, 5), bool),
                                        2, 0.2, np.random.default_rng(0), True),
     "layer_norm": lambda r: T.layer_norm(randt(r, (2, 3, 4)), randt(r, (4,)), _const(r, (4,))),
     "dropout": lambda r: T.dropout(randt(r, (3, 4)), 0.3, np.random.default_rng(0), True),
