@@ -11,6 +11,7 @@ echoes its effective configuration into the out-dir's runs.jsonl.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -565,11 +566,32 @@ _HANDLERS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB,
+    for the rest of the process; nothing where libc has no ``mallopt``. With
+    the dynamic thresholds, a training step's activations, freed before the
+    next step, went back to the kernel and were faulted in again each step."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS``
     names a count (output bytes depend on the count, and at desk shapes a
-    second thread was slower), and the caller's count comes back on return."""
+    second thread was slower), and the caller's count comes back on return.
+    ``_keep_heap`` fixes glibc's allocator thresholds for the rest of the
+    process: ``mallopt`` has no way back to the dynamic ones."""
     parser = build_parser()
+    _keep_heap()
     threads = None if os.environ.get("OPENBLAS_NUM_THREADS") else pl._set_blas_threads(1)
     try:
         args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ import pickle
 import select
 import signal
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
@@ -178,9 +179,11 @@ class _Worker:
     """One forked process that answers each message sent to it with
     ``body(message)`` until ``close`` kills it, or until it has answered the
     ``last`` one. It shares with this process whatever was mapped
-    ``MAP_SHARED`` before the fork; everything else is its copy-on-write copy."""
+    ``MAP_SHARED`` before the fork; everything else is its copy-on-write copy.
+    It closes its copies of this process's pipe ends of the ``forked_before``
+    workers, which would otherwise keep their command pipes open and them alive."""
 
-    def __init__(self, body, name: str):
+    def __init__(self, body, name: str, forked_before: Sequence[_Worker] = ()):
         self.name = name
         (cmd_read, cmd_write), (reply_read, reply_write) = (os.pipe() for _ in range(2))
         try:
@@ -195,6 +198,9 @@ class _Worker:
             try:
                 os.close(cmd_write)
                 os.close(reply_read)
+                for pipe in (f for w in forked_before for f in (w.commands, w.replies)):
+                    if not pipe.closed:  # ``close()`` could flush the caller's buffer
+                        os.close(pipe.fileno())
                 commands, replies = os.fdopen(cmd_read, "rb"), os.fdopen(reply_write, "wb")
                 while True:
                     message = _receive(commands)  # EOFError after the ``last`` one
@@ -242,7 +248,7 @@ class _Worker:
 
 @contextmanager
 def _forked(body, names: list[str]):
-    """One ``_Worker(body, name)`` per name, for a block that runs under
+    """One ``_Worker`` per name, for a block that runs under
     ``_serial``; every worker is killed and reaped on leaving it. While any
     worker lives, OpenBLAS runs one thread in this process and in the workers:
     two processes that each ran a second BLAS thread on two cores trained
@@ -252,7 +258,7 @@ def _forked(body, names: list[str]):
         workers: list[_Worker] = []
         try:
             for name in names:
-                workers.append(_Worker(body, name))
+                workers.append(_Worker(body, name, workers))
             yield workers
         finally:
             for worker in workers:
@@ -499,10 +505,8 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
 
     def shard_1(message) -> tuple[float, list[bool]]:
         """Shard 1, in the worker or here: its loss, and which gradients it shared."""
-        nonlocal loss  # its graph, kept until its next call as in the loop below
         idx, weight = message
-        loss = batch_loss(np.array(idx), 1)
-        value = _backward(opt, loss, weight)
+        value = _backward(opt, batch_loss(np.array(idx), 1), weight)
         for k, p in params.items():
             if p.grad is not None:
                 shared_grads[k][...] = p.grad
@@ -526,12 +530,7 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
                 message = (idx[cut:].tolist(), n1 / (n0 + n1))  # a list pickles ~10x faster
                 if workers:
                     workers[0].send(message)
-            # the last step's graph lives until ``loss`` is rebound after
-            # this forward pass, as it always has: freed at the end of each
-            # step, it cut a train-tc run's peak RSS by 12 MB but doubled
-            # its minor page faults
-            loss = batch_loss(idx[:cut], 0)
-            value = _backward(opt, loss, w0)
+            value = _backward(opt, batch_loss(idx[:cut], 0), w0)
             if not np.isfinite(value):
                 raise RuntimeError(f"non-finite training loss {value} at step {step}")
             if two_shards:

@@ -98,7 +98,11 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into ``leaf.grad`` for every reachable leaf.
 
-        Without an explicit seed gradient the tensor must be scalar.
+        Without an explicit seed gradient the tensor must be scalar. A graph
+        back-propagates once: each node lets go of its parents and its backward
+        function as soon as its gradient has flowed, so every activation is
+        freed during the pass, and a second ``backward`` through any of those
+        nodes raises ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -124,15 +128,16 @@ class Tensor:
                     stack.append((p, False))
 
         flowing: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
-            if not node._parents:
+        while topo:
+            node = topo.pop()
+            g = flowing.pop(id(node))  # every node of ``topo`` gets one
+            if node._backward is None:  # a leaf
                 g = g.astype(node.data.dtype, copy=False)
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for p, pg in zip(node._parents, node._backward(g), strict=True):
+            parents, backward = node._parents, node._backward
+            node._parents, node._backward = (), _consumed
+            for p, pg in zip(parents, backward(g), strict=True):
                 if not p.requires_grad:
                     continue
                 key = id(p)
@@ -140,6 +145,12 @@ class Tensor:
                     flowing[key] = flowing[key] + pg
                 else:
                     flowing[key] = pg
+
+
+def _consumed(g: np.ndarray) -> Sequence[np.ndarray]:
+    """The backward function of a node whose gradient has already flowed."""
+    raise RuntimeError("backward() through a graph that was already back-propagated; "
+                       "a graph back-propagates once")
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -967,3 +969,31 @@ def test_outputs_identical_with_openblas_threads_unset_and_one(tmp_path):
                                       record["blas_threads"]]
     for name in commands:
         assert outputs[None, name] == outputs["1", name], name
+
+
+
+@pytest.mark.parametrize("lookup", ["no_symbol", "no_library"])
+def test_runs_where_the_mallopt_lookup_fails(synth_dir, train_cfg_path, tmp_path,
+                                            monkeypatch, lookup):
+    """``main`` skips the allocator policy where libc offers no ``mallopt`` and
+    writes the bytes it writes with the policy: it moves memory, not arithmetic."""
+    argv = ["train-tc", "--seed", "3", "--steps", "6", "--reweight", "--span-cls",
+            *split_args(synth_dir, "tc"), "--config", str(train_cfg_path), "--out"]
+    cdll = ctypes.CDLL
+
+    def libc_without_mallopt(name, *args, **kwargs):
+        if name is not None:  # numpy's OpenBLAS
+            return cdll(name, *args, **kwargs)
+        if lookup == "no_library":
+            raise OSError("no libc to load")
+        return SimpleNamespace()
+
+    outputs = []
+    for out in ("kept", "skipped"):
+        if out == "skipped":
+            monkeypatch.setattr(ctypes, "CDLL", libc_without_mallopt)
+        assert run([*argv, str(tmp_path / out)]) == 0
+        record = json.loads((tmp_path / out / "runs.jsonl").read_text())
+        outputs.append([(tmp_path / out / "model-tc.spfg").read_bytes(),
+                        record["eval_trace"], record["config_hash"]])
+    assert outputs[0] == outputs[1]

@@ -158,6 +158,32 @@ def test_results_in_task_order_with_round_robin_shares(cpus, n_cpus, n_tasks):
     assert len(set(pids)) == n
 
 
+def test_answered_worker_exits_while_a_later_one_runs(cpus):
+    """With three processes, worker 1 exits as soon as it has answered its one
+    message while worker 2, forked after it, still works: worker 2 holds no
+    copy of worker 1's command pipe to keep it from reading EOF."""
+    cpus(3)
+    state = pl._shared(np.zeros(3, dtype=np.int64))  # [release worker 2, pid 1, pid 2]
+    deadline = time.monotonic() + 10
+
+    def exited(pid) -> bool:  # a zombie or reaped; ``WNOWAIT`` leaves it to ``close``
+        return bool(pid) and os.waitid(os.P_PID, int(pid),
+                                       os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+    def task(x):
+        if x > 0:
+            state[x] = os.getpid()
+            while x == 2 and not state[0] and time.monotonic() < deadline:
+                time.sleep(0.01)  # the slow last task, until the caller has looked
+            return x
+        while not (exited(state[1]) and state[2]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen = exited(state[1]), exited(state[2])
+        state[0] = 1
+        return seen
+    assert pl.parallel_map(task, range(3)) == [(True, False), 1, 2]
+
+
 def test_serial_with_one_cpu_and_when_nested(cpus):
     cpus(1)
     assert {pid for _, pid in pl.parallel_map(tagged, range(4))} == {CALLER}

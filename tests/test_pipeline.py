@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propspan import pipeline as pl
+from propspan import tensor as T
 from propspan.cli import main
 from propspan.datasets import SpanDataset
 from propspan.encoder import EncoderConfig, SpanClsConfig
@@ -199,6 +202,27 @@ def test_fit_stops_on_non_finite_loss():
         _fit(model, 4, batch_loss, lambda step: EvalPoint(step, 0.0), hp,
              np.random.default_rng(0))
     assert steps == [1, 2, 3]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_fit_frees_each_step_graph_before_the_next(monkeypatch, shards):
+    """No loss, and no activation of its graph, outlives its own step: each is
+    dead when ``batch_loss`` is called again. Two shards run in this process."""
+    monkeypatch.setattr(pl, "_usable_cpus", lambda: 1)
+    model = _OneWeight()
+    alive = []
+
+    def batch_loss(idx, shard):
+        assert not [ref for ref in alive if ref() is not None]
+        hidden = model.w * np.arange(1.0, 4.0)
+        loss = T.reshape((hidden * hidden).sum(keepdims=True), ())  # a 0-d array, not a scalar
+        alive.extend([weakref.ref(hidden.data), weakref.ref(loss.data)])
+        return loss
+
+    hp = replace(HyperParams.desk("si"), steps=4, eval_every=2, batch_size=2)
+    _fit(model, 4, batch_loss, lambda step: EvalPoint(step, 0.0), hp,
+         np.random.default_rng(0), np.ones(4) if shards == 2 else None)
+    assert len(alive) == 2 * 4 * shards
 
 
 class TestTrainSi:

@@ -189,16 +189,32 @@ def test_node_backward_returns_one_gradient_per_parent(name):
     out = NODE_OPS[name](rng)
     assert out._parents and out.dtype == np.float64
     g = rng.normal(size=out.shape)
+    parents = out._parents  # backward() lets go of them and of theirs
+    leaves = [p for p in parents if p.requires_grad and not p._parents]
     grads = out._backward(g)
     assert not isinstance(grads, np.ndarray)  # a bare array would zip row by row
-    assert len(grads) == len(out._parents)
-    for p, pg in zip(out._parents, grads):
+    assert len(grads) == len(parents)
+    for p, pg in zip(parents, grads):
         assert np.shape(pg) == p.shape
     out.backward(g)
-    constants = [p for p in out._parents if not p.requires_grad]
+    constants = [p for p in parents if not p.requires_grad]
     assert bool(constants) == (name in WITH_CONSTANT)
     assert all(p.grad is None for p in constants)
-    assert all(p.grad is not None for p in out._parents if p.requires_grad and not p._parents)
+    assert all(p.grad is not None for p in leaves)
+
+
+def test_graph_back_propagates_once():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    hidden = x * 2.0
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, 8.0 * np.arange(3.0))
+    assert loss._parents == () and hidden._parents == ()  # activations let go
+    with pytest.raises(RuntimeError, match="back-propagates once"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="back-propagates once"):
+        hidden.sum().backward()  # a new root over a consumed node
+    assert np.array_equal(x.grad, 8.0 * np.arange(3.0))  # no gradient landed twice
 
 
 def composite_linear(x, w, b):
