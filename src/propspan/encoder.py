@@ -24,6 +24,9 @@ from . import tensor as T
 from .tensor import Tensor
 
 INIT_STD = 0.02
+# A no-grad block of sequences holds the most whose widest activation fits in
+# this many bytes, a quarter of the 2 MiB L2 cache of a desk CPU core.
+_BLOCK_BYTES = 512 << 10
 
 
 @dataclass
@@ -101,27 +104,14 @@ class TransformerStack:
         p[f"{prefix}.ln_f_b"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.prefix = prefix
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, key_mask: np.ndarray, base: str,
-                   train: bool, rng, batch_size: int | None) -> Tensor:
-        p = self.params
-        q, k, v = (T.linear(x, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
-                   for x, nm in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
-        ctx = T.attention(q, k, v, key_mask, self.heads, self.attention_dropout, rng, train,
-                          batch_size)
-        return T.linear(ctx, p[f"{base}.wo"], p[f"{base}.wo_b"])
-
     def __call__(self, x: Tensor, key_mask: np.ndarray,
                  train: bool = False, rng: np.random.Generator | None = None,
-                 rows: np.ndarray | None = None, batch_size: int | None = None) -> Tensor:
+                 rows: np.ndarray | None = None) -> Tensor:
         """key_mask: a [B, T] bool key mask; True = every query may attend to the key.
 
         ``rows`` ([B, S] positions) asks for the output at those positions
         only, as ``[B, S, H]``. The last layer then runs its layer norm, keys
         and values over every position and the rest only at ``rows``.
-
-        ``batch_size`` marks ``x`` as one block of a batch that large (see
-        ``Encoder.encode``): every layer takes that batch's attention kernel,
-        so the output does not depend on the block size.
         """
         p = self.params
         h = x
@@ -132,7 +122,10 @@ class TransformerStack:
             if rows is not None and i == self.layers - 1:
                 at = (np.arange(h.shape[0])[:, None], rows)
                 h, hq = h[at], hn[at]
-            a = self._attention(hq, hn, key_mask, base, train, rng, batch_size)
+            q, k, v = (T.linear(t, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
+                       for t, nm in ((hq, "wq"), (hn, "wk"), (hn, "wv")))
+            a = T.attention(q, k, v, key_mask, self.heads, self.attention_dropout, rng, train)
+            a = T.linear(a, p[f"{base}.wo"], p[f"{base}.wo_b"])
             h = h + T.dropout(a, self.dropout, rng, train)
             m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
             m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))
@@ -165,11 +158,11 @@ class Encoder:
                rows: np.ndarray | None = None) -> Tensor:
         """Hidden states [B, T, H], or [B, S, H] at ``rows`` (see TransformerStack).
 
-        A no-grad eval batch whose attention runs one sequence at a time (its
-        scores exceed ``T._SCORE_BLOCK_BYTES``) runs embeddings, stack and
-        final norm over ``_blocks`` of consecutive sequences, concatenated;
-        the bytes do not depend on the blocks where a BLAS product row does
-        not depend on the row count (OpenBLAS at the desk shapes).
+        A no-grad eval batch whose attention runs one sequence at a time (see
+        ``T._per_sequence_kernel``) runs embeddings, stack and final norm over
+        ``_blocks`` of consecutive sequences, concatenated; the bytes do not
+        depend on the blocks where a BLAS product row does not depend on the
+        row count (OpenBLAS at the desk shapes).
         """
         ids, mask = np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=bool)
         if ids.ndim != 2:
@@ -180,37 +173,33 @@ class Encoder:
                              f"{self.config.max_positions}")
         if ids.max(initial=0) >= self.config.vocab_size:
             raise ValueError("token id outside the vocabulary")
-        parts = [self._encode(ids[s], mask[s], train, rng, None if rows is None else rows[s],
-                              bsz) for s in self._blocks(bsz, seq, rows, train)]
+        parts = []
+        for s in self._blocks(bsz, seq, rows, train):
+            x = T.embedding(self.params["emb.tok"], ids[s]) + self.params["emb.pos"][:seq]
+            x = T.dropout(x, self.config.dropout, rng, train)
+            parts.append(self.stack(x, mask[s], train, rng, None if rows is None else rows[s]))
         return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
 
     def _blocks(self, bsz: int, seq: int, rows: np.ndarray | None, train: bool) -> list[slice]:
         """The slices of the batch that ``encode`` runs in turn: the whole
-        batch, unless ``encode`` runs it in blocks.
+        batch, unless no graph is recorded and a sequence's self-attention
+        runs one sequence at a time (``T._per_sequence_kernel``).
 
-        A block holds the most sequences whose widest activation fits in a
-        quarter of ``T._SCORE_BLOCK_BYTES``, at least one; at least two (a last
-        one joins the block before) where a sequence gives a product one row,
-        since numpy computes that by gemv, whose bits differ from gemm's.
+        A block holds the most sequences whose widest activation fits in
+        ``_BLOCK_BYTES``, at least one; at least two (a last one joins the
+        block before) where a sequence gives a product one row, since numpy
+        computes that by gemv, whose bits differ from gemm's.
         """
         cfg, size = self.config, np.dtype(self.dtype).itemsize
-        if (train or T.is_grad_enabled()
-                or bsz * cfg.heads * seq * seq * size <= T._SCORE_BLOCK_BYTES):
+        if train or T.is_grad_enabled() or not T._per_sequence_kernel(cfg.heads, seq, seq, size):
             return [slice(None)]
         one_row = min(seq, seq if rows is None else rows.shape[1]) == 1
         width = max(cfg.hidden_size, cfg.intermediate_size)
-        n = max(T._SCORE_BLOCK_BYTES // 4 // (seq * width * size), 2 if one_row else 1)
+        n = max(_BLOCK_BYTES // (seq * width * size), 2 if one_row else 1)
         starts = list(range(0, bsz, n))
         if one_row and len(starts) > 1 and starts[-1] == bsz - 1:
             starts.pop()
         return [slice(a, b) for a, b in zip(starts, starts[1:] + [bsz])]
-
-    def _encode(self, ids: np.ndarray, mask: np.ndarray, train: bool, rng,
-                rows: np.ndarray | None, batch_size: int) -> Tensor:
-        x = T.embedding(self.params["emb.tok"], ids)
-        x = x + self.params["emb.pos"][:ids.shape[1]]
-        x = T.dropout(x, self.config.dropout, rng, train)
-        return self.stack(x, mask, train=train, rng=rng, rows=rows, batch_size=batch_size)
 
 
 class LinearHead:

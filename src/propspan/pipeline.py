@@ -40,6 +40,10 @@ from .tokens import (Span, Token, TokenizedText, Vocab, _token_range, extend_con
 
 DESK_STEPS_SI = 2000
 DESK_STEPS_TC = 1000
+# Windows per SI decoding batch and items per TC classification batch at
+# inference; each batch is one ``parallel_map`` task.
+SI_PREDICT_BATCH = 16
+TC_PREDICT_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -411,7 +415,7 @@ class TrainResult:
 
 
 def predict_spans(model: SiTagger, tokenized: dict[str, TokenizedText],
-                  max_len: int, batch_size: int = 16) -> list[Span]:
+                  max_len: int) -> list[Span]:
     """Viterbi/argmax spans for every article, in absolute character offsets;
     batches are decoded through ``parallel_map``."""
     data = SpanDataset(articles={aid: tt.text for aid, tt in tokenized.items()},
@@ -419,11 +423,12 @@ def predict_spans(model: SiTagger, tokenized: dict[str, TokenizedText],
     windows = build_si_windows(data, max_len)
 
     def batch_paths(start: int) -> list[list[int]]:
-        ids, mask, _, lengths = _pad_si_batch(windows[start:start + batch_size], model.vocab)
+        ids, mask, _, lengths = _pad_si_batch(windows[start:start + SI_PREDICT_BATCH],
+                                              model.vocab)
         return model.decode(ids, mask, lengths)
 
     spans: list[Span] = []
-    paths = parallel_map(batch_paths, range(0, len(windows), batch_size))
+    paths = parallel_map(batch_paths, range(0, len(windows), SI_PREDICT_BATCH))
     for win, path in zip(windows, (p for batch in paths for p in batch)):
         tt = TokenizedText(text=data.articles[win.article_id], tokens=win.tokens)
         spans.extend(tags_to_spans(tt, path, win.article_id))
@@ -706,15 +711,14 @@ def _multi_hot(items: list[TcItem], n_classes: int) -> np.ndarray:
     return y
 
 
-def predict_tc_probs(model: TcClassifier, items: list[TcItem],
-                     batch_size: int = 32) -> np.ndarray:
+def predict_tc_probs(model: TcClassifier, items: list[TcItem]) -> np.ndarray:
     """Per-class sigmoid probabilities, [n_items, n_classes] in the model's
     dtype (no rows for no items); batches go through ``parallel_map``."""
     def batch_probs(start: int) -> np.ndarray:
-        return model.probs(*model.inputs(items[start:start + batch_size]))
+        return model.probs(*model.inputs(items[start:start + TC_PREDICT_BATCH]))
 
     return np.concatenate([np.empty((0, len(model.labels)), model.dtype),
-                           *parallel_map(batch_probs, range(0, len(items), batch_size))])
+                           *parallel_map(batch_probs, range(0, len(items), TC_PREDICT_BATCH))])
 
 
 def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[str],

@@ -25,10 +25,11 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 ATTN_MASK_BIAS = -1e9  # exp() underflows to exactly 0 after the softmax shift
-# No-grad attention over a batch whose scores exceed this many bytes, the L2
-# cache of a desk CPU core, runs one sequence at a time instead of in one buffer;
-# Encoder.encode runs such a batch in blocks of sequences sized from it.
-_SCORE_BLOCK_BYTES = 2 << 20
+# No-grad attention runs one sequence at a time where one sequence's scores take
+# at least this many bytes, from where that kernel is the faster one at every
+# batch size (T=64 in float32, T=48 in float64, at 4 heads and hidden 64); the
+# bound is per sequence, so no sequence's bytes depend on its batch.
+_SEQUENCE_SCORE_BYTES = 64 << 10
 
 _grad_enabled = True
 
@@ -506,9 +507,13 @@ def _attend_per_sequence(q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
     return out
 
 
+def _per_sequence_kernel(heads: int, tq: int, tk: int, itemsize: int) -> bool:
+    """Whether no-grad attention without dropout runs one sequence at a time."""
+    return heads * tq * tk * itemsize >= _SEQUENCE_SCORE_BYTES
+
+
 def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
-              rng: np.random.Generator | None, train: bool,
-              batch_size: int | None = None) -> Tensor:
+              rng: np.random.Generator | None, train: bool) -> Tensor:
     """Multi-head scaled dot-product attention from projected inputs.
 
     ``q`` is ``[B, Tq, H]``; ``k`` and ``v`` are ``[B, Tk, H]``. ``key_mask``
@@ -520,13 +525,12 @@ def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
     and backward repeat the arithmetic of the same chain written as separate
     ops, so values and gradients are the same bit for bit.
 
-    When no graph is recorded and no dropout is drawn, a batch whose scores
-    exceed ``_SCORE_BLOCK_BYTES`` (2 MiB) runs one sequence at a time, keys-major
-    and normalised after the value product (``_attend_per_sequence``): live rows
-    match the one-buffer result to rounding and do not depend on the rest of the
-    batch. Below 2 MiB the one-buffer path runs. Given ``batch_size``, the
-    inputs are one block of a batch that large (see ``Encoder.encode``), whose
-    scores choose the kernel, so no row's bytes depend on the block.
+    With no graph and no dropout, where a sequence's scores take at least
+    ``_SEQUENCE_SCORE_BYTES`` (64 KiB), the batch runs one sequence at a time,
+    keys-major and normalised after the value product (``_attend_per_sequence``):
+    live rows match the one-buffer result to rounding. Otherwise, as for the TC
+    heads' one- or two-row queries, the one-buffer path runs. The kernel, and
+    so each row's bytes, does not depend on the batch size.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     bsz, tq, hid = q.data.shape
@@ -539,8 +543,7 @@ def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
 
     track = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     dropping = train and p > 0.0
-    if (not track and not dropping
-            and (batch_size or bsz) * heads * tq * tk * q.data.itemsize > _SCORE_BLOCK_BYTES):
+    if not track and not dropping and _per_sequence_kernel(heads, tq, tk, q.data.itemsize):
         return Tensor(_attend_per_sequence(q4, k4, v4, key_mask, scale).reshape(bsz, tq, hid))
 
     attn = _attention_weights(q4, k4, key_mask, scale)  # [B, heads, Tq, Tk]

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from propspan import encoder
 from propspan import tensor as T
 from propspan.encoder import (Encoder, EncoderConfig, LinearHead, SpanClsConfig,
                               SpanClsHead, TransformerStack)
@@ -165,9 +166,9 @@ def test_masked_attention_weights_are_zero():
 
 class TestBlockedAttention:
     """No-grad attention one sequence at a time against the one-buffer grad
-    path. Shapes are small, so the tests shrink ``_SCORE_BLOCK_BYTES`` below
-    the batch's scores; any such threshold sends the whole batch through the
-    per-sequence kernel, which the cases below run in both dtypes."""
+    path. Shapes are small, so the tests shrink ``_SEQUENCE_SCORE_BYTES`` to 0,
+    which sends every sequence through the per-sequence kernel; the cases
+    below run it in both dtypes."""
 
     bsz, seq, hid, heads = 7, 9, 12, 4  # head dim 3: the scale is inexact
     atol = {np.float32: 1e-6, np.float64: 1e-12}
@@ -179,7 +180,7 @@ class TestBlockedAttention:
                 for t in (tq, self.seq, self.seq)]
         full = T.attention(*(Tensor(d, requires_grad=True) for d in data), allowed,
                            self.heads, 0.0, None, False).numpy()
-        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", 0)
         with T.no_grad():
             blocked = T.attention(*(Tensor(d, requires_grad=True) for d in data), allowed,
                                   self.heads, 0.0, None, False).numpy()
@@ -254,7 +255,7 @@ class TestBlockedAttention:
                    3: np.array([2, 9, 4, 9, 1, 3, 9])}[lengths_case]
         rng = np.random.default_rng(45)
         data = [rng.normal(size=(self.bsz, self.seq, self.hid)).astype(dtype) for _ in range(3)]
-        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)  # batch and unpadded runs alike
+        monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", 0)  # batch and unpadded runs alike
         batch = self.attend_no_grad(data, _padded_allowed(lengths, self.seq))
         assert batch.dtype == dtype
         for b, n in enumerate(lengths):
@@ -273,7 +274,7 @@ class TestBlockedAttention:
         else:
             allowed = self.scattered_keys(rng, no_key=mask == "scattered-no-key")
         data = [rng.normal(size=(self.bsz, self.seq, self.hid)).astype(dtype) for _ in range(3)]
-        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 0)  # even one sequence's scores exceed it
+        monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", 0)  # every sequence's scores reach it
         batch = self.attend_no_grad(data, allowed)
         assert batch.dtype == dtype
         for b in range(self.bsz):
@@ -367,8 +368,10 @@ class TestBlockedEncoder:
     """A no-grad eval batch whose attention runs one sequence at a time runs
     ``Encoder.encode`` in blocks of sequences; every output keeps the bytes of
     the same batch run whole. Desk shapes (hidden 64, intermediate 128, 4
-    heads) over short sequences, with ``_SCORE_BLOCK_BYTES`` shrunk so that a
-    block holds ``per_block`` sequences (0: the threshold itself is 0)."""
+    heads) over short sequences, with ``_BLOCK_BYTES`` shrunk so that a block
+    holds ``per_block`` sequences and ``_SEQUENCE_SCORE_BYTES`` set to one
+    sequence's self-attention scores (0: both are 0, so that the one-row
+    queries of the TC heads' last layer run one sequence at a time too)."""
 
     seq = 64
     lengths = np.array([64, 9, 1, 30, 2, 17, 5])  # one full, short ones and a 1-token one
@@ -386,8 +389,10 @@ class TestBlockedEncoder:
         return ids, mask, list(zip(starts.tolist(), ends.tolist()))
 
     def shrink(self, monkeypatch, per_block, dtype):
-        block = self.seq * 128 * np.dtype(dtype).itemsize  # one sequence's [T, 128]
-        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 4 * block * per_block)
+        size = np.dtype(dtype).itemsize
+        monkeypatch.setattr(encoder, "_BLOCK_BYTES", self.seq * 128 * size * per_block)
+        scores = 4 * self.seq * self.seq * size if per_block else 0
+        monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", scores)
 
     def outputs(self, dtype):
         vocab = Vocab([f"w{i}" for i in range(50 - len(SPECIAL_TOKENS))])
@@ -431,7 +436,7 @@ class TestBlockedEncoder:
         assert enc._blocks(7, self.seq, None, False) == [slice(None)]  # graph recorded
 
     def test_blocks_reach_linear_and_attention(self, monkeypatch):
-        # a long batch reaches them one block at a time, a short one whole
+        # a batch within one block reaches them whole, a larger one block by block
         seen = []
         for name in ("linear", "attention"):
             op = getattr(T, name)
@@ -447,6 +452,53 @@ class TestBlockedEncoder:
             enc.encode(ids, mask)
         assert len(seen) == 4 * 14 and set(seen) == {2, 1}  # blocks 2, 2, 2, 1; 14 calls each
         assert seen[-14:] == [1] * 14
+
+
+class TestKernelBySequence:
+    """At the default bound the no-grad attention kernel follows a sequence's
+    shape, never its batch size. Desk shapes (hidden 64, 4 heads), full-length
+    256-token windows."""
+
+    seq, n = 256, 8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_window_gives_the_same_bytes_alone_in_a_pair_or_in_eight(self, dtype):
+        rng = np.random.default_rng(60)
+        qkv = [rng.normal(size=(self.n, self.seq, 64)).astype(dtype) for _ in range(3)]
+        ids = rng.integers(5, 50, (self.n, self.seq))
+        mask, lengths = np.ones(ids.shape, dtype=bool), np.full(self.n, self.seq)
+        config = EncoderConfig(vocab_size=50, hidden_size=64, layers=2, heads=4,
+                               intermediate_size=128, max_positions=self.seq)
+        tagger = SiTagger(config, Vocab([f"w{i}" for i in range(50 - len(SPECIAL_TOKENS))]),
+                          seed=1, dtype=dtype)
+
+        def run(s):
+            with T.no_grad():
+                attn = T.attention(*(Tensor(a[s]) for a in qkv), mask[s], 4, 0.0, None, False)
+                emissions = tagger.emissions(ids[s], mask[s])
+            return [attn.numpy(), emissions.numpy(), tagger.decode(ids[s], mask[s], lengths[s])]
+
+        eight = run(slice(None))
+        assert eight[1].dtype == dtype
+        for start, size in [(b, 1) for b in range(self.n)] + [(b, 2) for b in range(0, self.n, 2)]:
+            for i, (attn, emissions, path) in enumerate(zip(*run(slice(start, start + size)))):
+                assert attn.tobytes() == eight[0][start + i].tobytes()
+                assert emissions.tobytes() == eight[1][start + i].tobytes()
+                assert path == eight[2][start + i]
+
+    @pytest.mark.parametrize("shape,per_sequence", [
+        pytest.param((1, 256), True, id="1x256"), pytest.param((32, 54), False, id="32x54")])
+    def test_per_sequence_kernel_runs_by_sequence_shape(self, monkeypatch, shape, per_sequence):
+        # 1x256: one annotation window alone; 32x54: a TC dev-evaluation batch
+        calls = []
+        kernel = T._attend_per_sequence
+        monkeypatch.setattr(T, "_attend_per_sequence",
+                            lambda *args: calls.append(args[0].shape) or kernel(*args))
+        rng = np.random.default_rng(61)
+        q, k, v = (Tensor(rng.normal(size=shape + (64,)).astype(np.float32)) for _ in range(3))
+        with T.no_grad():
+            T.attention(q, k, v, np.ones(shape, dtype=bool), 4, 0.0, None, False)
+        assert bool(calls) == per_sequence
 
 
 class TestHeads:

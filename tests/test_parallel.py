@@ -401,15 +401,17 @@ def tc_model_and_items(corpus, tmp_path_factory):
 
 
 @pytest.mark.parametrize("n_cpus,score_bytes", [
-    pytest.param(2, T._SCORE_BLOCK_BYTES, id="2"), pytest.param(3, T._SCORE_BLOCK_BYTES, id="3"),
+    pytest.param(2, T._SEQUENCE_SCORE_BYTES, id="2"),
+    pytest.param(3, T._SEQUENCE_SCORE_BYTES, id="3"),
     pytest.param(2, 0, id="2-per-sequence-attention")])
 def test_predict_tc_probs_bit_identical_to_serial_batches(tc_model_and_items, cpus,
                                                           monkeypatch, n_cpus, score_bytes):
     """``score_bytes`` 0 sends every attention call, in the workers too,
     through the per-sequence no-grad kernel."""
     model, items = tc_model_and_items
-    monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", score_bytes)
+    monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", score_bytes)
     batch = 4
+    monkeypatch.setattr(pl, "TC_PREDICT_BATCH", batch)
     assert len(items) > 3 * batch
     serial = []
     for i in range(0, len(items), batch):
@@ -424,7 +426,7 @@ def test_predict_tc_probs_bit_identical_to_serial_batches(tc_model_and_items, cp
             time.sleep(0.05)
         return probs(*args)
     monkeypatch.setattr(model, "probs", slowed)
-    parallel = pl.predict_tc_probs(model, items, batch_size=batch)
+    parallel = pl.predict_tc_probs(model, items)
     assert parallel.dtype == serial.dtype and parallel.tobytes() == serial.tobytes()
 
 
@@ -468,14 +470,16 @@ def test_train_tc_and_annotate_identical_for_one_and_two_cpus(corpus, cpus, monk
 # -- predict_spans and training ---------------------------------------------------
 
 @pytest.mark.parametrize("batch,score_bytes", [
-    pytest.param(4, T._SCORE_BLOCK_BYTES, id="4"), pytest.param(16, T._SCORE_BLOCK_BYTES, id="16"),
+    pytest.param(4, T._SEQUENCE_SCORE_BYTES, id="4"),
+    pytest.param(16, T._SEQUENCE_SCORE_BYTES, id="16"),
     pytest.param(4, 0, id="4-per-sequence-attention")])
 def test_predict_spans_bit_identical_for_one_two_and_three_cpus(corpus, si_model, cpus,
                                                                 monkeypatch, batch, score_bytes):
     """``score_bytes`` 0 sends every attention call, in the workers too,
     through the per-sequence no-grad kernel."""
     data, _ = corpus
-    monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", score_bytes)
+    monkeypatch.setattr(T, "_SEQUENCE_SCORE_BYTES", score_bytes)
+    monkeypatch.setattr(pl, "SI_PREDICT_BATCH", batch)
     model = SiTagger.load(si_model)
     pool = SpanDataset(articles=read_articles(data / "pool" / "articles"), spans=[])
     assert len(pl.build_si_windows(pool, 32)) > 2 * batch  # three batches or more
@@ -489,7 +493,7 @@ def test_predict_spans_bit_identical_for_one_two_and_three_cpus(corpus, si_model
     spans = {}
     for n in (1, 2, 3):
         cpus(n)
-        spans[n] = pl.predict_spans(model, pool.tokenized, 32, batch_size=batch)
+        spans[n] = pl.predict_spans(model, pool.tokenized, 32)
     assert len(spans[1]) > 0
     assert spans[1] == spans[2] == spans[3]
 
