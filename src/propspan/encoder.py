@@ -27,6 +27,9 @@ INIT_STD = 0.02
 # A no-grad block of sequences holds the most whose widest activation fits in
 # this many bytes, a quarter of the 2 MiB L2 cache of a desk CPU core.
 _BLOCK_BYTES = 512 << 10
+# a layer's parameters, in the order T.attention_block and T.mlp_block take them
+_ATTENTION_PARAMS = ("ln1_g", "ln1_b", "wq", "wq_b", "wk", "wk_b", "wv", "wv_b", "wo", "wo_b")
+_MLP_PARAMS = ("ln2_g", "ln2_b", "w1", "w1_b", "w2", "w2_b")
 
 
 @dataclass
@@ -75,7 +78,9 @@ def _weight(rng: np.random.Generator | None, shape, dtype) -> Tensor:
 
 
 class TransformerStack:
-    """Pre-norm residual blocks with GELU MLPs; no embeddings of its own."""
+    """Pre-norm residual blocks with GELU MLPs; no embeddings of its own. Each
+    layer is two graph nodes, ``T.attention_block`` and ``T.mlp_block``, in
+    every mode."""
 
     def __init__(self, prefix: str, hidden: int, layers: int, heads: int,
                  intermediate: int, dropout: float, attention_dropout: float,
@@ -117,20 +122,12 @@ class TransformerStack:
         h = x
         for i in range(self.layers):
             base = f"{self.prefix}.layer{i}"
-            hn = T.layer_norm(h, p[f"{base}.ln1_g"], p[f"{base}.ln1_b"])
-            hq = hn
-            if rows is not None and i == self.layers - 1:
-                at = (np.arange(h.shape[0])[:, None], rows)
-                h, hq = h[at], hn[at]
-            q, k, v = (T.linear(t, p[f"{base}.{nm}"], p[f"{base}.{nm}_b"])
-                       for t, nm in ((hq, "wq"), (hn, "wk"), (hn, "wv")))
-            a = T.attention(q, k, v, key_mask, self.heads, self.attention_dropout, rng, train)
-            a = T.linear(a, p[f"{base}.wo"], p[f"{base}.wo_b"])
-            h = h + T.dropout(a, self.dropout, rng, train)
-            m = T.layer_norm(h, p[f"{base}.ln2_g"], p[f"{base}.ln2_b"])
-            m = T.gelu(T.linear(m, p[f"{base}.w1"], p[f"{base}.w1_b"]))
-            m = T.linear(m, p[f"{base}.w2"], p[f"{base}.w2_b"])
-            h = h + T.dropout(m, self.dropout, rng, train)
+            last = rows is not None and i == self.layers - 1
+            h = T.attention_block(h, [p[f"{base}.{nm}"] for nm in _ATTENTION_PARAMS], key_mask,
+                                  self.heads, self.attention_dropout, self.dropout, rng, train,
+                                  rows if last else None)
+            h = T.mlp_block(h, [p[f"{base}.{nm}"] for nm in _MLP_PARAMS], self.dropout, rng,
+                            train)
         return T.layer_norm(h, p[f"{self.prefix}.ln_f_g"], p[f"{self.prefix}.ln_f_b"])
 
 
@@ -185,21 +182,24 @@ class Encoder:
         batch, unless no graph is recorded and a sequence's self-attention
         runs one sequence at a time (``T._per_sequence_kernel``).
 
-        A block holds the most sequences whose widest activation fits in
-        ``_BLOCK_BYTES``, at least one; at least two (a last one joins the
-        block before) where a sequence gives a product one row, since numpy
-        computes that by gemv, whose bits differ from gemm's.
+        The blocks are as few as hold at most the sequences whose widest
+        activation fits in ``_BLOCK_BYTES`` (at least one), with sizes that
+        differ by at most one, larger first. Where a sequence gives a product
+        one row, at most ``B // 2`` blocks, so that each holds two sequences or
+        more: numpy computes a one-row product by gemv, whose bits differ from
+        gemm's.
         """
         cfg, size = self.config, np.dtype(self.dtype).itemsize
         if train or T.is_grad_enabled() or not T._per_sequence_kernel(cfg.heads, seq, seq, size):
             return [slice(None)]
-        one_row = min(seq, seq if rows is None else rows.shape[1]) == 1
         width = max(cfg.hidden_size, cfg.intermediate_size)
-        n = max(_BLOCK_BYTES // (seq * width * size), 2 if one_row else 1)
-        starts = list(range(0, bsz, n))
-        if one_row and len(starts) > 1 and starts[-1] == bsz - 1:
-            starts.pop()
-        return [slice(a, b) for a, b in zip(starts, starts[1:] + [bsz])]
+        count = -(-bsz // max(_BLOCK_BYTES // (seq * width * size), 1))
+        if min(seq, seq if rows is None else rows.shape[1]) == 1:
+            count = min(count, bsz // 2)
+        count = max(count, 1)
+        small, larger = divmod(bsz, count)
+        bounds = [i * small + min(i, larger) for i in range(count + 1)]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class LinearHead:

@@ -14,6 +14,7 @@ run forks one worker for the whole run, which computes half of every batch
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 import os
 import pickle
@@ -472,7 +473,9 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
     fork (two usable CPUs, not inside a ``parallel_map`` or ``_serial``), else
     here after shard 0, with the same output bytes.
 
-    A non-finite shard loss stops the run with a ``RuntimeError`` naming the
+    Every gradient is cleared right after the optimizer step, and shard 1's
+    once shared, so that no forward or dev evaluation runs beside them. A
+    non-finite shard loss stops the run with a ``RuntimeError`` naming the
     step, before the optimizer step. Dev evaluations run under ``_serial``:
     forking at each evaluation slowed training (likely through copy-on-write
     faults after each fork).
@@ -512,10 +515,12 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
         """Shard 1, in the worker or here: its loss, and which gradients it shared."""
         idx, weight = message
         value = _backward(opt, batch_loss(np.array(idx), 1), weight)
+        have = [p.grad is not None for p in params.values()]
         for k, p in params.items():
             if p.grad is not None:
                 shared_grads[k][...] = p.grad
-        return value, [p.grad is not None for p in params.values()]
+        opt.zero_grad()
+        return value, have
 
     with _forked(shard_1, ["training worker"] if fork else []) as workers:
         order = data_rng.permutation(n_items)
@@ -546,7 +551,9 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
                                        f"{step} (shard 1)")
                 for (k, p), g1, h in zip(params.items(), shared_grads.values(), have):
                     p.grad = None if grads[k] is None else grads[k] + (g1 if h else None)
+                del grads
             opt.step()
+            opt.zero_grad()
             if step % hp.eval_every == 0 or step == hp.steps:
                 check(step)
                 if stale >= hp.patience:
@@ -868,10 +875,12 @@ def cross_validate(train_items: list[TcItem], dev_items: list[TcItem],
 _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
 
 
+@functools.cache
 def _openblas_function(name: str):
     """OpenBLAS's ``name`` (``get_num_threads``, ``set_num_threads``) from the
     library that numpy's Linux wheels bundle in ``numpy.libs``, through
-    ``ctypes`` on the copy numpy has loaded; None where no known build exports it."""
+    ``ctypes`` on the copy numpy has loaded; None where no known build exports it.
+    Resolved once per process (a forked worker inherits the result)."""
     for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(lib_path))

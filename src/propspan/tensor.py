@@ -262,24 +262,42 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a) -> Tensor:
-    """tanh-approximation GELU; the derivative is of the approximation itself."""
-    a = as_tensor(a)
-    x = a.data
-    x2 = x * x
-    t = x2 * x  # the tanh argument, built in place
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's output and the tanh it applies, built in place."""
+    t = x * x
+    t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out_data = t + 1.0
-    out_data *= 0.5 * x
+    out = t + 1.0
+    out *= 0.5 * x
+    return out, t
 
-    def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
-    return _node(out_data, (a,), backward)
+def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 0.134145 * x * x))``,
+    each op of that expression on one of two buffers, with ``x * x`` recomputed."""
+    right = x * 0.5
+    left = t * t
+    np.subtract(1.0, left, out=left)
+    right *= left
+    np.multiply(x, x, out=left)
+    left *= 0.134145
+    left += 1.0
+    left *= _GELU_C
+    right *= left
+    np.add(t, 1.0, out=left)
+    left *= 0.5
+    left += right
+    return np.multiply(left, g, out=left if np.result_type(left, g) == left.dtype else None)
+
+
+def gelu(a) -> Tensor:
+    """tanh-approximation GELU; the derivative is of the approximation itself."""
+    a = as_tensor(a)
+    out_data, t = _gelu(a.data)
+    return _node(out_data, (a,), lambda g: (_gelu_backward(g, a.data, t),))
 
 
 def sigmoid(a) -> Tensor:
@@ -382,20 +400,19 @@ def _is_basic_key(key) -> bool:
     return all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis for p in parts)
 
 
+def _getitem_backward(g: np.ndarray, like: np.ndarray, key) -> np.ndarray:
+    """The gradient of ``like[key]``: ``g`` added into zeros at ``key``."""
+    full = np.zeros_like(like)
+    if _is_basic_key(key):  # basic indexing never aliases, and np.add.at rejects slices
+        full[key] += g
+    else:
+        np.add.at(full, key, g)
+    return full
+
+
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data[key]
-    basic = _is_basic_key(key)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        full = np.zeros_like(a.data)
-        if basic:  # basic indexing never aliases, and np.add.at rejects slices
-            full[key] += g
-        else:
-            np.add.at(full, key, g)
-        return (full,)
-
-    return _node(out_data, (a,), backward)
+    return _node(a.data[key], (a,), lambda g: (_getitem_backward(g, a.data, key),))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -442,21 +459,27 @@ def matmul(a, b) -> Tensor:
         _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)))
 
 
+def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    n_in, n_out = weight.shape
+    out = np.matmul(x.reshape(-1, n_in), weight)
+    out += bias
+    return out.reshape(x.shape[:-1] + (n_out,))
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                     bias: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gradients of ``_linear(x, weight, bias)``: input, weight, bias."""
+    n_in, n_out = weight.shape
+    g2d = g.reshape(-1, n_out)
+    return (np.matmul(g2d, weight.T).reshape(x.shape),
+            np.matmul(x.reshape(-1, n_in).T, g2d), _unbroadcast(g2d, bias.shape))
+
+
 def linear(x, weight, bias) -> Tensor:
     """``x @ weight + bias`` over the last axis of an input of any rank, as one node."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    n_in, n_out = weight.data.shape
-    x2d = x.data.reshape(-1, n_in)
-    out_data = np.matmul(x2d, weight.data)
-    out_data += bias.data
-    out_data = out_data.reshape(x.data.shape[:-1] + (n_out,))
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g2d = g.reshape(-1, n_out)
-        return (np.matmul(g2d, weight.data.T).reshape(x.data.shape),
-                np.matmul(x2d.T, g2d), _unbroadcast(g2d, bias.data.shape))
-
-    return _node(out_data, (x, weight, bias), backward)
+    return _node(_linear(x.data, weight.data, bias.data), (x, weight, bias),
+                 lambda g: _linear_backward(g, x.data, weight.data, bias.data))
 
 
 def _attention_weights(q4: np.ndarray, k4: np.ndarray, key_mask: np.ndarray,
@@ -512,6 +535,51 @@ def _per_sequence_kernel(heads: int, tq: int, tk: int, itemsize: int) -> bool:
     return heads * tq * tk * itemsize >= _SEQUENCE_SCORE_BYTES
 
 
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray,
+               heads: int, p: float, rng: np.random.Generator | None, train: bool,
+               track: bool) -> tuple[np.ndarray, tuple | None]:
+    """``attention``'s output ``[B, Tq, H]`` from arrays, and what its backward
+    reads (None where no graph is recorded): the heads of ``q``, ``k`` and
+    ``v``, the softmax weights, the dropout mask or None, and the scale. The
+    dropped weights are not kept; the backward recomputes them."""
+    bsz, tq, hid = q.shape
+    tk = k.shape[1]
+    dh = hid // heads
+    key_mask = np.asarray(key_mask, dtype=bool)
+    q4 = np.swapaxes(q.reshape(bsz, tq, heads, dh), 1, 2)
+    k4, v4 = (np.swapaxes(t.reshape(bsz, tk, heads, dh), 1, 2) for t in (k, v))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+
+    dropping = train and p > 0.0
+    if not track and not dropping and _per_sequence_kernel(heads, tq, tk, q.itemsize):
+        return _attend_per_sequence(q4, k4, v4, key_mask, scale).reshape(bsz, tq, hid), None
+
+    attn = _attention_weights(q4, k4, key_mask, scale)  # [B, heads, Tq, Tk]
+    mask = _dropout_mask(rng, attn.shape, p, attn.dtype) if dropping else None
+    ctx = np.matmul(attn if mask is None else attn * mask, v4)  # [B, heads, Tq, dh]
+    out = np.swapaxes(ctx, 1, 2).reshape(bsz, tq, hid)
+    return out, (q4, k4, v4, attn, mask, scale) if track else None
+
+
+def _attention_backward(g: np.ndarray, q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
+                        attn: np.ndarray, mask: np.ndarray | None,
+                        scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gradients of ``_attention`` for ``q``, ``k`` and ``v``; the softmax
+    backward ``attn * (g_attn - dot) * scale`` runs in place."""
+    bsz, heads, tq, dh = q4.shape
+    g_ctx = np.swapaxes(g.reshape(bsz, tq, heads, dh), 1, 2)
+    g_v = np.matmul(np.swapaxes(attn if mask is None else attn * mask, -1, -2), g_ctx)
+    g_attn = np.matmul(g_ctx, np.swapaxes(v4, -1, -2))
+    if mask is not None:
+        g_attn *= mask
+    g_attn -= (g_attn * attn).sum(axis=-1, keepdims=True)
+    g_attn *= attn
+    g_attn *= scale
+    g_q = np.matmul(g_attn, k4)
+    g_k = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), g_attn), 2, 3)
+    return tuple(np.swapaxes(gt, 1, 2).reshape(bsz, -1, heads * dh) for gt in (g_q, g_k, g_v))
+
+
 def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
               rng: np.random.Generator | None, train: bool) -> Tensor:
     """Multi-head scaled dot-product attention from projected inputs.
@@ -533,64 +601,50 @@ def attention(q, k, v, key_mask: np.ndarray, heads: int, p: float,
     so each row's bytes, does not depend on the batch size.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    bsz, tq, hid = q.data.shape
-    tk = k.data.shape[1]
-    dh = hid // heads
-    key_mask = np.asarray(key_mask, dtype=bool)
-    q4 = np.swapaxes(q.data.reshape(bsz, tq, heads, dh), 1, 2)
-    k4, v4 = (np.swapaxes(t.data.reshape(bsz, tk, heads, dh), 1, 2) for t in (k, v))
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-
     track = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    dropping = train and p > 0.0
-    if not track and not dropping and _per_sequence_kernel(heads, tq, tk, q.data.itemsize):
-        return Tensor(_attend_per_sequence(q4, k4, v4, key_mask, scale).reshape(bsz, tq, hid))
-
-    attn = _attention_weights(q4, k4, key_mask, scale)  # [B, heads, Tq, Tk]
-    dropped, mask = attn, None
-    if dropping:
-        mask = _dropout_mask(rng, attn.shape, p, attn.dtype)
-        dropped = attn * mask
-    ctx = np.matmul(dropped, v4)  # [B, heads, Tq, dh]
-    out_data = np.swapaxes(ctx, 1, 2).reshape(bsz, tq, hid)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_ctx = np.swapaxes(g.reshape(bsz, tq, heads, dh), 1, 2)
-        g_v = np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)
-        g_attn = np.matmul(g_ctx, np.swapaxes(v4, -1, -2))
-        if mask is not None:
-            g_attn = g_attn * mask
-        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores = attn * (g_attn - dot) * scale
-        g_q = np.matmul(g_scores, k4)
-        g_k = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), g_scores), 2, 3)
-        return tuple(np.swapaxes(gt, 1, 2).reshape(bsz, -1, hid) for gt in (g_q, g_k, g_v))
-
-    return _node(out_data, (q, k, v), backward)
+    out, saved = _attention(q.data, k.data, v.data, key_mask, heads, p, rng, train, track)
+    return _node(out, (q, k, v), lambda g: _attention_backward(g, *saved))
 
 
 # -- normalization / regularization ---------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    xd = x.data
-    xhat = xd - xd.mean(axis=-1, keepdims=True)  # centred, then scaled in place
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalised, scaled and shifted ``x``, and what the backward reads:
+    ``xhat`` and the reciprocal deviation ``inv``."""
+    xhat = x - x.mean(axis=-1, keepdims=True)  # centred, then scaled in place
     inv = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    out_data = xhat * gamma.data
-    out_data += beta.data
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
 
-    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        gh = g * gamma.data
-        return (inv * (gh - gh.mean(axis=-1, keepdims=True)
-                       - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
-                _unbroadcast(g * xhat, gamma.data.shape), _unbroadcast(g, beta.data.shape))
 
-    return _node(out_data, (x, gamma, beta), backward)
+def _layer_norm_backward(g: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                         xhat: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gradients of ``_layer_norm`` for ``x``, ``gamma`` and ``beta``; the input's,
+    ``inv * (gh - mean(gh) - xhat * mean(gh * xhat))`` with ``gh = g * gamma``,
+    runs in place."""
+    g_gamma = _unbroadcast(g * xhat, gamma.shape)
+    gh = g * gamma
+    dx = gh * xhat
+    m2 = dx.mean(axis=-1, keepdims=True)
+    gh -= gh.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=dx)
+    np.subtract(gh, dx, out=dx)
+    dx *= inv
+    return dx, g_gamma, _unbroadcast(g, beta.shape)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    out_data, xhat, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
+    return _node(out_data, (x, gamma, beta),
+                 lambda g: _layer_norm_backward(g, gamma.data, beta.data, xhat, inv))
 
 
 def _dropout_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> np.ndarray:
@@ -608,6 +662,109 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
     x = as_tensor(x)
     mask = _dropout_mask(rng, x.data.shape, p, x.data.dtype)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+# -- transformer sub-blocks ------------------------------------------------------
+#
+# A pre-norm layer is two graph nodes. Each computes its op chain with the
+# private forward and backward of ``layer_norm``, ``linear``, ``attention`` and
+# ``gelu``, takes the same dropout draws in the same order, and sums gradients
+# in the order ``Tensor.backward`` would sum them over the chain, so outputs and
+# gradients equal the chain's bit for bit (for inputs and parameters of one
+# dtype, as a model's are: gradients are summed in place). Each keeps only what
+# its backward reads: no projection output past the attention or GELU, no
+# dropout output; and its backward lets each gradient go once used (the
+# ``del``s), which lowers the peak of a backward pass.
+
+
+def _dropout_residual(out: np.ndarray, res: np.ndarray, p: float,
+                      rng: np.random.Generator | None, train: bool) -> np.ndarray | None:
+    """``res + dropout(out)``, written into ``out``; returns the dropout mask, or
+    None where ``dropout`` is the identity."""
+    mask = _dropout_mask(rng, out.shape, p, out.dtype) if train and p > 0.0 else None
+    if mask is not None:
+        out *= mask
+    out += res
+    return mask
+
+
+def attention_block(h: Tensor, params: Sequence[Tensor], key_mask: np.ndarray, heads: int,
+                    attention_dropout: float, p: float, rng: np.random.Generator | None,
+                    train: bool, rows: np.ndarray | None = None) -> Tensor:
+    """``h + dropout(attention(q, k, v) @ wo + bo)`` over ``hn = layer_norm(h)``,
+    with ``q, k, v = hn @ w + b``, as one graph node.
+
+    ``params`` is ``(ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo)``; ``key_mask``
+    and the attention's kernel are those of ``attention``. ``rows`` ([B, S]
+    positions) keeps the queries and the residual at those positions only, for
+    an output of ``[B, S, H]``. The backward keeps the layer norm's ``xhat``,
+    ``inv`` and output, ``q``, ``k`` and ``v``, the softmax weights and the two
+    dropout masks, and the attention's output.
+    """
+    h = as_tensor(h)
+    ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo = params
+    parents = (h, *params)
+    track = _grad_enabled and any(t.requires_grad for t in parents)
+    hn, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data)
+    hq, res = hn, h.data
+    if rows is not None:
+        at = (np.arange(h.data.shape[0])[:, None], rows)
+        hq, res = hn[at], res[at]
+    q = _linear(hq, wq.data, bq.data)
+    k = _linear(hn, wk.data, bk.data)
+    v = _linear(hn, wv.data, bv.data)
+    ctx, saved = _attention(q, k, v, key_mask, heads, attention_dropout, rng, train, track)
+    out = _linear(ctx, wo.data, bo.data)
+    mask = _dropout_residual(out, res, p, rng, train)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_ctx, g_wo, g_bo = _linear_backward(g if mask is None else g * mask, ctx,
+                                             wo.data, bo.data)
+        g_q, g_k, g_v = _attention_backward(g_ctx, *saved)
+        del g_ctx
+        g_hn, g_wq, g_bq = _linear_backward(g_q, hq, wq.data, bq.data)
+        if rows is not None:
+            g_hn = _getitem_backward(g_hn, hn, at)
+        g_in, g_wk, g_bk = _linear_backward(g_k, hn, wk.data, bk.data)
+        g_hn += g_in
+        g_in, g_wv, g_bv = _linear_backward(g_v, hn, wv.data, bv.data)
+        g_hn += g_in  # (q + k) + v, the chain's order
+        del g_q, g_k, g_v, g_in
+        g_h, g_lg, g_lb = _layer_norm_backward(g_hn, ln_g.data, ln_b.data, xhat, inv)
+        g_h += g if rows is None else _getitem_backward(g, h.data, at)
+        return g_h, g_lg, g_lb, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
+
+    return _node(out, parents, backward)
+
+
+def mlp_block(h: Tensor, params: Sequence[Tensor], p: float,
+              rng: np.random.Generator | None, train: bool) -> Tensor:
+    """``h + dropout(gelu(layer_norm(h) @ w1 + b1) @ w2 + b2)`` as one graph node.
+
+    ``params`` is ``(ln_g, ln_b, w1, b1, w2, b2)``. The backward keeps the layer
+    norm's ``xhat``, ``inv`` and output, the first projection's output, GELU's
+    ``tanh`` and output, and the dropout mask.
+    """
+    h = as_tensor(h)
+    ln_g, ln_b, w1, b1, w2, b2 = params
+    parents = (h, *params)
+    m, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data)
+    x = _linear(m, w1.data, b1.data)
+    u, t = _gelu(x)
+    out = _linear(u, w2.data, b2.data)
+    mask = _dropout_residual(out, h.data, p, rng, train)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_u, g_w2, g_b2 = _linear_backward(g if mask is None else g * mask, u,
+                                           w2.data, b2.data)
+        g_u = _gelu_backward(g_u, x, t)
+        g_m, g_w1, g_b1 = _linear_backward(g_u, m, w1.data, b1.data)
+        del g_u
+        g_h, g_lg, g_lb = _layer_norm_backward(g_m, ln_g.data, ln_b.data, xhat, inv)
+        g_h += g
+        return g_h, g_lg, g_lb, g_w1, g_b1, g_w2, g_b2
+
+    return _node(out, parents, backward)
 
 
 # -- operator sugar ---------------------------------------------------------------

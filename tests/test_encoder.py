@@ -164,6 +164,107 @@ def test_masked_attention_weights_are_zero():
     assert not np.array_equal(attend(k, v3)[1], base[1])
 
 
+def chain_attention_block(h, params, key_mask, heads, attention_dropout, p, rng, train,
+                          rows=None):
+    """The attention sub-block as a chain of autograd ops: the fused block's oracle."""
+    ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo = params
+    hn = T.layer_norm(h, ln_g, ln_b)
+    hq = hn
+    if rows is not None:
+        at = (np.arange(h.shape[0])[:, None], rows)
+        h, hq = h[at], hn[at]
+    q, k, v = T.linear(hq, wq, bq), T.linear(hn, wk, bk), T.linear(hn, wv, bv)
+    a = T.attention(q, k, v, key_mask, heads, attention_dropout, rng, train)
+    return h + T.dropout(T.linear(a, wo, bo), p, rng, train)
+
+
+def chain_mlp_block(h, params, p, rng, train):
+    """The MLP sub-block as a chain of autograd ops: the fused block's oracle."""
+    ln_g, ln_b, w1, b1, w2, b2 = params
+    m = T.gelu(T.linear(T.layer_norm(h, ln_g, ln_b), w1, b1))
+    return h + T.dropout(T.linear(m, w2, b2), p, rng, train)
+
+
+class TestBlocksMatchChain:
+    """``T.attention_block`` and ``T.mlp_block`` against the op chains they
+    replace, through a whole stack (both blocks, layer after layer, ``rows`` at
+    the last): outputs, the input's gradient, every parameter's gradient and
+    the next dropout draw are the same bytes."""
+
+    bsz, seq, hidden, heads = 3, 7, 12, 4  # head dim 3: the scale 1/sqrt(3) is inexact
+
+    def key_mask(self, kind):
+        if kind == "padded":
+            return _padded_allowed([7, 4, 1], self.seq)
+        allowed = np.random.default_rng(70).random((self.bsz, self.seq)) < 0.5
+        allowed[:, 0] = True  # the span head's {BOS} union span, and gaps
+        allowed[1] = False
+        allowed[1, [0, 3, 4]] = True
+        return allowed
+
+    def run(self, dtype, train, allowed, rows, chain):
+        stack = TransformerStack("s", self.hidden, 2, self.heads, 20, 0.2, 0.3,
+                                 np.random.default_rng(71), dtype)
+        rng = np.random.default_rng(72)
+        for t in stack.params.values():  # off the init, so layer norms scale and shift
+            t.data = (t.data + rng.normal(0.0, 0.3, t.shape)).astype(dtype)
+        x = Tensor(rng.normal(size=(self.bsz, self.seq, self.hidden)).astype(dtype),
+                   requires_grad=True)
+        drop_rng = np.random.default_rng(73)
+        with pytest.MonkeyPatch.context() as mp:
+            if chain:
+                mp.setattr(T, "attention_block", chain_attention_block)
+                mp.setattr(T, "mlp_block", chain_mlp_block)
+            out = stack(x, allowed, train=train, rng=drop_rng, rows=rows)
+        out.backward(np.random.default_rng(74).normal(size=out.shape))
+        return ([out.data, x.grad] + [t.grad for t in stack.params.values()],
+                drop_rng.random())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("mask_kind", ["padded", "scattered"])
+    @pytest.mark.parametrize("rows", [None, "rows"])
+    def test_stack_bit_identical_to_chain(self, dtype, train, mask_kind, rows):
+        # rows: a repeated position, as span padding makes, and a [BOS]-style first row
+        at = None if rows is None else np.array([[0, 2, 2], [1, 3, 5], [0, 0, 0]])
+        allowed = self.key_mask(mask_kind)
+        (fused, fused_draw), (chain, chain_draw) = (
+            self.run(dtype, train, allowed, at, c) for c in (False, True))
+        assert fused_draw == chain_draw  # the same dropout draws were taken
+        for got, want in zip(fused, chain, strict=True):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, np.array([[0, 2], [1, 1]])], ids=["all", "rows"])
+    def test_attention_block_grad_check(self, rows):
+        rng = np.random.default_rng(75)
+        shapes = [(8,), (8,), (8, 8), (8,), (8, 8), (8,), (8, 8), (8,), (8, 8), (8,)]
+        params = [Tensor(rng.normal(0.0, 0.5, s), requires_grad=True) for s in shapes]
+        h = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        weights = rng.normal(size=(2, 4 if rows is None else 2, 8))
+        allowed = _padded_allowed([4, 3], 4)
+
+        def fn(h, *params):
+            return (T.attention_block(h, params, allowed, 2, 0.0, 0.0, None, False, rows)
+                    * weights).sum()
+
+        # the key bias (params[5]) shifts every score of a query alike: its gradient is 0
+        checked = [h] + params[:5] + params[6:]
+        assert grad_check(lambda *a: fn(*a[:6], params[5], *a[6:]), checked, eps=1e-6) <= 1e-4
+
+    def test_mlp_block_grad_check(self):
+        rng = np.random.default_rng(76)
+        shapes = [(8,), (8,), (8, 12), (12,), (12, 8), (8,)]
+        params = [Tensor(rng.normal(0.0, 0.5, s), requires_grad=True) for s in shapes]
+        h = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        weights = rng.normal(size=(2, 4, 8))
+
+        def fn(h, *params):
+            return (T.mlp_block(h, params, 0.0, None, False) * weights).sum()
+
+        assert grad_check(fn, [h] + params, eps=1e-6) <= 1e-4
+
+
 class TestBlockedAttention:
     """No-grad attention one sequence at a time against the one-buffer grad
     path. Shapes are small, so the tests shrink ``_SEQUENCE_SCORE_BYTES`` to 0,
@@ -421,10 +522,12 @@ class TestBlockedEncoder:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("per_block,sizes,one_row_sizes", [
-        (0, [1] * 7, [2, 2, 3]), (1, [1] * 7, [2, 2, 3]),
-        (2, [2, 2, 2, 1], [2, 2, 3]), (3, [3, 3, 1], [3, 4])])
+        (0, [1] * 7, [3, 2, 2]), (1, [1] * 7, [3, 2, 2]),
+        (2, [2, 2, 2, 1], [3, 2, 2]), (3, [3, 2, 2], [3, 2, 2])])
     def test_block_sizes(self, monkeypatch, dtype, per_block, sizes, one_row_sizes):
-        # a block of one sequence whose rows have one position would run gemv, so none is cut
+        # as few blocks as hold per_block each, sizes within one of each other; a
+        # block of one sequence whose rows have one position would run gemv, so
+        # then at most 7 // 2 blocks are cut
         self.shrink(monkeypatch, per_block, dtype)
         enc = Encoder(self.config(), seed=None, dtype=dtype)
         bos = np.zeros((7, 1), dtype=np.int64)
@@ -436,9 +539,10 @@ class TestBlockedEncoder:
         assert enc._blocks(7, self.seq, None, False) == [slice(None)]  # graph recorded
 
     def test_blocks_reach_linear_and_attention(self, monkeypatch):
+        # the linears and the attention run inside T.attention_block and T.mlp_block:
         # a batch within one block reaches them whole, a larger one block by block
         seen = []
-        for name in ("linear", "attention"):
+        for name in ("attention_block", "mlp_block"):
             op = getattr(T, name)
             monkeypatch.setattr(T, name, lambda x, *a, _op=op, **kw: seen.append(
                 x.shape[0]) or _op(x, *a, **kw))
@@ -450,8 +554,8 @@ class TestBlockedEncoder:
             seen.clear()
             self.shrink(monkeypatch, 2, np.float32)
             enc.encode(ids, mask)
-        assert len(seen) == 4 * 14 and set(seen) == {2, 1}  # blocks 2, 2, 2, 1; 14 calls each
-        assert seen[-14:] == [1] * 14
+        assert len(seen) == 4 * 4 and set(seen) == {2, 1}  # blocks 2, 2, 2, 1; 4 calls each
+        assert seen[-4:] == [1] * 4
 
 
 class TestKernelBySequence:
@@ -681,8 +785,8 @@ def _tiny_batch():
 
 
 def test_si_loss_graph_node_count():
-    # every projection is one linear node, each attention block one node and
-    # the CRF NLL one node; a regrown op chain changes this count
+    # each layer is two nodes (T.attention_block, T.mlp_block) and the CRF NLL
+    # one node; a regrown op chain changes this count
     from propspan.models import SiTagger
     from propspan.tokens import Vocab
     vocab = Vocab([f"w{i}" for i in range(10)])
@@ -691,7 +795,7 @@ def test_si_loss_graph_node_count():
     ids, mask, lengths = _tiny_batch()
     tags = np.zeros((2, 5), dtype=np.int64)
     loss = model.loss(ids, mask, tags, lengths, train=True, rng=np.random.default_rng(0))
-    assert _graph_nodes(loss) == 37
+    assert _graph_nodes(loss) == 13
 
 
 def test_span_cls_loss_graph_node_count():
@@ -707,4 +811,4 @@ def test_span_cls_loss_graph_node_count():
                           rng=np.random.default_rng(0))
     targets = np.array([[0, 1, 0], [0, 0, 1]])
     loss = reweighted_bce(T.sigmoid(logits), targets, uniform_weights(3))
-    assert _graph_nodes(loss) == 80
+    assert _graph_nodes(loss) == 28

@@ -225,6 +225,45 @@ def test_fit_frees_each_step_graph_before_the_next(monkeypatch, shards):
     assert len(alive) == 2 * 4 * shards
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_fit_frees_each_step_gradients_after_its_optimizer_step(monkeypatch, shards):
+    """No parameter gradient, a shard's or the step's sum, outlives its optimizer
+    step: each is dead when ``batch_loss`` or ``evaluate`` next runs. Two shards
+    run in this process."""
+    monkeypatch.setattr(pl, "_usable_cpus", lambda: 1)
+    model = _OneWeight()
+    alive, shard_grads = [], []
+    backward, step = pl._backward, pl.Optimizer.step
+
+    def recording_backward(opt, loss, weight):
+        value = backward(opt, loss, weight)
+        shard_grads.extend(weakref.ref(p.grad) for p in opt.params.values())
+        return value
+
+    def recording_step(opt):
+        alive.extend(shard_grads + [weakref.ref(p.grad) for p in opt.params.values()])
+        shard_grads.clear()
+        step(opt)
+
+    def all_dead():
+        return not [ref for ref in alive if ref() is not None]
+
+    def batch_loss(idx, shard):
+        assert all_dead()
+        return (model.w * model.w * float(len(idx))).sum()
+
+    def evaluate(step):
+        assert all_dead()
+        return EvalPoint(step, 0.0)
+
+    monkeypatch.setattr(pl, "_backward", recording_backward)
+    monkeypatch.setattr(pl.Optimizer, "step", recording_step)
+    hp = replace(HyperParams.desk("si"), steps=4, eval_every=2, batch_size=2)
+    _fit(model, 4, batch_loss, evaluate, hp, np.random.default_rng(0),
+         np.ones(4) if shards == 2 else None)
+    assert len(alive) == 4 * (shards + 1)
+
+
 class TestTrainSi:
     def test_zero_steps_returns_initialized_model(self):
         corpus = tiny_corpus()

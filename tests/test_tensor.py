@@ -175,6 +175,13 @@ NODE_OPS = {
                                        2, 0.2, np.random.default_rng(0), True),
     "layer_norm": lambda r: T.layer_norm(randt(r, (2, 3, 4)), randt(r, (4,)), _const(r, (4,))),
     "dropout": lambda r: T.dropout(randt(r, (3, 4)), 0.3, np.random.default_rng(0), True),
+    "attention_block": lambda r: T.attention_block(
+        randt(r, (2, 3, 4)), [randt(r, s) for s in [(4,), (4,)] + [(4, 4), (4,)] * 4],
+        np.array([[True] * 3, [True, True, False]]), 2, 0.2, 0.3, np.random.default_rng(0),
+        True, np.array([[0, 2], [1, 1]])),
+    "mlp_block": lambda r: T.mlp_block(
+        randt(r, (2, 3, 4)), [randt(r, s) for s in [(4,), (4,), (4, 6), (6,), (6, 4), (4,)]],
+        0.3, np.random.default_rng(0), True),
     "crf.log_partition_batch": _crf_log_partition,
     "crf.nll_batch": _crf_nll,
 }
@@ -276,6 +283,42 @@ def test_forward_gives_the_bytes_of_the_expression_it_replaces(name, dtype, shap
         x, *extra)
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _old_gelu_backward(g, x):
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * ((x * x) * x)))
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 0.134145 * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def _old_layer_norm_backward(g, x, gamma):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xc * inv
+    gh = g * gamma
+    return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (8, 60, 64), (3, 17, 33)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_backward_gives_the_bytes_of_the_expression_it_replaces(name, dtype, shape):
+    # the backwards update their temporaries in place; the arithmetic and its
+    # order are those of the one-expression forms above
+    rng = np.random.default_rng(zlib.crc32(f"{name}{shape}bwd".encode()))
+    x = Tensor(rng.normal(0.0, 3.0, size=shape).astype(dtype), requires_grad=True)
+    g = rng.normal(size=shape).astype(dtype)
+    gamma = rng.normal(size=shape[-1]).astype(dtype)
+    if name == "gelu":
+        T.gelu(x).backward(g)
+        want = _old_gelu_backward(g, x.data)
+    else:
+        T.layer_norm(x, Tensor(gamma), Tensor(np.zeros_like(gamma))).backward(g)
+        want = _old_layer_norm_backward(g, x.data, gamma)
+    assert x.grad.dtype == want.dtype == dtype
+    assert x.grad.tobytes() == want.tobytes()
 
 
 def test_linear_gradients_and_single_node():
