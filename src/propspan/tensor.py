@@ -540,8 +540,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray
                track: bool) -> tuple[np.ndarray, tuple | None]:
     """``attention``'s output ``[B, Tq, H]`` from arrays, and what its backward
     reads (None where no graph is recorded): the heads of ``q``, ``k`` and
-    ``v``, the softmax weights, the dropout mask or None, and the scale. The
-    dropped weights are not kept; the backward recomputes them."""
+    ``v``, the softmax weights, the bool dropout decisions or None, the rate
+    and the scale. The dropped weights are not kept; the backward recomputes
+    them."""
     bsz, tq, hid = q.shape
     tk = k.shape[1]
     dh = hid // heads
@@ -555,24 +556,34 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray
         return _attend_per_sequence(q4, k4, v4, key_mask, scale).reshape(bsz, tq, hid), None
 
     attn = _attention_weights(q4, k4, key_mask, scale)  # [B, heads, Tq, Tk]
-    mask = _dropout_mask(rng, attn.shape, p, attn.dtype) if dropping else None
-    ctx = np.matmul(attn if mask is None else attn * mask, v4)  # [B, heads, Tq, dh]
+    keep = _dropout_keep(rng, attn.shape, p) if dropping else None
+    ctx = np.matmul(attn if keep is None else _dropped(attn, keep, p, attn.dtype),
+                    v4)  # [B, heads, Tq, dh]
     out = np.swapaxes(ctx, 1, 2).reshape(bsz, tq, hid)
-    return out, (q4, k4, v4, attn, mask, scale) if track else None
+    return out, (q4, k4, v4, attn, keep, p, scale) if track else None
 
 
 def _attention_backward(g: np.ndarray, q4: np.ndarray, k4: np.ndarray, v4: np.ndarray,
-                        attn: np.ndarray, mask: np.ndarray | None,
+                        attn: np.ndarray, keep: np.ndarray | None, p: float,
                         scale: np.ndarray) -> tuple[np.ndarray, ...]:
     """The gradients of ``_attention`` for ``q``, ``k`` and ``v``; the softmax
-    backward ``attn * (g_attn - dot) * scale`` runs in place."""
+    backward ``attn * (g_attn - dot) * scale`` runs in place, and the dropout
+    mask, rebuilt from ``keep``, then takes ``attn * mask`` and ``g_attn * attn``."""
     bsz, heads, tq, dh = q4.shape
     g_ctx = np.swapaxes(g.reshape(bsz, tq, heads, dh), 1, 2)
-    g_v = np.matmul(np.swapaxes(attn if mask is None else attn * mask, -1, -2), g_ctx)
     g_attn = np.matmul(g_ctx, np.swapaxes(v4, -1, -2))
-    if mask is not None:
-        g_attn *= mask
-    g_attn -= (g_attn * attn).sum(axis=-1, keepdims=True)
+    if keep is None:
+        g_v = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        buf = g_attn * attn
+    else:
+        buf = _dropout_mask(keep, p, attn.dtype)
+        g_attn *= buf
+        np.multiply(attn, buf, out=buf)
+        g_v = np.matmul(np.swapaxes(buf, -1, -2), g_ctx)
+        buf = np.multiply(g_attn, attn, out=buf if np.result_type(g_attn, buf) == buf.dtype
+                          else None)
+    g_attn -= buf.sum(axis=-1, keepdims=True)
+    del buf
     g_attn *= attn
     g_attn *= scale
     g_q = np.matmul(g_attn, k4)
@@ -618,9 +629,15 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
+    return _scale_shift(xhat, gamma, beta), xhat, inv
+
+
+def _scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``xhat * gamma + beta``: the layer norm's output, which the blocks' backwards
+    rebuild from ``xhat`` instead of keeping it."""
     out = xhat * gamma
     out += beta
-    return out, xhat, inv
+    return out
 
 
 def _layer_norm_backward(g: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -647,21 +664,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                  lambda g: _layer_norm_backward(g, gamma.data, beta.data, xhat, inv))
 
 
-def _dropout_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> np.ndarray:
-    """Inverted dropout's mask: 1/(1-p) where ``rng.random(shape) >= p``, else 0."""
+def _dropout_keep(rng: np.random.Generator | None, shape, p: float) -> np.ndarray:
+    """Inverted dropout's decisions, one byte each: True where ``rng.random(shape) >= p``."""
     if rng is None:
         raise ValueError("dropout in train mode needs an RNG")
-    keep = rng.random(shape) >= p
+    return rng.random(shape) >= p
+
+
+def _dropout_mask(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Inverted dropout's mask from its decisions: 1/(1-p) where ``keep``, else 0."""
     return keep.astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
 
 
+def _dropped(x: np.ndarray, keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """``x * _dropout_mask(keep, p, dtype)``, written into the mask where the
+    product has the mask's dtype."""
+    mask = _dropout_mask(keep, p, dtype)
+    return np.multiply(x, mask, out=mask if np.result_type(x, mask) == mask.dtype else None)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: train-time scaling by 1/(1-p); eval is the identity."""
+    """Inverted dropout: train-time scaling by 1/(1-p); eval is the identity. The
+    node keeps the bool decisions and rebuilds the mask where it multiplies."""
     if not train or p <= 0.0:
         return x
     x = as_tensor(x)
-    mask = _dropout_mask(rng, x.data.shape, p, x.data.dtype)
-    return _node(x.data * mask, (x,), lambda g: (g * mask,))
+    dtype = x.data.dtype
+    keep = _dropout_keep(rng, x.data.shape, p)
+    return _node(_dropped(x.data, keep, p, dtype), (x,), lambda g: (_dropped(g, keep, p, dtype),))
 
 
 # -- transformer sub-blocks ------------------------------------------------------
@@ -672,20 +702,22 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
 # in the order ``Tensor.backward`` would sum them over the chain, so outputs and
 # gradients equal the chain's bit for bit (for inputs and parameters of one
 # dtype, as a model's are: gradients are summed in place). Each keeps only what
-# its backward reads: no projection output past the attention or GELU, no
-# dropout output; and its backward lets each gradient go once used (the
-# ``del``s), which lowers the peak of a backward pass.
+# its backward reads and cannot rebuild cheaply: no projection output past the
+# attention or GELU, no dropout output, dropout decisions as bool; the layer
+# norm's and GELU's outputs are rebuilt with the forward's own ops, so with the
+# same bytes. The backward lets each gradient and rebuilt array go once used
+# (the ``del``s), which lowers the peak of a backward pass.
 
 
 def _dropout_residual(out: np.ndarray, res: np.ndarray, p: float,
                       rng: np.random.Generator | None, train: bool) -> np.ndarray | None:
-    """``res + dropout(out)``, written into ``out``; returns the dropout mask, or
-    None where ``dropout`` is the identity."""
-    mask = _dropout_mask(rng, out.shape, p, out.dtype) if train and p > 0.0 else None
-    if mask is not None:
-        out *= mask
+    """``res + dropout(out)``, written into ``out``; returns the bool dropout
+    decisions, or None where ``dropout`` is the identity."""
+    keep = _dropout_keep(rng, out.shape, p) if train and p > 0.0 else None
+    if keep is not None:
+        out *= _dropout_mask(keep, p, out.dtype)
     out += res
-    return mask
+    return keep
 
 
 def attention_block(h: Tensor, params: Sequence[Tensor], key_mask: np.ndarray, heads: int,
@@ -697,9 +729,9 @@ def attention_block(h: Tensor, params: Sequence[Tensor], key_mask: np.ndarray, h
     ``params`` is ``(ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo)``; ``key_mask``
     and the attention's kernel are those of ``attention``. ``rows`` ([B, S]
     positions) keeps the queries and the residual at those positions only, for
-    an output of ``[B, S, H]``. The backward keeps the layer norm's ``xhat``,
-    ``inv`` and output, ``q``, ``k`` and ``v``, the softmax weights and the two
-    dropout masks, and the attention's output.
+    an output of ``[B, S, H]``. The backward keeps the layer norm's ``xhat`` and
+    ``inv``, ``q``, ``k`` and ``v``, the softmax weights, the two dropouts' bool
+    decisions and the attention's output; it rebuilds ``hn``.
     """
     h = as_tensor(h)
     ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo = params
@@ -713,24 +745,32 @@ def attention_block(h: Tensor, params: Sequence[Tensor], key_mask: np.ndarray, h
     q = _linear(hq, wq.data, bq.data)
     k = _linear(hn, wk.data, bk.data)
     v = _linear(hn, wv.data, bv.data)
+    del hn, hq
     ctx, saved = _attention(q, k, v, key_mask, heads, attention_dropout, rng, train, track)
+    del q, k, v
     out = _linear(ctx, wo.data, bo.data)
-    mask = _dropout_residual(out, res, p, rng, train)
+    keep, dtype = _dropout_residual(out, res, p, rng, train), out.dtype
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_ctx, g_wo, g_bo = _linear_backward(g if mask is None else g * mask, ctx,
-                                             wo.data, bo.data)
+        g_ctx, g_wo, g_bo = _linear_backward(g if keep is None else _dropped(g, keep, p, dtype),
+                                             ctx, wo.data, bo.data)
         g_q, g_k, g_v = _attention_backward(g_ctx, *saved)
         del g_ctx
-        g_hn, g_wq, g_bq = _linear_backward(g_q, hq, wq.data, bq.data)
+        hn = _scale_shift(xhat, ln_g.data, ln_b.data)
+        g_hn, g_wq, g_bq = _linear_backward(g_q, hn if rows is None else hn[at], wq.data, bq.data)
+        del g_q
         if rows is not None:
             g_hn = _getitem_backward(g_hn, hn, at)
         g_in, g_wk, g_bk = _linear_backward(g_k, hn, wk.data, bk.data)
+        del g_k
         g_hn += g_in
+        del g_in
         g_in, g_wv, g_bv = _linear_backward(g_v, hn, wv.data, bv.data)
+        del g_v, hn
         g_hn += g_in  # (q + k) + v, the chain's order
-        del g_q, g_k, g_v, g_in
+        del g_in
         g_h, g_lg, g_lb = _layer_norm_backward(g_hn, ln_g.data, ln_b.data, xhat, inv)
+        del g_hn
         g_h += g if rows is None else _getitem_backward(g, h.data, at)
         return g_h, g_lg, g_lb, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
 
@@ -742,25 +782,31 @@ def mlp_block(h: Tensor, params: Sequence[Tensor], p: float,
     """``h + dropout(gelu(layer_norm(h) @ w1 + b1) @ w2 + b2)`` as one graph node.
 
     ``params`` is ``(ln_g, ln_b, w1, b1, w2, b2)``. The backward keeps the layer
-    norm's ``xhat``, ``inv`` and output, the first projection's output, GELU's
-    ``tanh`` and output, and the dropout mask.
+    norm's ``xhat`` and ``inv``, the first projection's output and the dropout's
+    bool decisions; it rebuilds the layer norm's output and GELU's tanh and
+    output.
     """
     h = as_tensor(h)
     ln_g, ln_b, w1, b1, w2, b2 = params
     parents = (h, *params)
     m, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data)
     x = _linear(m, w1.data, b1.data)
-    u, t = _gelu(x)
-    out = _linear(u, w2.data, b2.data)
-    mask = _dropout_residual(out, h.data, p, rng, train)
+    del m
+    out = _linear(_gelu(x)[0], w2.data, b2.data)
+    keep, dtype = _dropout_residual(out, h.data, p, rng, train), out.dtype
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_u, g_w2, g_b2 = _linear_backward(g if mask is None else g * mask, u,
-                                           w2.data, b2.data)
+        u, t = _gelu(x)
+        g_u, g_w2, g_b2 = _linear_backward(g if keep is None else _dropped(g, keep, p, dtype),
+                                           u, w2.data, b2.data)
+        del u
         g_u = _gelu_backward(g_u, x, t)
+        del t
+        m = _scale_shift(xhat, ln_g.data, ln_b.data)
         g_m, g_w1, g_b1 = _linear_backward(g_u, m, w1.data, b1.data)
-        del g_u
+        del g_u, m
         g_h, g_lg, g_lb = _layer_norm_backward(g_m, ln_g.data, ln_b.data, xhat, inv)
+        del g_m
         g_h += g
         return g_h, g_lg, g_lb, g_w1, g_b1, g_w2, g_b2
 

@@ -12,6 +12,7 @@ import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +86,9 @@ def _token_range(tt: TokenizedText, start: int, end: int) -> tuple[int, int]:
 
 def tokenize(text: str) -> TokenizedText:
     """Whitespace words with punctuation characters split into single tokens."""
-    return TokenizedText(text=text, tokens=tuple(
-        Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)))
+    rows = [(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    # tuple.__new__ builds each Token without a call of its Python-level __new__
+    return TokenizedText(text=text, tokens=tuple(map(tuple.__new__, repeat(Token), rows)))
 
 
 def merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

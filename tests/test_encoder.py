@@ -265,6 +265,41 @@ class TestBlocksMatchChain:
         assert grad_check(fn, [h] + params, eps=1e-6) <= 1e-4
 
 
+def test_train_blocks_keep_what_their_docstrings_list():
+    # float32 arrays (4 bytes an element) and bool dropout decisions (1 byte),
+    # and no layer-norm output, GELU output or tanh: the backward rebuilds those
+    bsz, seq, hidden, heads, inter = 4, 32, 64, 4, 128
+    stack = TransformerStack("s", hidden, 1, heads, inter, 0.2, 0.3,
+                             np.random.default_rng(77), np.float32)
+    params = stack.params
+    h = Tensor(np.random.default_rng(78).normal(size=(bsz, seq, hidden)).astype(np.float32),
+               requires_grad=True)
+    allowed = _padded_allowed([32, 20, 9, 1], seq)
+    drop_rng = np.random.default_rng(79)
+    bth, bt, scores = bsz * seq * hidden, bsz * seq, bsz * heads * seq * seq
+    kept = {  # element counts times element bytes
+        "attention_block": 4 * (bth + bt + 3 * bth + scores + bth) + scores + bth + 4 * bth,
+        "mlp_block": 4 * (bth + bt + bsz * seq * inter) + bth + 4 * bth,
+    }
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = T.attention_block(h, [params[f"s.layer0.{nm}"] for nm in encoder._ATTENTION_PARAMS],
+                              allowed, heads, 0.3, 0.2, drop_rng, True)
+        after_attention = tracemalloc.get_traced_memory()[0]
+        m = T.mlp_block(a, [params[f"s.layer0.{nm}"] for nm in encoder._MLP_PARAMS], 0.2,
+                        drop_rng, True)
+        after_mlp = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    retained = {"attention_block": after_attention - before,
+                "mlp_block": after_mlp - after_attention}
+    for name, want in kept.items():  # the slack covers the Python objects
+        assert want <= retained[name] <= want + 8192, (name, retained[name], want)
+    m.backward(np.ones(m.shape, dtype=np.float32))
+    assert h.grad is not None
+
+
 class TestBlockedAttention:
     """No-grad attention one sequence at a time against the one-buffer grad
     path. Shapes are small, so the tests shrink ``_SEQUENCE_SCORE_BYTES`` to 0,
