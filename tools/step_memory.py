@@ -23,8 +23,8 @@ import numpy as np  # noqa: E402
 from propspan import tensor as T  # noqa: E402
 from propspan.losses import class_weights, reweighted_bce  # noqa: E402
 from propspan.models import TcClassifier  # noqa: E402
-from propspan.pipeline import (HyperParams, _model_config, _multi_hot,  # noqa: E402
-                               build_tc_items)
+from propspan.pipeline import (HyperParams, _multi_hot, build_tc_items,  # noqa: E402
+                               desk_encoder_config)
 from propspan.synth import SynthConfig, gen_synth  # noqa: E402
 from propspan.tokens import Vocab  # noqa: E402
 
@@ -40,7 +40,7 @@ def main(argv=None) -> None:
     hp = HyperParams.desk("tc")
     items = build_tc_items(corpus.train, hp.max_seq_len)
     vocab = Vocab.build([it.window_tokens for it in items])
-    model = TcClassifier(_model_config(None, vocab, hp), vocab, corpus.labels,
+    model = TcClassifier(desk_encoder_config(len(vocab), hp), vocab, corpus.labels,
                          head_kind="span_cls", seed=args.seed)
     batch = items[:BATCH]
     inputs = model.inputs(batch)
