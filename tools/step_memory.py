@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Heap of one train-mode span-cls training step, measured with ``tracemalloc``.
 
-Builds the stock desk corpus (``gen_synth`` at ``--seed``), a desk TC model
+Builds the stock desk corpus (``gen_synth`` at ``SEED``), a desk TC model
 with the span-cls head, and one batch of its first 16 training items; then
 runs the loss forward and backward once in train mode (dropout on) and prints
 what the step allocated, in MB: the heap when backward starts (what the graph
@@ -15,7 +15,6 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy is first imported
 
-import argparse  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -29,25 +28,22 @@ from propspan.synth import SynthConfig, gen_synth  # noqa: E402
 from propspan.tokens import Vocab  # noqa: E402
 
 BATCH = 16
+SEED = 5
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=5)
-    args = parser.parse_args(argv)
-
-    corpus = gen_synth(SynthConfig(seed=args.seed))
+def main() -> None:
+    corpus = gen_synth(SynthConfig(seed=SEED))
     hp = HyperParams.desk("tc")
     items = build_tc_items(corpus.train, hp.max_seq_len)
     vocab = Vocab.build([it.window_tokens for it in items])
     model = TcClassifier(desk_encoder_config(len(vocab), hp), vocab, corpus.labels,
-                         head_kind="span_cls", seed=args.seed)
+                         head_kind="span_cls", seed=SEED)
     batch = items[:BATCH]
     inputs = model.inputs(batch)
     n_classes = len(corpus.labels)
     freq = np.bincount([it.label for it in items], minlength=n_classes)
     weights, target = class_weights(freq), _multi_hot(batch, n_classes)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
 
     mb = 1 / (1 << 20)
     tracemalloc.start()
