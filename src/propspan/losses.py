@@ -14,8 +14,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-PROB_EPS = 1e-7
-
 
 @dataclass(frozen=True)
 class ClassWeights:
@@ -37,25 +35,26 @@ def uniform_weights(n_classes: int) -> ClassWeights:
     return ClassWeights(frequencies=ones, weights=ones)
 
 
-def reweighted_bce(x: Tensor, y: np.ndarray, w: ClassWeights) -> Tensor:
-    """-(1/(N*d)) * sum_n sum_k [ w_k * y log x + (1-y) log(1-x) ].
+def reweighted_bce(z: Tensor, y: np.ndarray, w: ClassWeights) -> Tensor:
+    """-(1/(N*d)) * sum_n sum_k [ w_k * y log sigmoid(z) + (1-y) log(1-sigmoid(z)) ].
 
-    ``x`` holds sigmoid outputs in (0, 1); they are clamped away from the
-    endpoints before the logs. With all weights 1 this is plain BCE.
+    One graph node over the logits ``z``, valued through the log-sigmoid:
+    -log sigmoid(z) = softplus(-z) and -log(1-sigmoid(z)) = softplus(z).
+    Its gradient is (sigmoid(z) * (w_k*y + 1-y) - w_k*y) / (N*d). With all
+    weights 1 this is plain BCE.
     """
-    x = T.as_tensor(x)
+    z = T.as_tensor(z)
     y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"prediction shape {x.shape} != target shape {y.shape}")
-    if x.ndim != 2:
+    if z.shape != y.shape:
+        raise ValueError(f"logit shape {z.shape} != target shape {y.shape}")
+    if z.ndim != 2:
         raise ValueError("expected a [batch, classes] matrix")
-    n, d = x.shape
+    n, d = z.shape
     if w.weights.shape != (d,):
         raise ValueError(f"{w.weights.shape[0]} class weights for {d} classes")
+    x = z.data
     y = y.astype(x.dtype)
-    p = w.weights.astype(x.dtype)
-    xc = T.clip(x, PROB_EPS, 1.0 - PROB_EPS)
-    pos = T.mul(T.log(xc), p[None, :] * y)
-    neg_ = T.mul(T.log(T.sub(1.0, xc)), 1.0 - y)
-    return T.mul(T.add(pos, neg_).sum(), -1.0 / (n * d))
-
+    wy = w.weights.astype(x.dtype) * y
+    neg = 1.0 - y
+    loss = (wy * np.logaddexp(0.0, -x) + neg * np.logaddexp(0.0, x)).sum() / (n * d)
+    return T._node(loss, (z,), lambda g: ((T._sigmoid(x) * (wy + neg) - wy) * (g / (n * d)),))

@@ -67,7 +67,7 @@ class HyperParams:
             raise ValueError(f"unknown task {self.task!r}")
         if self.lr <= 0 or self.batch_size <= 0 or self.steps < 0:
             raise ValueError("lr and batch_size must be positive, steps >= 0")
-        for name in ("max_seq_len", "eval_every"):
+        for name in ("max_seq_len", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.optimizer not in ("sgd", "adamw"):
@@ -511,16 +511,15 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
     if two_shards:
         shared_grads = {k: _shared(np.zeros_like(p.data)) for k, p in params.items()}
 
-    def shard_1(message) -> tuple[float, list[bool]]:
-        """Shard 1, in the worker or here: its loss, and which gradients it shared."""
+    def shard_1(message) -> float:
+        """Shard 1, in the worker or here: its loss; its gradients go to ``shared_grads``."""
         idx, weight = message
         value = _backward(opt, batch_loss(np.array(idx), 1), weight)
-        have = [p.grad is not None for p in params.values()]
         for k, p in params.items():
             if p.grad is not None:
                 shared_grads[k][...] = p.grad
         opt.zero_grad()
-        return value, have
+        return value
 
     with _forked(shard_1, ["training worker"] if fork else []) as workers:
         order = data_rng.permutation(n_items)
@@ -545,12 +544,13 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
                 raise RuntimeError(f"non-finite training loss {value} at step {step}")
             if two_shards:
                 grads = {k: p.grad for k, p in params.items()}
-                value, have = workers[0].receive() if workers else shard_1(message)
+                value = workers[0].receive() if workers else shard_1(message)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite training loss {value} at step "
                                        f"{step} (shard 1)")
-                for (k, p), g1, h in zip(params.items(), shared_grads.values(), have):
-                    p.grad = None if grads[k] is None else grads[k] + (g1 if h else None)
+                for k, p in params.items():
+                    if grads[k] is not None:
+                        p.grad = grads[k] + shared_grads[k]
                 del grads
             opt.step()
             opt.zero_grad()
@@ -774,7 +774,7 @@ def train_tc(train_items: list[TcItem], dev_items: list[TcItem], labels: list[st
     def batch_loss(idx: np.ndarray, shard: int) -> T.Tensor:
         chunk = [mixed[j] for j in idx]
         logits = model.logits(*model.inputs(chunk), train=True, rng=drop_rng)
-        return reweighted_bce(T.sigmoid(logits), _multi_hot(chunk, n_classes), weights)
+        return reweighted_bce(logits, _multi_hot(chunk, n_classes), weights)
 
     dev_gold = np.array([it.label for it in dev_items], dtype=np.int64)
 

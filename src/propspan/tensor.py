@@ -300,20 +300,15 @@ def gelu(a) -> Tensor:
     return _node(out_data, (a,), lambda g: (_gelu_backward(g, a.data, t),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))  # stable for both signs
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))  # stable for both signs
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    out_data = _sigmoid(a.data)
     return _node(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only through the un-clipped region."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return _node(out_data, (a,), lambda g: (g * inside,))
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:

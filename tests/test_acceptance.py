@@ -137,10 +137,11 @@ def test_criterion_02_gradient_suite():
 
     def bce_once():
         n, d = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-        x = Tensor(rng.uniform(0.1, 0.9, (n, d)), requires_grad=True, dtype=np.float64)
+        p = rng.uniform(0.1, 0.9, (n, d))
+        z = Tensor(np.log(p / (1 - p)), requires_grad=True, dtype=np.float64)
         y = rng.integers(0, 2, (n, d)).astype(float)
         w = class_weights(rng.integers(1, 20, d))
-        return grad_check(lambda x: reweighted_bce(x, y, w), [x])
+        return grad_check(lambda z: reweighted_bce(z, y, w), [z])
 
     worst["reweighted_bce"] = max(bce_once() for _ in range(100))
 
@@ -151,19 +152,20 @@ def test_criterion_02_gradient_suite():
 
 
 def test_criterion_03_reweighted_bce_values():
-    x = Tensor(np.array([[0.5, 0.5]]), dtype=np.float64)
+    z = Tensor(np.zeros((1, 2)), dtype=np.float64)  # the logits of [0.5, 0.5]
     y = np.array([[1.0, 0.0]])
     w = class_weights([1, 2])  # -> p = [2, 1]
-    hand = abs(reweighted_bce(x, y, w).item() - 1.5 * math.log(2)) <= 1e-9
+    hand = abs(reweighted_bce(z, y, w).item() - 1.5 * math.log(2)) <= 1e-9
 
     rng = np.random.default_rng(103)
     reduces = True
     for _ in range(100):
         n, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        xb = Tensor(rng.uniform(0.05, 0.95, (n, d)), dtype=np.float64)
+        xb = rng.uniform(0.05, 0.95, (n, d))
+        zb = Tensor(np.log(xb / (1 - xb)), dtype=np.float64)
         yb = rng.integers(0, 2, (n, d)).astype(float)
-        plain = -(yb * np.log(xb.numpy()) + (1 - yb) * np.log(1 - xb.numpy())).mean()
-        reduces &= abs(reweighted_bce(xb, yb, uniform_weights(d)).item() - plain) <= 1e-9
+        plain = -(yb * np.log(xb) + (1 - yb) * np.log(1 - xb)).mean()
+        reduces &= abs(reweighted_bce(zb, yb, uniform_weights(d)).item() - plain) <= 1e-9
     report(3, "re-weighted BCE matches the hand value 1.5*ln2 and reduces to "
               "plain BCE at unit weights (1e-9)", hand and reduces)
 

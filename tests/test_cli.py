@@ -460,7 +460,7 @@ def test_train_si_rejects_bce_loss(synth_dir, tmp_path, capsys):
         assert not (tmp_path / "o" / "model-si.spfg").exists()
 
 
-@pytest.mark.parametrize("key", ["max_seq_len", "eval_every"])
+@pytest.mark.parametrize("key", ["max_seq_len", "eval_every", "patience"])
 def test_non_positive_hp_value_exit_1(synth_dir, tmp_path, capsys, key):
     assert train_si_with(synth_dir, tmp_path, {**TRAIN_CFG, f"hp.{key}": 0}) == 1
     assert f"{key} must be >= 1, got 0" in capsys.readouterr().err

@@ -74,7 +74,7 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="'ner'"):
             HyperParams.paper("ner")
 
-    @pytest.mark.parametrize("field", ["max_seq_len", "eval_every"])
+    @pytest.mark.parametrize("field", ["max_seq_len", "eval_every", "patience"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_lengths_and_cadence_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):

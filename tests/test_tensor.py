@@ -154,7 +154,6 @@ NODE_OPS = {
     "tanh": lambda r: T.tanh(randt(r, (3, 4))),
     "gelu": lambda r: T.gelu(randt(r, (3, 4))),
     "sigmoid": lambda r: T.sigmoid(randt(r, (3, 4))),
-    "clip": lambda r: T.clip(randt(r, (3, 4)), -0.5, 0.5),
     "where": lambda r: T.where(r.random((3, 4)) < 0.5, randt(r, (3, 4)), _const(r, (3, 4))),
     "sum_": lambda r: T.sum_(randt(r, (3, 4)), axis=1),
     "mean": lambda r: T.mean(randt(r, (3, 4)), axis=0),

@@ -19,7 +19,6 @@ import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from propspan import tensor as T  # noqa: E402
 from propspan.losses import class_weights, reweighted_bce  # noqa: E402
 from propspan.models import TcClassifier  # noqa: E402
 from propspan.pipeline import (HyperParams, _multi_hot, build_tc_items,  # noqa: E402
@@ -48,7 +47,7 @@ def main() -> None:
     mb = 1 / (1 << 20)
     tracemalloc.start()
     logits = model.logits(*inputs, train=True, rng=rng)
-    loss = reweighted_bce(T.sigmoid(logits), target, weights)
+    loss = reweighted_bce(logits, target, weights)
     del logits
     entry, forward_peak = tracemalloc.get_traced_memory()
     tracemalloc.reset_peak()
