@@ -56,5 +56,6 @@ def reweighted_bce(z: Tensor, y: np.ndarray, w: ClassWeights) -> Tensor:
     y = y.astype(x.dtype)
     wy = w.weights.astype(x.dtype) * y
     neg = 1.0 - y
-    loss = (wy * np.logaddexp(0.0, -x) + neg * np.logaddexp(0.0, x)).sum() / (n * d)
-    return T._node(loss, (z,), lambda g: ((T._sigmoid(x) * (wy + neg) - wy) * (g / (n * d)),))
+    nd = x.dtype.type(n * d)  # a Python int would promote float32 to float64 under numpy<2
+    loss = (wy * np.logaddexp(0.0, -x) + neg * np.logaddexp(0.0, x)).sum() / nd
+    return T._node(loss, (z,), lambda g: ((T._sigmoid(x) * (wy + neg) - wy) * (g / nd),))

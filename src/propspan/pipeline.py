@@ -515,9 +515,8 @@ def _fit(model, n_items: int, batch_loss, evaluate, hp: HyperParams,
         """Shard 1, in the worker or here: its loss; its gradients go to ``shared_grads``."""
         idx, weight = message
         value = _backward(opt, batch_loss(np.array(idx), 1), weight)
-        for k, p in params.items():
-            if p.grad is not None:
-                shared_grads[k][...] = p.grad
+        for k, p in params.items():  # zeros, never a stale step's gradient
+            shared_grads[k][...] = 0 if p.grad is None else p.grad
         opt.zero_grad()
         return value
 

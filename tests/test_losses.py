@@ -145,7 +145,9 @@ class TestReweightedBce:
         # probabilities at 1 - 1e-7 would give these logits a gradient of 0
         y = np.zeros((1, 2))
         z = Tensor(np.array([[16.0, 30.0]], np.float32), requires_grad=True)
-        reweighted_bce(z, y, uniform_weights(2)).backward()
+        loss = reweighted_bce(z, y, uniform_weights(2))
+        assert loss.dtype == np.float32
+        loss.backward()
         assert z.grad.dtype == np.float32
         np.testing.assert_allclose(z.grad, 1 / (1 + np.exp(-z.numpy())) / 2, rtol=1e-6)
         assert (z.grad > 0).all()
